@@ -10,7 +10,6 @@
 //!
 //! Run with: `cargo run --release -p han-bench --bin claims`
 
-use han_core::cp::event::EngineKind;
 use han_core::cp::CpModel;
 use han_core::experiment::{collect_results, compare, Comparison};
 use han_core::simulation::{HanSimulation, SimulationConfig, Strategy};
@@ -67,7 +66,6 @@ fn main() -> Result<(), ScenarioError> {
         round_period: SimDuration::from_secs(2),
         strategy,
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 1,
     };
     let requests = burst(SimTime::from_mins(2), 20);

@@ -9,11 +9,6 @@
 //! * the same run on the **naive per-node reference** plane (the paper's
 //!   literal formulation) and the resulting speedup,
 //! * simulation rounds per second,
-//! * **event engine**: the same run on the event-driven backend
-//!   ([`han_core::cp::event`], typed events on the `han-sim`
-//!   discrete-event core) — digest equality with the round loop is
-//!   asserted, wall time, events per round and the throughput-parity
-//!   ratio are reported, and the parity floor gates CI,
 //! * multi-seed sweep throughput via the parallel
 //!   [`han_core::experiment::compare_many`] versus the sequential
 //!   `compare_seeds`,
@@ -47,10 +42,10 @@
 //!   equality with the plain run asserted, Prometheus exposition
 //!   validated,
 //! * **city scale**: a ≥10⁴-device city (50 feeders × 8 homes × 26
-//!   devices on full runs) through the sharded shared-heap engine
+//!   devices on full runs) through the streaming shards
 //!   ([`han_core::city`]) — shard-count invariance of the full report
-//!   and per-home digest equality with the one-engine-per-home
-//!   neighborhood path are asserted, devices simulated per second is
+//!   and per-home digest equality with the neighborhood path are
+//!   asserted, devices simulated per second is
 //!   gated, and peak RSS (`VmHWM`) is recorded,
 //! * **multi-process city**: the same city as a supervised worker fleet
 //!   ([`han_core::city::mp`]) — this binary re-execs itself as workers
@@ -59,7 +54,7 @@
 //!   devices/s floor is gated, and the parent's peak RSS is sampled
 //!   *before* the in-process city phase (`VmHWM` is monotonic) so the
 //!   supervisor-side memory footprint is visible next to the
-//!   shared-heap one.
+//!   in-process one.
 //!
 //! Run with: `cargo run --release -p han-bench --bin perf`
 //!
@@ -74,12 +69,12 @@ use han_core::city::{City, CitySpec};
 use han_core::cp::CpModel;
 use han_core::experiment::{
     build_simulation, compare_many, compare_seeds, run_strategy, run_strategy_faulted,
-    run_strategy_on, run_strategy_reference, StrategyResult,
+    run_strategy_reference, StrategyResult,
 };
 use han_core::feeder::{FeederPolicy, FeederSignal};
 use han_core::neighborhood::Neighborhood;
 use han_core::online::OnlineDriver;
-use han_core::{EngineKind, FaultPlan, HanSimulation, SimulationConfig, Strategy};
+use han_core::{FaultPlan, HanSimulation, SimulationConfig, Strategy};
 use han_obs::{Obs, ObsConfig, ObsSink};
 use han_sim::time::{SimDuration, SimTime};
 use han_workload::fleet::{FleetSpec, ScenarioError};
@@ -252,45 +247,6 @@ fn main() -> Result<(), ScenarioError> {
          (memoized {memoized_s:.4}s vs naive {naive_s:.4}s)"
     );
 
-    // Event-driven backend: first the differential gate (bit-identical
-    // schedules to the round loop on the paper scenario), then throughput.
-    let event_run = run_strategy_on(
-        &scenario,
-        Strategy::coordinated(),
-        CpModel::Ideal,
-        EngineKind::Event,
-    )?;
-    assert_eq!(
-        event_run.outcome.schedule_digest, fast.outcome.schedule_digest,
-        "event backend diverged from the synchronous round loop"
-    );
-    assert_eq!(event_run.outcome.trace, fast.outcome.trace);
-    let events = event_run.outcome.events;
-    let events_per_round = events as f64 / rounds as f64;
-    let event_s = median_secs(runs, || {
-        std::hint::black_box(
-            run_strategy_on(
-                &scenario,
-                Strategy::coordinated(),
-                CpModel::Ideal,
-                EngineKind::Event,
-            )
-            .expect("paper scenario is valid"),
-        );
-    });
-    let event_rounds_per_sec = rounds as f64 / event_s;
-    let event_parity = memoized_s / event_s;
-    // Parity gate (CI runs this bin in smoke mode): queueing every round
-    // through the discrete-event engine must stay within striking
-    // distance of the raw loop. Committed full runs show ≳0.9×; the floor
-    // sits at 0.6× so shared-runner noise cannot flake it while a real
-    // regression (per-event allocation, heap blow-up) still fails loudly.
-    assert!(
-        event_parity >= 0.6,
-        "event backend throughput regressed: {event_parity:.2}x of the round loop \
-         (event {event_s:.4}s vs round {memoized_s:.4}s)"
-    );
-
     let seed_count = SWEEP_SEEDS.end - SWEEP_SEEDS.start;
     let parallel_s = median_secs(sweep_runs, || {
         std::hint::black_box(
@@ -439,7 +395,6 @@ fn main() -> Result<(), ScenarioError> {
         &scenario,
         Strategy::coordinated(),
         CpModel::Ideal,
-        EngineKind::Round,
         &FaultPlan::empty(),
         None,
     )?;
@@ -458,7 +413,6 @@ fn main() -> Result<(), ScenarioError> {
                 &scenario,
                 Strategy::coordinated(),
                 CpModel::Ideal,
-                EngineKind::Round,
                 &FaultPlan::empty(),
                 None,
             )
@@ -493,7 +447,6 @@ fn main() -> Result<(), ScenarioError> {
         &scenario,
         Strategy::coordinated(),
         lossy_cp.clone(),
-        EngineKind::Round,
         &churn_plan,
         None,
     )?;
@@ -525,7 +478,6 @@ fn main() -> Result<(), ScenarioError> {
         round_period: SimDuration::from_secs(2),
         strategy: Strategy::coordinated(),
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 0,
     };
     let online_requests =
@@ -645,7 +597,6 @@ fn main() -> Result<(), ScenarioError> {
             &scenario,
             Strategy::coordinated(),
             CpModel::Ideal,
-            EngineKind::Round,
             &FaultPlan::empty(),
             None,
         )
@@ -690,16 +641,15 @@ fn main() -> Result<(), ScenarioError> {
          (enabled {obs_enabled_s:.4}s vs disabled {obs_disabled_s:.4}s, ceiling {overhead_ceiling}%)"
     );
 
-    // City scale: the sharded shared-heap engine on the full city (50
-    // feeders × 8 homes × 26 devices = 10,400 devices on committed
-    // runs). Three gates before timing: (1) the report is identical at
-    // 1 shard and at the auto shard count — the shard-invariance half of
-    // the prop_city.rs contract; (2) every per-home digest equals the
-    // same home run through the one-engine-per-home neighborhood path —
-    // the shared-heap ≡ per-home half; (3) after timing, a deliberately
-    // low devices/s floor catches structural collapse (per-event
-    // allocation, quadratic shard fold) without flaking on shared
-    // runners.
+    // City scale: the streaming shards on the full city (50 feeders × 8
+    // homes × 26 devices = 10,400 devices on committed runs). Three
+    // gates before timing: (1) the report is identical at 1 shard and at
+    // the auto shard count — the shard-invariance half of the
+    // prop_city.rs contract; (2) every per-home digest equals the same
+    // home run through the neighborhood path — the city ≡ per-home half;
+    // (3) after timing, a deliberately low devices/s floor catches
+    // structural collapse (a quadratic shard fold) without flaking on
+    // shared runners.
     let city_spec = perf_city_spec(smoke);
     let city_feeders = city_spec.feeders;
     let city_hpf = city_spec.homes_per_feeder;
@@ -708,7 +658,7 @@ fn main() -> Result<(), ScenarioError> {
     let city_shards = city_spec.effective_shards();
 
     // Multi-process city FIRST: `VmHWM` is monotonic, so the parent's
-    // RSS with the heap pushed out to worker processes must be sampled
+    // RSS with the homes pushed out to worker processes must be sampled
     // before the in-process city run inflates the high-water mark.
     // Gates: (1) the report is identical at 1 worker and at the fleet
     // size — worker-count invariance at bench scale; (2) below, the
@@ -762,7 +712,7 @@ fn main() -> Result<(), ScenarioError> {
             let digest = city_digests.next().expect("digest per home");
             assert_eq!(
                 digest.coordinated, home.comparison.coordinated.outcome.schedule_digest,
-                "feeder {feeder}: shared-heap digest diverged from the neighborhood path"
+                "feeder {feeder}: city digest diverged from the neighborhood path"
             );
             assert_eq!(
                 digest.uncoordinated,
@@ -790,10 +740,6 @@ fn main() -> Result<(), ScenarioError> {
     println!("end_to_end_naive_s,{naive_s:.4}");
     println!("speedup_naive_over_memoized,{speedup:.2}");
     println!("rounds_per_sec,{rounds_per_sec:.0}");
-    println!("event_engine_wall_s,{event_s:.4}");
-    println!("event_engine_rounds_per_sec,{event_rounds_per_sec:.0}");
-    println!("event_engine_events_per_round,{events_per_round:.1}");
-    println!("event_engine_throughput_parity,{event_parity:.2}");
     println!("sweep_comparisons_per_sec,{sweep_throughput:.2}");
     println!("sweep_parallel_scaling_x,{sweep_scaling:.2} (over {workers} workers)");
     println!("neighborhood_wall_s,{hood_s:.4} ({homes} homes x 26 devices)");
@@ -850,7 +796,7 @@ fn main() -> Result<(), ScenarioError> {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": 10,\n",
+            "  \"schema\": 11,\n",
             "  \"config\": {{\"devices\": 26, \"minutes\": {minutes}, \"rate_per_hour\": 30, \"cp\": \"ideal\"}},\n",
             "  \"rounds\": {rounds},\n",
             "  \"end_to_end\": {{\n",
@@ -858,14 +804,6 @@ fn main() -> Result<(), ScenarioError> {
             "    \"naive_wall_s\": {naive:.6},\n",
             "    \"speedup\": {speedup:.3},\n",
             "    \"rounds_per_sec\": {rps:.1}\n",
-            "  }},\n",
-            "  \"event_engine\": {{\n",
-            "    \"wall_s\": {event_s:.6},\n",
-            "    \"rounds_per_sec\": {event_rps:.1},\n",
-            "    \"events\": {events},\n",
-            "    \"events_per_round\": {events_per_round:.2},\n",
-            "    \"throughput_parity_vs_round\": {event_parity:.3},\n",
-            "    \"digest_identical\": true\n",
             "  }},\n",
             "  \"sweep\": {{\n",
             "    \"seeds\": {seeds},\n",
@@ -976,11 +914,6 @@ fn main() -> Result<(), ScenarioError> {
         naive = naive_s,
         speedup = speedup,
         rps = rounds_per_sec,
-        event_s = event_s,
-        event_rps = event_rounds_per_sec,
-        events = events,
-        events_per_round = events_per_round,
-        event_parity = event_parity,
         seeds = seed_count,
         par = parallel_s,
         seq = sequential_s,

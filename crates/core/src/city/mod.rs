@@ -1,24 +1,23 @@
-//! City-scale simulation: feeders × homes on shared-heap shards.
+//! City-scale simulation: feeders × homes on streaming shards.
 //!
 //! The paper evaluates one Home Area Network; the
-//! [`Neighborhood`](crate::neighborhood) layer scaled that to a street by
-//! running each home as its own simulation on its own engine. At city
-//! scale (thousands of feeders × tens of homes) one-engine-per-home stops
-//! being the right shape: this module runs **many homes on one shared
-//! [`han_sim`] engine per shard** — one binary heap, one clock,
-//! cross-home event interleaving through the same
-//! [`CpEvent`](crate::cp::event::CpEvent) taxonomy the single-home event
-//! backend uses, extended with a home-id tag (the crate-internal
-//! `shard` module).
+//! [`Neighborhood`](crate::neighborhood) layer scaled that to a street.
+//! At city scale (thousands of feeders × tens of homes) the homes still
+//! share no state — each is its own HAN with its own communication
+//! plane, coupled to the others only electrically through the feeder
+//! sum — so this module partitions feeders across **shards** (the unit
+//! of rayon parallelism) and each shard **streams** its homes: build
+//! one home, run both strategies on the synchronous round loop, fold
+//! the results into the feeder's [`FeederAggregate`], drop the home.
+//! A shard therefore holds one home in memory, whatever its size.
 //!
 //! Three properties make the scale-up safe, and the differential battery
 //! in `tests/prop_city.rs` pins each one:
 //!
-//! 1. **Shared-heap ≡ per-home.** Every home's event subsequence on the
-//!    shared heap fires in its solo order (engine FIFO tie-breaking) and
-//!    is dispatched by the *same* decision procedure
-//!    (`dispatch_cp_event`), so a city run is digest- and trace-identical
-//!    per home to the same homes run through [`Neighborhood::run`].
+//! 1. **City ≡ per-home.** A shard runs each home through
+//!    [`compare_faulted`] — the same function [`Neighborhood::run`]
+//!    calls — so a city run is digest- and trace-identical per home to
+//!    the same homes run through [`Neighborhood::run`].
 //! 2. **Shard-count invariance.** Feeders are partitioned contiguously
 //!    across shards, each feeder folds into a self-delimiting
 //!    [`FeederAggregate`] record, and the reduction orders records by
@@ -60,30 +59,25 @@
 //! ```
 
 pub mod mp;
-pub(crate) mod shard;
 pub mod tree;
 
 use std::ops::Range;
 
-use crate::cp::event::EngineKind;
 use crate::cp::CpModel;
 use crate::experiment::{
-    build_simulation, collect_results, summarize_outcome, CostComparison, SAMPLE_INTERVAL,
+    collect_results, compare_faulted, Comparison, CostComparison, SAMPLE_INTERVAL,
 };
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::feeder::{FeederPolicy, FeederReport};
 use crate::neighborhood::{Home, Neighborhood};
-use crate::simulation::{Driver, Strategy};
 use han_metrics::stats::Summary;
 use han_metrics::tariff::Billing;
 use han_obs::{Counter, Gauge, Obs};
 use han_sim::rng::mix_seed;
-use han_sim::time::SimTime;
 use han_workload::fleet::ScenarioError;
 use han_workload::scenario::{Scenario, Workload};
 use rayon::prelude::*;
 
-use shard::{run_shard, HomeSlot};
 pub use tree::{AggregateWireError, FeederAggregate, HomeDigest, SubstationSummary};
 
 /// Shards used when [`CitySpec::shards`] is 0 (auto), capped by the
@@ -268,8 +262,7 @@ impl CitySpec {
     /// One feeder of the city as a plain [`Neighborhood`] — the
     /// equivalence oracle: running this through [`Neighborhood::run`]
     /// must reproduce the city run's per-home digests and the feeder's
-    /// aggregate series exactly. Homes run the event backend, as they do
-    /// on a shard.
+    /// aggregate series exactly.
     ///
     /// # Errors
     ///
@@ -280,12 +273,8 @@ impl CitySpec {
         assert!(feeder < self.feeders, "feeder {feeder} out of range");
         let homes = (0..self.homes_per_feeder)
             .map(|slot| {
-                Home::with_engine(
-                    self.home_scenario(feeder, slot),
-                    self.cp.clone(),
-                    EngineKind::Event,
-                )
-                .with_faults(self.faults.clone())
+                Home::new(self.home_scenario(feeder, slot), self.cp.clone())
+                    .with_faults(self.faults.clone())
             })
             .collect();
         Neighborhood::new(format!("{}/f{feeder}", self.name), homes)
@@ -440,9 +429,8 @@ impl City {
         partition(self.spec.feeders, self.spec.effective_shards())
     }
 
-    /// Runs the city: shards in parallel, many homes per shared engine
-    /// within each shard, reduced through the feeder → substation → city
-    /// tree.
+    /// Runs the city: shards in parallel, each streaming its homes one
+    /// at a time, reduced through the feeder → substation → city tree.
     ///
     /// # Errors
     ///
@@ -505,58 +493,16 @@ impl City {
         })
     }
 
-    /// Builds, runs and folds one shard's contiguous feeder range.
+    /// Runs one shard's contiguous feeder range home by home: each home
+    /// runs both strategies through [`compare_faulted`], folds into its
+    /// feeder's aggregate and is dropped before the next one is built.
     fn run_shard_range(&self, range: Range<usize>) -> Result<ShardOutput, ScenarioError> {
-        let hpf = self.spec.homes_per_feeder;
-
-        // Two slots per home — uncoordinated then coordinated, the same
-        // pair `compare_faulted` runs — all on one shared heap.
-        let mut slots: Vec<HomeSlot<Driver>> = Vec::with_capacity(range.len() * hpf * 2);
-        let mut scenarios = Vec::with_capacity(range.len() * hpf);
-        for feeder in range.clone() {
-            for slot in 0..hpf {
-                let scenario = self.spec.home_scenario(feeder, slot);
-                for strategy in [Strategy::Uncoordinated, Strategy::coordinated()] {
-                    let mut sim = build_simulation(
-                        &scenario,
-                        strategy,
-                        self.spec.cp.clone(),
-                        EngineKind::Event,
-                        &self.spec.faults,
-                        None,
-                    )?;
-                    sim.set_reference_planning(false);
-                    let period = sim.config().round_period;
-                    // The same inclusive horizon the solo event backend
-                    // derives: the last round starts at the last period
-                    // boundary at or before the scenario end.
-                    let total = scenario.duration.as_micros() / period.as_micros() + 1;
-                    let end = (SimTime::ZERO + scenario.duration)
-                        .min(SimTime::ZERO + period * (total - 1));
-                    slots.push(HomeSlot {
-                        phases: Driver::new(sim),
-                        period,
-                        end,
-                    });
-                }
-                scenarios.push(scenario);
-            }
-        }
-
-        let fired = run_shard(&mut slots);
-
-        // Fold the shard's homes into per-feeder aggregates; per-home
-        // traces die here.
-        let mut stream = Vec::new();
         let mut shard = ShardOutput {
             stream: Vec::new(),
             homes: 0,
             devices: 0,
             rounds: 0,
         };
-        let mut slots = slots.into_iter();
-        let mut fired = fired.into_iter();
-        let mut scenarios = scenarios.into_iter();
         for feeder in range {
             let mut agg = FeederAggregate {
                 feeder: feeder as u32,
@@ -574,20 +520,13 @@ impl City {
                 samples_coordinated: Vec::new(),
                 home_digests: Vec::new(),
             };
-            for slot in 0..hpf {
-                let scenario = scenarios.next().expect("one scenario per home");
-                let unco = slots
-                    .next()
-                    .expect("two slots per home")
-                    .phases
-                    .into_outcome(fired.next().expect("fired per slot"));
-                let coord = slots
-                    .next()
-                    .expect("two slots per home")
-                    .phases
-                    .into_outcome(fired.next().expect("fired per slot"));
-                let unco = summarize_outcome(unco, scenario.duration);
-                let coord = summarize_outcome(coord, scenario.duration);
+            for slot in 0..self.spec.homes_per_feeder {
+                let scenario = self.spec.home_scenario(feeder, slot);
+                let Comparison {
+                    uncoordinated: unco,
+                    coordinated: coord,
+                    ..
+                } = compare_faulted(&scenario, self.spec.cp.clone(), &self.spec.faults, None)?;
 
                 agg.homes += 1;
                 agg.devices += scenario.device_count() as u32;
@@ -610,9 +549,8 @@ impl City {
             shard.homes += u64::from(agg.homes);
             shard.devices += u64::from(agg.devices);
             shard.rounds += agg.rounds;
-            agg.encode_into(&mut stream);
+            agg.encode_into(&mut shard.stream);
         }
-        shard.stream = stream;
         Ok(shard)
     }
 

@@ -1,10 +1,10 @@
 //! Multi-process city runner: a worker fleet over `HANFAGG1` pipes.
 //!
-//! The in-process city engine ([`City::run`]) partitions feeders across
-//! shared-heap shards inside one address space. This module runs the
+//! The in-process city runner ([`City::run`]) partitions feeders across
+//! streaming shards inside one address space. This module runs the
 //! *same* partitioned work as **worker processes**: a parent supervisor
 //! assigns each worker a contiguous feeder range (the same pure
-//! [`partition`](super::partition) function shards use), and each
+//! `partition` function shards use), and each
 //! worker streams its per-feeder [`FeederAggregate`]s back over a byte
 //! pipe as length-framed `HANFAGG1` records. Because the aggregate
 //! format already crosses shard boundaries byte-for-byte, the parent's
@@ -483,10 +483,10 @@ impl From<std::io::Error> for ServeError {
 /// length-framed `HANFAGG1` records in feeder order, fin — into `out`.
 ///
 /// The worker's feeder range is re-derived from `(spec, worker,
-/// workers)` through the same [`partition`](super::partition) function
+/// workers)` through the same `partition` function
 /// the supervisor uses, so assignment needs no parent→worker channel.
 /// Within its range the worker still parallelizes across the spec's
-/// shard partition (rayon), exactly as the in-process engine does —
+/// shard partition (rayon), exactly as the in-process runner does —
 /// the emitted records are byte-identical either way.
 ///
 /// # Errors
@@ -1009,7 +1009,7 @@ fn read_partition(
 
 /// Publishes fleet totals into the observability plane. The city round
 /// counter matches the in-process path, so the obs coherence battery
-/// holds on either engine; the wall-imbalance gauge mirrors the shard
+/// holds on either runner; the wall-imbalance gauge mirrors the shard
 /// imbalance convention (1000 = perfectly balanced, lower = the slowest
 /// worker dominates).
 fn publish_obs(obs: &Obs, report: &CityReport, stats: &MpStats) {
@@ -1118,8 +1118,8 @@ mod tests {
         let shutdowns = Arc::new(AtomicUsize::new(0));
         let mut launch = pipe_launcher(spec.clone(), shutdowns);
         for workers in [0usize, 3] {
-            let err = run_city_mp(&spec, &MpOptions::new(workers), &Obs::off(), &mut launch)
-                .unwrap_err();
+            let err =
+                run_city_mp(&spec, &MpOptions::new(workers), &Obs::off(), &mut launch).unwrap_err();
             assert_eq!(
                 err,
                 WorkerError::BadWorkerCount {
@@ -1159,7 +1159,8 @@ mod tests {
             let (reader, mut writer) = std::io::pipe().map_err(|e| e.to_string())?;
             let spec = spec_for_launch.clone();
             let (worker, workers) = (task.worker, task.workers);
-            let die = worker == 1 && deaths_in.fetch_add(usize::from(worker == 1), Ordering::SeqCst) == 0;
+            let die =
+                worker == 1 && deaths_in.fetch_add(usize::from(worker == 1), Ordering::SeqCst) == 0;
             std::thread::spawn(move || {
                 if die {
                     let mut stream = Vec::new();

@@ -52,15 +52,12 @@
 //! (packet-mode MiniCast floods; zero phases under the abstract models) →
 //! [`CommunicationPlane::deliver_row`] × `delivery_rows()` (per-node
 //! record refreshes) → [`CommunicationPlane::finish_round`] (statistics).
-//! [`CommunicationPlane::round`] *is* that sequence, so the synchronous
-//! round loop and the event-driven backend ([`event`]) — which fires each
-//! phase as its own typed event — are bit-identical by construction: the
-//! same code runs in the same order, including every RNG draw.
+//! [`CommunicationPlane::round`] *is* that sequence; the simulation's
+//! round loop calls the same phases with its execution plane in between,
+//! so both run the same code in the same order, RNG draw for RNG draw.
 //!
 //! [`HanSimulation::set_reference_planning`]:
 //!   crate::simulation::HanSimulation::set_reference_planning
-
-pub mod event;
 
 use crate::pool::{ViewPool, ViewPoolStats};
 use crate::state::SystemView;
@@ -592,8 +589,7 @@ impl CommunicationPlane {
     /// `seqs[i]`) and receives updates per the model.
     ///
     /// This is exactly the decomposed phase sequence (see the
-    /// [module docs](self#round-decomposition)); the event-driven backend
-    /// drives the same phases one event at a time.
+    /// [module docs](self#round-decomposition)).
     ///
     /// # Panics
     ///

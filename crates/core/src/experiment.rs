@@ -7,7 +7,6 @@
 //! `fig2b`, `fig2c` and `claims` harnesses and the integration tests all
 //! share one code path.
 
-use crate::cp::event::EngineKind;
 use crate::cp::CpModel;
 use crate::fault::FaultPlan;
 use crate::simulation::{HanSimulation, SimulationConfig, SimulationOutcome, Strategy};
@@ -129,23 +128,7 @@ pub fn run_strategy(
     strategy: Strategy,
     cp: CpModel,
 ) -> Result<StrategyResult, ScenarioError> {
-    run_strategy_inner(scenario, strategy, cp, false, EngineKind::Round)
-}
-
-/// [`run_strategy`] on an explicit simulation backend: the synchronous
-/// round loop or the event-driven backend on the `han-sim` engine (see
-/// [`crate::cp::event`] for the determinism contract binding the two).
-///
-/// # Errors
-///
-/// [`ScenarioError`] exactly as [`run_strategy`].
-pub fn run_strategy_on(
-    scenario: &Scenario,
-    strategy: Strategy,
-    cp: CpModel,
-    engine: EngineKind,
-) -> Result<StrategyResult, ScenarioError> {
-    run_strategy_inner(scenario, strategy, cp, false, engine)
+    run_strategy_inner(scenario, strategy, cp, false)
 }
 
 /// [`run_strategy`] over the naive per-node execution plane (the
@@ -157,13 +140,13 @@ pub fn run_strategy_reference(
     strategy: Strategy,
     cp: CpModel,
 ) -> Result<StrategyResult, ScenarioError> {
-    run_strategy_inner(scenario, strategy, cp, true, EngineKind::Round)
+    run_strategy_inner(scenario, strategy, cp, true)
 }
 
 /// Runs one strategy under a [`FaultPlan`]: node churn, CP outage
 /// windows and grid-signal dropout injected on the exact timeline the
-/// plan scripts, identically on either backend. An empty plan and
-/// `staleness_ttl: None` reproduce [`run_strategy_on`] bit for bit.
+/// plan scripts. An empty plan and `staleness_ttl: None` reproduce
+/// [`run_strategy`] bit for bit.
 ///
 /// `staleness_ttl` enables ghost-record aging: survivors drop a dead
 /// node's last record from their planning view once it has gone
@@ -179,11 +162,10 @@ pub fn run_strategy_faulted(
     scenario: &Scenario,
     strategy: Strategy,
     cp: CpModel,
-    engine: EngineKind,
     faults: &FaultPlan,
     staleness_ttl: Option<u32>,
 ) -> Result<StrategyResult, ScenarioError> {
-    let mut sim = build_simulation(scenario, strategy, cp, engine, faults, staleness_ttl)?;
+    let mut sim = build_simulation(scenario, strategy, cp, faults, staleness_ttl)?;
     sim.set_reference_planning(false);
     Ok(summarize_outcome(sim.run(), scenario.duration))
 }
@@ -202,7 +184,6 @@ pub fn build_simulation(
     scenario: &Scenario,
     strategy: Strategy,
     cp: CpModel,
-    engine: EngineKind,
     faults: &FaultPlan,
     staleness_ttl: Option<u32>,
 ) -> Result<HanSimulation, ScenarioError> {
@@ -224,7 +205,6 @@ pub fn build_simulation(
         round_period: SimDuration::from_secs(2),
         strategy,
         cp,
-        engine,
         seed: scenario.seed,
     };
     let mut sim = HanSimulation::new(config, scenario.requests())?;
@@ -252,9 +232,8 @@ fn run_strategy_inner(
     strategy: Strategy,
     cp: CpModel,
     reference_planning: bool,
-    engine: EngineKind,
 ) -> Result<StrategyResult, ScenarioError> {
-    let mut sim = build_simulation(scenario, strategy, cp, engine, &FaultPlan::empty(), None)?;
+    let mut sim = build_simulation(scenario, strategy, cp, &FaultPlan::empty(), None)?;
     sim.set_reference_planning(reference_planning);
     Ok(summarize_outcome(sim.run(), scenario.duration))
 }
@@ -265,22 +244,8 @@ fn run_strategy_inner(
 ///
 /// [`ScenarioError`] if the scenario is invalid.
 pub fn compare(scenario: &Scenario, cp: CpModel) -> Result<Comparison, ScenarioError> {
-    compare_on(scenario, cp, EngineKind::Round)
-}
-
-/// [`compare`] on an explicit simulation backend (see
-/// [`run_strategy_on`]).
-///
-/// # Errors
-///
-/// [`ScenarioError`] if the scenario is invalid.
-pub fn compare_on(
-    scenario: &Scenario,
-    cp: CpModel,
-    engine: EngineKind,
-) -> Result<Comparison, ScenarioError> {
-    let uncoordinated = run_strategy_on(scenario, Strategy::Uncoordinated, cp.clone(), engine)?;
-    let coordinated = run_strategy_on(scenario, Strategy::coordinated(), cp, engine)?;
+    let uncoordinated = run_strategy(scenario, Strategy::Uncoordinated, cp.clone())?;
+    let coordinated = run_strategy(scenario, Strategy::coordinated(), cp)?;
     Ok(Comparison {
         scenario: scenario.clone(),
         uncoordinated,
@@ -298,7 +263,6 @@ pub fn compare_on(
 pub fn compare_faulted(
     scenario: &Scenario,
     cp: CpModel,
-    engine: EngineKind,
     faults: &FaultPlan,
     staleness_ttl: Option<u32>,
 ) -> Result<Comparison, ScenarioError> {
@@ -306,18 +270,11 @@ pub fn compare_faulted(
         scenario,
         Strategy::Uncoordinated,
         cp.clone(),
-        engine,
         faults,
         staleness_ttl,
     )?;
-    let coordinated = run_strategy_faulted(
-        scenario,
-        Strategy::coordinated(),
-        cp,
-        engine,
-        faults,
-        staleness_ttl,
-    )?;
+    let coordinated =
+        run_strategy_faulted(scenario, Strategy::coordinated(), cp, faults, staleness_ttl)?;
     Ok(Comparison {
         scenario: scenario.clone(),
         uncoordinated,
@@ -487,7 +444,6 @@ mod tests {
             &scenario,
             Strategy::coordinated(),
             cp,
-            EngineKind::Round,
             &FaultPlan::empty(),
             None,
         )
@@ -505,9 +461,7 @@ mod tests {
     fn faulted_comparison_shares_the_timeline() {
         let scenario = short_scenario(ArrivalRate::Moderate, 11);
         let faults = FaultPlan::parse("down:2@10; up:2@30").expect("valid plan");
-        let comparison =
-            compare_faulted(&scenario, CpModel::Ideal, EngineKind::Event, &faults, None)
-                .expect("valid");
+        let comparison = compare_faulted(&scenario, CpModel::Ideal, &faults, None).expect("valid");
         assert_eq!(
             comparison.uncoordinated.outcome.resilience.down_node_rounds,
             comparison.coordinated.outcome.resilience.down_node_rounds,
@@ -525,7 +479,6 @@ mod tests {
             &scenario,
             Strategy::Uncoordinated,
             CpModel::Ideal,
-            EngineKind::Round,
             &faults,
             None,
         )

@@ -1,10 +1,8 @@
 //! Deterministic fault injection: node churn, CP outages, signal dropout.
 //!
 //! A [`FaultPlan`] is a validated timeline of typed [`FaultEvent`]s that a
-//! simulation replays *identically* through both engines: the round loop
-//! consults the plan at each round boundary, and the event engine carries
-//! a first-class `Fault` event in its taxonomy — the two are proven
-//! digest-identical under arbitrary plans by differential proptests.
+//! simulation replays deterministically: the round loop consults the plan
+//! at each round boundary, before the round opens.
 //!
 //! Semantics are graceful degradation, never hard failure:
 //!

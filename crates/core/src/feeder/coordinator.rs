@@ -297,7 +297,6 @@ fn replan(
         &scenario,
         Strategy::coordinated(),
         home.cp.clone(),
-        home.engine,
         &home.faults,
         None,
     )

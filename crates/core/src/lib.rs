@@ -21,7 +21,7 @@
 //!   [`han_workload::fleet::FleetSpec`];
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]):
 //!   node churn, CP outages and feeder signal dropout, replayed
-//!   identically through both engines;
+//!   deterministically round by round;
 //! * [`checkpoint`] — versioned, bit-identical checkpoint/restore of a
 //!   running simulation ([`checkpoint::Checkpoint`]);
 //! * [`experiment`] — the shared harness the figure reproductions use;
@@ -33,9 +33,10 @@
 //!   convergence, reported with baselines, costs and the per-iteration
 //!   [`feeder::ConvergenceTrace`];
 //! * [`city`] — city scale ([`city::City`]): feeders × homes on
-//!   shared-heap shards, reduced feeder → substation → city with no
-//!   per-home trace materialization, digest-equivalent per home to the
-//!   [`neighborhood`] path and invariant in the shard count.
+//!   streaming shards that hold one home at a time, reduced feeder →
+//!   substation → city with no per-home trace materialization,
+//!   digest-equivalent per home to the [`neighborhood`] path and
+//!   invariant in the shard count.
 //!
 //! # Examples
 //!
@@ -80,7 +81,6 @@ pub use algorithm::{
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use city::{City, CityCoordination, CityReport, CitySpec, FeederAggregate, HomeDigest};
-pub use cp::event::{CpEvent, EngineKind};
 pub use cp::{CommunicationPlane, CpModel, CpStats};
 pub use fault::{degrade_cap_profile, FaultEvent, FaultPlan};
 pub use feeder::{

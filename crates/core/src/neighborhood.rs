@@ -37,7 +37,7 @@
 //! # Ok::<(), han_workload::fleet::ScenarioError>(())
 //! ```
 
-use crate::cp::event::EngineKind;
+use crate::city::tree;
 use crate::cp::CpModel;
 use crate::experiment::{
     collect_results, compare_faulted, Comparison, CostComparison, SAMPLE_INTERVAL,
@@ -63,10 +63,6 @@ pub struct Home {
     pub scenario: Scenario,
     /// The home's own communication-plane model.
     pub cp: CpModel,
-    /// Which backend runs this home's rounds (synchronous loop by
-    /// default; the event backend is bit-identical by contract, see
-    /// [`crate::cp::event`]).
-    pub engine: EngineKind,
     /// This home's fault timeline (node churn, CP outages, signal
     /// dropout — see [`crate::fault`]). Empty by default; an empty plan
     /// reproduces the fault-free run bit for bit.
@@ -74,19 +70,12 @@ pub struct Home {
 }
 
 impl Home {
-    /// Creates a home named after its scenario, on the synchronous round
-    /// loop.
+    /// Creates a home named after its scenario.
     pub fn new(scenario: Scenario, cp: CpModel) -> Self {
-        Home::with_engine(scenario, cp, EngineKind::Round)
-    }
-
-    /// Creates a home on an explicit simulation backend.
-    pub fn with_engine(scenario: Scenario, cp: CpModel, engine: EngineKind) -> Self {
         Home {
             name: scenario.name.clone(),
             scenario,
             cp,
-            engine,
             faults: FaultPlan::empty(),
         }
     }
@@ -195,16 +184,6 @@ impl Neighborhood {
         self.homes.iter().map(|h| h.scenario.device_count()).sum()
     }
 
-    /// Switches every home onto `engine` (builder-style, used by the CLI
-    /// and harnesses to flip a whole street between the synchronous loop
-    /// and the event backend).
-    pub fn on_engine(mut self, engine: EngineKind) -> Self {
-        for home in &mut self.homes {
-            home.engine = engine;
-        }
-        self
-    }
-
     /// Runs the neighborhood under a feeder coordination policy: homes
     /// iteratively re-plan against the broadcast [`FeederSignal`] until
     /// the aggregate converges (see [`crate::feeder`]). The returned
@@ -263,17 +242,12 @@ impl Neighborhood {
             self.homes
                 .par_iter()
                 .map(|home| {
-                    compare_faulted(
-                        &home.scenario,
-                        home.cp.clone(),
-                        home.engine,
-                        &home.faults,
-                        None,
+                    compare_faulted(&home.scenario, home.cp.clone(), &home.faults, None).map(
+                        |comparison| HomeResult {
+                            name: home.name.clone(),
+                            comparison,
+                        },
                     )
-                    .map(|comparison| HomeResult {
-                        name: home.name.clone(),
-                        comparison,
-                    })
                 })
                 .collect(),
         )?;
@@ -313,26 +287,11 @@ pub struct NeighborhoodReport {
 
 impl NeighborhoodReport {
     fn aggregate(name: String, homes: Vec<HomeResult>) -> Self {
-        let len = homes
-            .iter()
-            .map(|h| {
-                h.comparison
-                    .uncoordinated
-                    .samples
-                    .len()
-                    .max(h.comparison.coordinated.samples.len())
-            })
-            .max()
-            .unwrap_or(0);
-        let mut unco = vec![0.0f64; len];
-        let mut coord = vec![0.0f64; len];
+        let mut unco = Vec::new();
+        let mut coord = Vec::new();
         for home in &homes {
-            for (sum, &kw) in unco.iter_mut().zip(&home.comparison.uncoordinated.samples) {
-                *sum += kw;
-            }
-            for (sum, &kw) in coord.iter_mut().zip(&home.comparison.coordinated.samples) {
-                *sum += kw;
-            }
+            tree::sum_series(&mut unco, &home.comparison.uncoordinated.samples);
+            tree::sum_series(&mut coord, &home.comparison.coordinated.samples);
         }
         let feeder_uncoordinated = Summary::of(&unco);
         let feeder_coordinated = Summary::of(&coord);
@@ -378,7 +337,7 @@ impl NeighborhoodReport {
     /// the sum of individual home peaks (≤ 1; the classic
     /// distribution-engineering diversity measure).
     pub fn coincidence_factor_uncoordinated(&self) -> f64 {
-        Self::coincidence(
+        tree::coincidence(
             self.feeder_uncoordinated.peak,
             self.homes
                 .iter()
@@ -388,21 +347,12 @@ impl NeighborhoodReport {
 
     /// Coincidence factor of the coordinated feeder.
     pub fn coincidence_factor_coordinated(&self) -> f64 {
-        Self::coincidence(
+        tree::coincidence(
             self.feeder_coordinated.peak,
             self.homes
                 .iter()
                 .map(|h| h.comparison.coordinated.summary.peak),
         )
-    }
-
-    fn coincidence(feeder_peak: f64, home_peaks: impl Iterator<Item = f64>) -> f64 {
-        let sum: f64 = home_peaks.sum();
-        if sum == 0.0 {
-            1.0
-        } else {
-            feeder_peak / sum
-        }
     }
 
     /// Prices the feeder-level aggregate (per-minute sample series) under

@@ -20,8 +20,7 @@
 //! Streaming a workload through [`OnlineDriver::ingest`] is
 //! bit-identical to batch-running a scenario whose trace carried the
 //! same events from round zero — same order-sensitive
-//! `schedule_digest`, same load trace, same service metrics, on either
-//! backend ([`EngineKind::Round`] or [`EngineKind::Event`]). Injected
+//! `schedule_digest`, same load trace, same service metrics. Injected
 //! events are queued against the round that *absorbs* them (the first
 //! round at or after their effective instant) and drain in a dedicated
 //! phase before that round's fault application and request delivery;
@@ -31,8 +30,6 @@
 //! kill/restore equality for the service snapshot format.
 //!
 //! [`HanSimulation::run`]: crate::simulation::HanSimulation::run
-//! [`EngineKind::Round`]: crate::cp::event::EngineKind::Round
-//! [`EngineKind::Event`]: crate::cp::event::EngineKind::Event
 //!
 //! # Example
 //!

@@ -34,7 +34,6 @@
 //! lost by design, exactly like any crash-recovery log cut).
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Dec, Enc};
-use crate::cp::event::EngineKind;
 use crate::simulation::{
     run_span, Driver, HanSimulation, Injection, SimulationConfig, SimulationOutcome, Strategy,
 };
@@ -114,14 +113,12 @@ pub struct FeederStatus {
 /// turned into a daemon-able service (see the [module docs](self)).
 pub struct OnlineDriver {
     driver: Driver,
-    engine: EngineKind,
     period: SimDuration,
     /// End of the simulated window (inclusive round horizon).
     end: SimTime,
     total_rounds: u64,
     device_count: usize,
     duration: SimDuration,
-    events_fired: u64,
     /// Every successfully ingested event, in ingest order — the
     /// snapshot's replay log.
     log: Vec<TelemetryEvent>,
@@ -160,7 +157,6 @@ impl OnlineDriver {
     /// does.
     pub fn new(sim: HanSimulation) -> OnlineDriver {
         let config = sim.config();
-        let engine = config.engine;
         let period = config.round_period;
         let duration = config.duration;
         let end = SimTime::ZERO + duration;
@@ -170,13 +166,11 @@ impl OnlineDriver {
         let driver = Driver::new(sim);
         OnlineDriver {
             driver,
-            engine,
             period,
             end,
             total_rounds,
             device_count,
             duration,
-            events_fired: 0,
             log: Vec::new(),
             cap,
             tariffs: Vec::new(),
@@ -184,8 +178,8 @@ impl OnlineDriver {
         }
     }
 
-    /// Attaches an observability sink: the engine layers publish into
-    /// it and the `METRICS` / `DUMP` protocol commands read from it.
+    /// Attaches an observability sink: the simulation layers publish
+    /// into it and the `METRICS` / `DUMP` protocol commands read from it.
     /// Observationally inert, exactly like
     /// [`HanSimulation::set_observer`] — the service's replies, report
     /// and snapshots are byte-identical with or without a sink.
@@ -200,7 +194,7 @@ impl OnlineDriver {
     }
 
     /// Prometheus text exposition of the attached registry, with the
-    /// engine's cumulative totals freshly published. `None` without a
+    /// simulation's cumulative totals freshly published. `None` without a
     /// sink.
     pub fn metrics_text(&self) -> Option<String> {
         let sink = self.sink.as_ref()?;
@@ -322,14 +316,7 @@ impl OnlineDriver {
         }
         let obs = self.driver.obs();
         let replan_start = obs.enabled().then(Instant::now);
-        self.events_fired += run_span(
-            &mut self.driver,
-            self.engine,
-            self.period,
-            self.end,
-            from,
-            to,
-        );
+        run_span(&mut self.driver, self.period, self.end, from, to);
         if let Some(start) = replan_start {
             obs.observe(Hist::ReplanLatencyUs, start.elapsed().as_micros() as u64);
         }
@@ -430,14 +417,11 @@ impl OnlineDriver {
         }
     }
 
-    /// Closes a completed run into the standard outcome record.
-    ///
-    /// [`SimulationOutcome::events`] counts only the events fired by
-    /// *this* process — after a snapshot restore it excludes the rounds
-    /// the pre-kill process executed, exactly like
-    /// [`HanSimulation::resume`]. Every other field is restart-invariant.
+    /// Closes a completed run into the standard outcome record. Every
+    /// field is restart-invariant: a run restored from a snapshot closes
+    /// into the same record as an uninterrupted one.
     pub fn into_outcome(self) -> SimulationOutcome {
-        self.driver.into_outcome(self.events_fired)
+        self.driver.into_outcome()
     }
 
     // ---- service snapshots ------------------------------------------
@@ -585,7 +569,6 @@ impl OnlineDriver {
 
         let total_rounds = duration.as_micros() / period.as_micros() + 1;
         let device_count = config.fleet.device_count();
-        let engine = config.engine;
         let end = SimTime::ZERO + duration;
 
         let mut merged = HanSimulation::new(config, requests)?;
@@ -614,13 +597,11 @@ impl OnlineDriver {
 
         Ok(OnlineDriver {
             driver,
-            engine,
             period,
             end,
             total_rounds,
             device_count,
             duration,
-            events_fired: 0,
             log,
             cap,
             tariffs,

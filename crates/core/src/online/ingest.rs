@@ -10,7 +10,7 @@
 //!
 //! * **injections** — arrivals, early completions and cap changes queue
 //!   against the round that absorbs them and drain in
-//!   `RoundPhases::inject_phase`, before that round's fault application
+//!   the round loop's inject phase, before that round's fault application
 //!   and request delivery;
 //! * **fault timeline** — node churn and blackout windows append to the
 //!   live [`FaultPlan`](crate::fault::FaultPlan) at ingest time (its

@@ -12,7 +12,7 @@
 //!                            grammar; ';'-separated entries)
 //! ADVANCE <rounds|end>       run N more rounds now (manual pacing)
 //! CHECKPOINT <path>          write a service snapshot atomically
-//! METRICS                    Prometheus text exposition of the engine
+//! METRICS                    Prometheus text exposition of the
 //!                            metrics registry (multi-line reply)
 //! DUMP                       flight-recorder ring as JSONL, oldest
 //!                            first (multi-line reply)

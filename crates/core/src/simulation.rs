@@ -20,7 +20,6 @@ use crate::algorithm::{
     demand_rate_kw, plan_with_level, CoordinatedPlanner, Plan, PlanConfig, SchedulingRule,
 };
 use crate::checkpoint::{Checkpoint, CheckpointError, SimState};
-use crate::cp::event::{self, EngineKind, EventTally, RoundPhases};
 use crate::cp::{CommunicationPlane, CpModel, CpStats};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::schedule::Schedule;
@@ -78,10 +77,6 @@ pub struct SimulationConfig {
     pub strategy: Strategy,
     /// Communication-plane model.
     pub cp: CpModel,
-    /// Which backend executes the rounds: the fixed-step synchronous loop
-    /// or typed events on the `han-sim` discrete-event engine. The two are
-    /// bit-identical by contract (see [`crate::cp::event`]).
-    pub engine: EngineKind,
     /// Root seed for all stochastic components.
     pub seed: u64,
 }
@@ -96,7 +91,6 @@ impl SimulationConfig {
             round_period: SimDuration::from_secs(2),
             strategy,
             cp: CpModel::Ideal,
-            engine: EngineKind::Round,
             seed,
         }
     }
@@ -181,9 +175,6 @@ pub struct SimulationOutcome {
     pub requests_delivered: usize,
     /// Total energy delivered over the run, kWh.
     pub energy_kwh: f64,
-    /// Typed events fired by the discrete-event backend
-    /// ([`EngineKind::Event`]; 0 under the synchronous round loop).
-    pub events: u64,
     /// Communication-plane statistics.
     pub cp: CpStats,
     /// Order-sensitive digest of every node's schedule in every round
@@ -287,7 +278,7 @@ impl HanSimulation {
     }
 
     /// Installs a deterministic [`FaultPlan`]: node churn and CP outages
-    /// are injected identically through both engines, round by round. An
+    /// are injected round by round, before each round opens. An
     /// empty plan (the default) leaves every code path bit-identical to a
     /// fault-free run.
     ///
@@ -312,11 +303,11 @@ impl HanSimulation {
     }
 
     /// Attaches an observability handle ([`han_obs::Obs`]), threaded
-    /// through every engine layer for the run. **Observationally
-    /// inert** by contract: an instrumented run is digest-, trace- and
-    /// CP-stats-identical to an uninstrumented one on both engines (the
-    /// handle never enters a checkpoint or the run fingerprint, and no
-    /// hook touches RNG or state). Enforced by
+    /// through every layer of the run. **Observationally inert** by
+    /// contract: an instrumented run is digest-, trace- and
+    /// CP-stats-identical to an uninstrumented one (the handle never
+    /// enters a checkpoint or the run fingerprint, and no hook touches
+    /// RNG or state). Enforced by
     /// `crates/core/tests/prop_obs.rs`.
     pub fn set_observer(&mut self, observer: Obs) -> &mut Self {
         self.observer = observer;
@@ -391,13 +382,12 @@ impl HanSimulation {
 
     /// Runs the simulation to completion.
     pub fn run(self) -> SimulationOutcome {
-        let engine = self.config.engine;
         let period = self.config.round_period;
         let end = SimTime::ZERO + self.config.duration;
         let total = self.total_rounds();
         let mut driver = Driver::new(self);
-        let events = run_span(&mut driver, engine, period, end, 0, total);
-        driver.into_outcome(events)
+        run_span(&mut driver, period, end, 0, total);
+        driver.into_outcome()
     }
 
     /// Runs to completion like [`HanSimulation::run`], additionally
@@ -406,27 +396,24 @@ impl HanSimulation {
     /// capture is a pure snapshot: the returned outcome is bit-identical
     /// to an uncheckpointed run.
     pub fn run_checkpointed(self, at_round: u64) -> (SimulationOutcome, Checkpoint) {
-        let engine = self.config.engine;
         let period = self.config.round_period;
         let end = SimTime::ZERO + self.config.duration;
         let total = self.total_rounds();
         let split = at_round.min(total);
         let fingerprint = self.fingerprint();
         let mut driver = Driver::new(self);
-        let mut events = run_span(&mut driver, engine, period, end, 0, split);
+        run_span(&mut driver, period, end, 0, split);
         let checkpoint = Checkpoint {
             state: driver.export_state(fingerprint),
         };
-        events += run_span(&mut driver, engine, period, end, split, total);
-        (driver.into_outcome(events), checkpoint)
+        run_span(&mut driver, period, end, split, total);
+        (driver.into_outcome(), checkpoint)
     }
 
     /// Resumes a checkpointed run to completion. The configuration,
     /// request trace, fault plan and tuning flags must match the original
     /// run (enforced by fingerprint); the continuation is then digest-,
-    /// trace- and CP-stats-identical to the uninterrupted run. Only
-    /// [`SimulationOutcome::events`] may differ, since the resumed event
-    /// engine does not replay already-executed rounds.
+    /// trace- and CP-stats-identical to the uninterrupted run.
     ///
     /// # Errors
     ///
@@ -440,14 +427,13 @@ impl HanSimulation {
                 found: checkpoint.state.fingerprint,
             });
         }
-        let engine = self.config.engine;
         let period = self.config.round_period;
         let end = SimTime::ZERO + self.config.duration;
         let total = self.total_rounds();
         let from = checkpoint.state.next_round;
         let mut driver = Driver::restore(self, &checkpoint.state);
-        let events = run_span(&mut driver, engine, period, end, from, total);
-        Ok(driver.into_outcome(events))
+        run_span(&mut driver, period, end, from, total);
+        Ok(driver.into_outcome())
     }
 }
 
@@ -471,10 +457,10 @@ pub(crate) fn run_fingerprint(
     fold(config.duration.as_micros());
     fold(config.round_period.as_micros());
     fold(config.seed);
-    fold(match config.engine {
-        EngineKind::Round => 0,
-        EngineKind::Event => 1,
-    });
+    // The slot that once held the execution backend (0 = the round loop,
+    // the only one left). Still folded so `HANCKPT1` checkpoints and
+    // `HANSRV01` snapshots written by earlier releases keep restoring.
+    fold(0);
     fold(match &config.strategy {
         Strategy::Coordinated(_) => 0,
         Strategy::Uncoordinated => 1,
@@ -527,111 +513,53 @@ pub(crate) fn run_fingerprint(
     d
 }
 
-/// Executes rounds `[from, to)` on the chosen backend. Returns the events
-/// fired (0 under the synchronous loop).
-pub(crate) fn run_span(
-    driver: &mut Driver,
-    engine: EngineKind,
-    period: SimDuration,
-    end: SimTime,
-    from: u64,
-    to: u64,
-) -> u64 {
+/// Executes rounds `[from, to)` on the fixed-period synchronous round
+/// loop, timing each phase as a span when the attached sink wants spans.
+pub(crate) fn run_span(driver: &mut Driver, period: SimDuration, end: SimTime, from: u64, to: u64) {
     if to <= from {
-        return 0;
+        return;
     }
-    let fired = match engine {
-        EngineKind::Round => {
-            // The fixed-step synchronous loop: the same phase sequence
-            // the event backend replays, as straight-line calls.
-            let obs = driver.obs.clone();
-            // Hoisted so the no-trace path pays one boolean test per
-            // phase instead of a virtual call into the sink.
-            let spans = obs.wants_spans();
-            let mut now = SimTime::ZERO + period * from;
-            let mut round = from;
-            while now <= end && round < to {
-                // Injections drain first: a drained event may install the
-                // run's first fault plan, so `has_faults` is re-checked
-                // *after* — the event backend's Inject handler does the
-                // same.
-                if driver.has_injections() {
-                    let s = if spans { obs.span_begin() } else { None };
-                    driver.inject_phase(now);
-                    obs.span_end("inject", round, s);
-                }
-                if driver.has_faults() {
-                    let s = if spans { obs.span_begin() } else { None };
-                    driver.fault_phase(now);
-                    obs.span_end("fault", round, s);
-                }
-                let s = if spans { obs.span_begin() } else { None };
-                driver.begin_round(now);
-                obs.span_end("begin", round, s);
-                // Floods and deliveries share one "comms" span: the loop
-                // has no per-event granularity (that is the event
-                // backend's trace).
-                let s = if spans { obs.span_begin() } else { None };
-                for k in 0..driver.flood_phases() {
-                    driver.flood_phase(k);
-                }
-                for row in 0..driver.delivery_rows() {
-                    driver.deliver_row(row);
-                }
-                obs.span_end("comms", round, s);
-                let s = if spans { obs.span_begin() } else { None };
-                driver.plan(now);
-                obs.span_end("plan", round, s);
-                let s = if spans { obs.span_begin() } else { None };
-                driver.end_round(now);
-                obs.span_end("end", round, s);
-                now += period;
-                round += 1;
-            }
-            0
+    let obs = driver.obs.clone();
+    // Hoisted so the no-trace path pays one boolean test per phase
+    // instead of a virtual call into the sink.
+    let spans = obs.wants_spans();
+    let mut now = SimTime::ZERO + period * from;
+    let mut round = from;
+    while now <= end && round < to {
+        // Injections drain first: a drained event may install the run's
+        // first fault plan, so `has_faults` is checked *after*.
+        if driver.has_injections() {
+            let s = if spans { obs.span_begin() } else { None };
+            driver.inject_phase(now);
+            obs.span_end("inject", round, s);
         }
-        EngineKind::Event => {
-            // The span's last round starts at `(to − 1) × period`; the
-            // engine horizon is inclusive, exactly like the loop above.
-            let horizon = end.min(SimTime::ZERO + period * (to - 1));
-            let obs = driver.obs.clone();
-            if obs.enabled() {
-                let mut tally = EventTally::default();
-                let fired = event::drive_from_observed(
-                    driver,
-                    period,
-                    from,
-                    horizon,
-                    obs.clone(),
-                    Some(&mut tally),
-                );
-                const KIND_COUNTERS: [Counter; 7] = [
-                    Counter::EngineEventsInject,
-                    Counter::EngineEventsFault,
-                    Counter::EngineEventsRoundStart,
-                    Counter::EngineEventsFlood,
-                    Counter::EngineEventsDeliver,
-                    Counter::EngineEventsPlan,
-                    Counter::EngineEventsRoundEnd,
-                ];
-                for (counter, &n) in KIND_COUNTERS.iter().zip(&tally.by_kind) {
-                    obs.add(*counter, n);
-                }
-                obs.gauge_max(Gauge::EngineHeapDepthPeak, tally.heap_depth_peak as u64);
-                fired
-            } else {
-                event::drive_from(driver, period, from, horizon)
-            }
+        if driver.has_faults() {
+            let s = if spans { obs.span_begin() } else { None };
+            driver.fault_phase(now);
+            obs.span_end("fault", round, s);
         }
-    };
+        let s = if spans { obs.span_begin() } else { None };
+        driver.begin_round(now);
+        obs.span_end("begin", round, s);
+        let s = if spans { obs.span_begin() } else { None };
+        driver.comms();
+        obs.span_end("comms", round, s);
+        let s = if spans { obs.span_begin() } else { None };
+        driver.plan(now);
+        obs.span_end("plan", round, s);
+        let s = if spans { obs.span_begin() } else { None };
+        driver.end_round(now);
+        obs.span_end("end", round, s);
+        now += period;
+        round += 1;
+    }
     driver.publish_obs();
-    fired
 }
 
 /// One externally injected action, queued against the round that absorbs
 /// it. The online service mode translates ingested telemetry
 /// (`han_workload::telemetry::TelemetryEvent`) into these; the round
-/// loop drains them in [`RoundPhases::inject_phase`], *before* the
+/// loop drains them in its inject phase, *before* the
 /// round's fault application and request delivery, so an injected event
 /// lands exactly where a batch run would have placed it.
 ///
@@ -656,9 +584,8 @@ pub(crate) enum Injection {
     CapChange(Option<PowerCapProfile>),
 }
 
-/// The round-phase implementation both backends drive: all mutable run
-/// state (devices, communication plane, planners, accumulators) plus the
-/// phase methods of [`RoundPhases`].
+/// All mutable run state (devices, communication plane, planners,
+/// accumulators) plus the round phases [`run_span`] calls in order.
 pub(crate) struct Driver {
     config: SimulationConfig,
     requests: Vec<Request>,
@@ -836,7 +763,7 @@ impl Driver {
 
     /// Closes the run: end-of-horizon aggregation over the device
     /// counters and the load trace.
-    pub(crate) fn into_outcome(self, events: u64) -> SimulationOutcome {
+    pub(crate) fn into_outcome(self) -> SimulationOutcome {
         let end = SimTime::ZERO + self.config.duration;
         let energy_kwh = self.trace.energy_kwh(SimTime::ZERO, end);
         let mut deadline_misses = 0;
@@ -858,7 +785,6 @@ impl Driver {
             divergent_rounds: self.divergent_rounds,
             requests_delivered: self.delivered,
             energy_kwh,
-            events,
             cp: self.cp.into_stats(),
             schedule_digest: self.schedule_digest,
             resilience: self.resilience,
@@ -1051,7 +977,10 @@ fn ttl_filtered_view(
     filtered
 }
 
-impl RoundPhases for Driver {
+/// The round phases, in the order [`run_span`] calls them each round:
+/// `inject_phase` (while injections are queued), `fault_phase` (while a
+/// fault plan is installed), `begin_round`, `comms`, `plan`, `end_round`.
+impl Driver {
     fn has_faults(&self) -> bool {
         !self.faults.is_empty()
     }
@@ -1117,7 +1046,7 @@ impl RoundPhases for Driver {
     fn fault_phase(&mut self, now: SimTime) {
         // Stateless re-derivation from the plan: the fault set for a
         // round is a pure function of `now`, so checkpoints never need
-        // to carry it and both backends apply it identically.
+        // to carry it.
         self.faults.down_at(now, &mut self.down);
         self.outage = self.faults.outage_at(now);
         let down_count = self.down.iter().filter(|&&d| d).count();
@@ -1191,28 +1120,18 @@ impl RoundPhases for Driver {
         }
     }
 
-    fn flood_phases(&self) -> usize {
-        if self.uses_cp {
-            self.cp.flood_phases()
-        } else {
-            0
+    /// The round's MiniCast floods (packet CP), then every view row's
+    /// delivery, in order: row order is the lossy models' RNG order.
+    fn comms(&mut self) {
+        if !self.uses_cp {
+            return;
         }
-    }
-
-    fn flood_phase(&mut self, k: usize) {
-        self.cp.flood_phase(k);
-    }
-
-    fn delivery_rows(&self) -> usize {
-        if self.uses_cp {
-            self.cp.delivery_rows()
-        } else {
-            0
+        for k in 0..self.cp.flood_phases() {
+            self.cp.flood_phase(k);
         }
-    }
-
-    fn deliver_row(&mut self, row: usize) {
-        self.cp.deliver_row(row);
+        for row in 0..self.cp.delivery_rows() {
+            self.cp.deliver_row(row);
+        }
     }
 
     fn plan(&mut self, now: SimTime) {
@@ -1475,7 +1394,6 @@ mod tests {
             round_period: SimDuration::from_secs(2),
             strategy,
             cp,
-            engine: EngineKind::Round,
             seed: 1,
         }
     }
@@ -1729,28 +1647,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_plans_are_identical_across_engines() {
+    fn fault_plans_apply_outages_under_loss() {
         use crate::fault::FaultPlan;
-        let reqs = burst(SimTime::from_mins(1), 6);
-        let run_engine = |engine: EngineKind| {
-            let mut cfg = small_config(
-                Strategy::coordinated(),
-                CpModel::LossyRecord {
-                    miss_probability: 0.15,
-                },
-            );
-            cfg.engine = engine;
-            let mut sim = HanSimulation::new(cfg, reqs.clone()).unwrap();
-            sim.set_faults(FaultPlan::parse("down:1@4; up:1@9; outage:20-24").unwrap())
-                .unwrap();
-            sim.run()
-        };
-        let round = run_engine(EngineKind::Round);
-        let event = run_engine(EngineKind::Event);
-        assert_eq!(round.schedule_digest, event.schedule_digest);
-        assert_eq!(round.trace, event.trace);
-        assert_eq!(format!("{:?}", round.cp), format!("{:?}", event.cp));
-        assert_eq!(round.resilience, event.resilience);
+        let cfg = small_config(
+            Strategy::coordinated(),
+            CpModel::LossyRecord {
+                miss_probability: 0.15,
+            },
+        );
+        let mut sim = HanSimulation::new(cfg, burst(SimTime::from_mins(1), 6)).unwrap();
+        sim.set_faults(FaultPlan::parse("down:1@4; up:1@9; outage:20-24").unwrap())
+            .unwrap();
+        let round = sim.run();
         assert!(round.resilience.outage_rounds > 0);
     }
 
@@ -1766,6 +1674,21 @@ mod tests {
             sim.set_faults(FaultPlan::parse("down:42@5").unwrap()),
             Err(ScenarioError::InvalidFaultPlan { .. })
         ));
+    }
+
+    #[test]
+    fn run_fingerprint_matches_earlier_releases() {
+        // `HANCKPT1` checkpoints and `HANSRV01` snapshots carry this
+        // fingerprint and refuse to restore on a mismatch, so it must not
+        // move: the expected value is what earlier releases computed.
+        use crate::fault::FaultPlan;
+        let config = SimulationConfig::paper(Strategy::coordinated(), 7);
+        let requests = burst(SimTime::from_mins(1), 4);
+        let faults = FaultPlan::parse("down:3@10; up:3@40; outage:60-65").unwrap();
+        assert_eq!(
+            run_fingerprint(&config, false, None, &requests, &faults),
+            0xc9a5_7d02_94c3_26c2
+        );
     }
 
     #[test]

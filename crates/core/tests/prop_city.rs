@@ -1,11 +1,11 @@
-//! Differential property battery of the city-scale sharded engine.
+//! Differential property battery of the city-scale sharded runner.
 //!
 //! The city layer's headline contract, pinned property by property:
 //!
-//! 1. **Shared-heap ≡ per-home.** A city of one feeder on one shard —
-//!    every home interleaved on one shared engine — must reproduce the
-//!    same homes run through `Neighborhood::run` (the one-engine-per-home
-//!    path) exactly: per-home schedule digests, the feeder aggregate
+//! 1. **City ≡ per-home.** A city of one feeder on one shard — every
+//!    home streamed through the shard one at a time — must reproduce the
+//!    same homes run through `Neighborhood::run` (the per-home path)
+//!    exactly: per-home schedule digests, the feeder aggregate
 //!    series, deadline misses and energy, under ideal, lossy and
 //!    packet-level CPs and under fault plans.
 //! 2. **Shard-count invariance.** The full `CityReport` — every feeder
@@ -102,7 +102,7 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 3 } else { 16 }))]
 
-    /// Property 1: shared-heap ≡ per-home, one feeder at a time.
+    /// Property 1: city ≡ per-home, one feeder at a time.
     #[test]
     fn city_matches_neighborhood_oracle_per_home(spec in arb_city()) {
         let spec = spec.with_shards(1);

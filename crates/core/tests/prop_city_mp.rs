@@ -5,7 +5,7 @@
 //! in-process battery: 1–4 feeders × 1–3 homes, mixed templates, the
 //! three CP families, optional fault plans):
 //!
-//! 1. **Process boundary ≡ shared heap.** The `CityReport` assembled
+//! 1. **Process boundary ≡ in-process.** The `CityReport` assembled
 //!    from worker streams over real OS pipes is `PartialEq`-identical
 //!    to in-process `City::run` — every feeder aggregate, substation
 //!    summary, per-home digest, and f64 sample — and **invariant in the
@@ -112,9 +112,7 @@ prop_compose! {
 
 /// A launcher that runs the real worker entry point in a thread over an
 /// OS pipe — the process transport minus the exec.
-fn pipe_launcher(
-    spec: CitySpec,
-) -> impl FnMut(&WorkerTask) -> Result<WorkerConnection, String> {
+fn pipe_launcher(spec: CitySpec) -> impl FnMut(&WorkerTask) -> Result<WorkerConnection, String> {
     move |task| {
         let (reader, mut writer) = std::io::pipe().map_err(|e| e.to_string())?;
         let spec = spec.clone();
@@ -134,8 +132,7 @@ fn truncating_launcher(
 ) -> impl FnMut(&WorkerTask) -> Result<WorkerConnection, String> {
     move |task| {
         let mut full = Vec::new();
-        mp::serve_worker(&spec, task.worker, task.workers, &mut full)
-            .map_err(|e| e.to_string())?;
+        mp::serve_worker(&spec, task.worker, task.workers, &mut full).map_err(|e| e.to_string())?;
         let cut = keep.min(full.len().saturating_sub(1));
         let (reader, mut writer) = std::io::pipe().map_err(|e| e.to_string())?;
         std::thread::spawn(move || {
@@ -240,7 +237,7 @@ proptest! {
         prop_assert_eq!(r.counter(Counter::CityRounds), observed.rounds);
         let imbalance = r.gauge(Gauge::CityMpWallImbalancePermille);
         prop_assert!(
-            imbalance >= 1 && imbalance <= 1000,
+            (1..=1000).contains(&imbalance),
             "wall imbalance permille out of range: {}", imbalance
         );
     }

@@ -1,18 +1,14 @@
 //! Property tests of the fault-injection plane.
 //!
-//! Four contracts from the fault plane's design are pinned here:
+//! Three contracts from the fault plane's design are pinned here:
 //!
 //! 1. **Inertness** — attaching an *empty* [`FaultPlan`] is bit-identical
-//!    to running with no fault plane at all: same digest, trace, CP
-//!    statistics and event count.
-//! 2. **Backend identity** — under a *random* fault plan the synchronous
-//!    round loop and the event backend stay bit-identical (the fault
-//!    phase is a first-class `CpEvent::Fault` on the engine, fired at
-//!    exactly the round-loop instants).
-//! 3. **Obligations held** — minDCD-per-maxDCP never breaks under any
+//!    to running with no fault plane at all: same digest, trace and CP
+//!    statistics.
+//! 2. **Obligations held** — minDCD-per-maxDCP never breaks under any
 //!    churn/outage timeline: a down Device Interface guards its own
 //!    obligations locally, so deadline misses stay at zero.
-//! 4. **Checkpoint round-trip** — kill the simulation at a random round,
+//! 3. **Checkpoint round-trip** — kill the simulation at a random round,
 //!    serialize the checkpoint to bytes, parse it back, resume in a
 //!    rebuilt simulation: the resumed run is bit-identical to the
 //!    uninterrupted one.
@@ -21,7 +17,6 @@
 //! `cargo test`) keeps a quick battery, the dedicated release CI job
 //! runs the full one.
 
-use han_core::cp::event::EngineKind;
 use han_core::cp::CpModel;
 use han_core::fault::{FaultEvent, FaultPlan};
 use han_core::simulation::{
@@ -55,7 +50,6 @@ fn build(
     requests: Vec<Request>,
     cp: CpModel,
     seed: u64,
-    engine: EngineKind,
     faults: &FaultPlan,
 ) -> HanSimulation {
     let config = SimulationConfig {
@@ -64,7 +58,6 @@ fn build(
         round_period: SimDuration::from_secs(2),
         strategy: SimStrategy::coordinated(),
         cp,
-        engine,
         seed,
     };
     let mut sim = HanSimulation::new(config, requests).expect("valid config");
@@ -77,10 +70,9 @@ fn run(
     requests: Vec<Request>,
     cp: CpModel,
     seed: u64,
-    engine: EngineKind,
     faults: &FaultPlan,
 ) -> SimulationOutcome {
-    build(fleet, requests, cp, seed, engine, faults).run()
+    build(fleet, requests, cp, seed, faults).run()
 }
 
 prop_compose! {
@@ -181,91 +173,33 @@ proptest! {
         let cp = CpModel::LossyRecord {
             miss_probability: miss_milli as f64 / 1000.0,
         };
-        for engine in [EngineKind::Round, EngineKind::Event] {
-            let plain = {
-                let config = SimulationConfig {
-                    fleet: fleet.clone(),
-                    duration: SimDuration::from_mins(MINUTES),
-                    round_period: SimDuration::from_secs(2),
-                    strategy: SimStrategy::coordinated(),
-                    cp: cp.clone(),
-                    engine,
-                    seed,
-                };
-                HanSimulation::new(config, requests.clone())
-                    .expect("valid config")
-                    .run()
-            };
-            let empty = run(
-                fleet.clone(),
-                requests.clone(),
-                cp.clone(),
+        let plain = {
+            let config = SimulationConfig {
+                fleet: fleet.clone(),
+                duration: SimDuration::from_mins(MINUTES),
+                round_period: SimDuration::from_secs(2),
+                strategy: SimStrategy::coordinated(),
+                cp: cp.clone(),
                 seed,
-                engine,
-                &FaultPlan::empty(),
-            );
-            prop_assert_eq!(empty.schedule_digest, plain.schedule_digest);
-            prop_assert_eq!(&empty.trace, &plain.trace);
-            prop_assert_eq!(empty.divergent_rounds, plain.divergent_rounds);
-            prop_assert_eq!(empty.deadline_misses, plain.deadline_misses);
-            prop_assert_eq!(
-                empty.events, plain.events,
-                "an empty plan must not schedule a single extra event"
-            );
-            prop_assert_eq!(
-                format!("{:?}", empty.cp),
-                format!("{:?}", plain.cp),
-                "CP statistics must be untouched"
-            );
-            prop_assert!(empty.resilience.is_quiet());
-        }
-    }
-
-    /// (b) Round loop and event backend stay bit-identical under random
-    /// fault plans (churn + outages on a lossy CP).
-    #[test]
-    fn backends_identical_under_random_fault_plans(
-        workload in arb_fleet_workload(),
-        spec in arb_fault_spec(),
-        miss_milli in 0u64..500,
-        seed in any::<u64>()
-    ) {
-        let (fleet, requests) = workload;
-        let faults = plan_for(fleet.device_count(), &spec);
-        let cp = CpModel::LossyRecord {
-            miss_probability: miss_milli as f64 / 1000.0,
+            };
+            HanSimulation::new(config, requests.clone())
+                .expect("valid config")
+                .run()
         };
-        let round = run(
-            fleet.clone(),
-            requests.clone(),
-            cp.clone(),
-            seed,
-            EngineKind::Round,
-            &faults,
-        );
-        let event = run(fleet, requests, cp, seed, EngineKind::Event, &faults);
+        let empty = run(fleet, requests, cp, seed, &FaultPlan::empty());
+        prop_assert_eq!(empty.schedule_digest, plain.schedule_digest);
+        prop_assert_eq!(&empty.trace, &plain.trace);
+        prop_assert_eq!(empty.divergent_rounds, plain.divergent_rounds);
+        prop_assert_eq!(empty.deadline_misses, plain.deadline_misses);
         prop_assert_eq!(
-            event.schedule_digest, round.schedule_digest,
-            "fault phases must fire at identical instants on both backends"
+            format!("{:?}", empty.cp),
+            format!("{:?}", plain.cp),
+            "CP statistics must be untouched"
         );
-        prop_assert_eq!(&event.trace, &round.trace);
-        prop_assert_eq!(event.divergent_rounds, round.divergent_rounds);
-        prop_assert_eq!(event.deadline_misses, round.deadline_misses);
-        prop_assert_eq!(event.windows_served, round.windows_served);
-        prop_assert_eq!(
-            format!("{:?}", event.cp),
-            format!("{:?}", round.cp)
-        );
-        prop_assert_eq!(&event.resilience, &round.resilience);
-        if !faults.is_empty() {
-            prop_assert!(
-                event.events > event.rounds * 4,
-                "an active plan fires one fault event per round"
-            );
-        }
+        prop_assert!(empty.resilience.is_quiet());
     }
 
-    /// (c) minDCD-per-maxDCP holds under ANY fault plan: a down DI keeps
+    /// (b) minDCD-per-maxDCP holds under ANY fault plan: a down DI keeps
     /// guarding its obligations locally, so churn and outages never cost
     /// a deadline.
     #[test]
@@ -281,7 +215,6 @@ proptest! {
             requests,
             CpModel::Ideal,
             seed,
-            EngineKind::Round,
             &faults,
         );
         prop_assert_eq!(
@@ -293,7 +226,7 @@ proptest! {
         prop_assert_eq!(outcome.resilience.misses_during_outage, 0);
     }
 
-    /// (d) Kill-restore-resume is bit-identical to the uninterrupted run,
+    /// (c) Kill-restore-resume is bit-identical to the uninterrupted run,
     /// through the full byte codec, at an arbitrary kill round.
     #[test]
     fn checkpoint_restore_round_trips(
@@ -313,7 +246,6 @@ proptest! {
             requests.clone(),
             cp.clone(),
             seed,
-            EngineKind::Round,
             &faults,
         );
         // Kill anywhere in the timeline (rounds are 2 s over MINUTES).
@@ -324,7 +256,6 @@ proptest! {
             requests.clone(),
             cp.clone(),
             seed,
-            EngineKind::Round,
             &faults,
         )
         .run_checkpointed(kill_round);
@@ -336,7 +267,7 @@ proptest! {
         let bytes = checkpoint.to_bytes();
         let restored = Checkpoint::from_bytes(&bytes).expect("own bytes parse back");
         prop_assert_eq!(restored.round(), kill_round);
-        let resumed = build(fleet, requests, cp, seed, EngineKind::Round, &faults)
+        let resumed = build(fleet, requests, cp, seed, &faults)
             .resume(&restored)
             .expect("configuration fingerprints match");
         prop_assert_eq!(

@@ -11,7 +11,6 @@
 //!    execution plane must still issue byte-identical schedules to the
 //!    naive per-node reference plane.
 
-use han_core::cp::event::EngineKind;
 use han_core::cp::CpModel;
 use han_core::simulation::{HanSimulation, SimulationConfig, SimulationOutcome, Strategy};
 use han_device::appliance::{ApplianceKind, DeviceId};
@@ -43,7 +42,6 @@ fn run(
         round_period: SimDuration::from_secs(2),
         strategy: Strategy::coordinated(),
         cp,
-        engine: EngineKind::Round,
         seed: 7,
     };
     let mut sim = HanSimulation::new(config, requests).expect("valid config");

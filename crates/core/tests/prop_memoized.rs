@@ -7,7 +7,6 @@
 //! `schedule_digest` — and identical `divergent_rounds`, load traces and
 //! service metrics to the naive per-node reference path.
 
-use han_core::cp::event::EngineKind;
 use han_core::cp::CpModel;
 use han_core::simulation::{HanSimulation, SimulationConfig, SimulationOutcome, Strategy};
 use han_device::appliance::DeviceId;
@@ -31,7 +30,6 @@ fn run(
         round_period: SimDuration::from_secs(2),
         strategy: Strategy::coordinated(),
         cp,
-        engine: EngineKind::Round,
         seed,
     };
     let mut sim = HanSimulation::new(config, requests).expect("valid config");

@@ -1,13 +1,13 @@
 //! Property tests of the observability plane (`han-obs`).
 //!
-//! Two contracts from the instrumentation design are pinned here:
+//! Three contracts from the instrumentation design are pinned here:
 //!
 //! 1. **Observational inertness** — attaching a full [`ObsSink`]
 //!    (registry + flight recorder, with and without span tracing) is
 //!    bit-identical to running uninstrumented: same digest, trace, CP
-//!    statistics, divergent-round and event counts, on *both* backends
-//!    and under every CP model family (ideal, lossy, packet-level).
-//!    Observation reads engine state; it never writes it.
+//!    statistics and divergent-round count, under every CP model family
+//!    (ideal, lossy, packet-level). Observation reads simulation state;
+//!    it never writes it.
 //! 2. **Counter coherence** — the registry a run leaves behind is
 //!    internally consistent: memo hits never exceed planner invocations,
 //!    CP deliveries and drops partition CP attempts exactly, the round
@@ -24,7 +24,6 @@
 
 use std::sync::Arc;
 
-use han_core::cp::event::EngineKind;
 use han_core::cp::CpModel;
 use han_core::fault::{FaultEvent, FaultPlan};
 use han_core::simulation::{
@@ -134,7 +133,6 @@ fn build(
     requests: Vec<Request>,
     cp: CpModel,
     seed: u64,
-    engine: EngineKind,
     faults: &FaultPlan,
 ) -> HanSimulation {
     let config = SimulationConfig {
@@ -143,7 +141,6 @@ fn build(
         round_period: SimDuration::from_secs(2),
         strategy: SimStrategy::coordinated(),
         cp,
-        engine,
         seed,
     };
     let mut sim = HanSimulation::new(config, requests).expect("valid config");
@@ -157,7 +154,6 @@ fn run_observed(
     requests: Vec<Request>,
     cp: CpModel,
     seed: u64,
-    engine: EngineKind,
     faults: &FaultPlan,
     trace_spans: bool,
 ) -> (SimulationOutcome, Arc<ObsSink>) {
@@ -165,7 +161,7 @@ fn run_observed(
         trace_spans,
         ..ObsConfig::default()
     }));
-    let mut sim = build(fleet, requests, cp, seed, engine, faults);
+    let mut sim = build(fleet, requests, cp, seed, faults);
     sim.set_observer(Obs::new(sink.clone()));
     (sim.run(), sink)
 }
@@ -173,8 +169,8 @@ fn run_observed(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// (1) Instrumented ≡ uninstrumented, on both backends, under every
-    /// CP model family, with and without span tracing.
+    /// (1) Instrumented ≡ uninstrumented, under every CP model family,
+    /// with and without span tracing.
     #[test]
     fn instrumentation_is_observationally_inert(
         workload in arb_fleet_workload(),
@@ -191,44 +187,29 @@ proptest! {
         } else {
             FaultPlan::empty()
         };
-        for engine in [EngineKind::Round, EngineKind::Event] {
-            let plain = build(
-                fleet.clone(),
-                requests.clone(),
-                cp.clone(),
-                seed,
-                engine,
-                &faults,
-            )
-            .run();
-            let (observed, _sink) = run_observed(
-                fleet.clone(),
-                requests.clone(),
-                cp.clone(),
-                seed,
-                engine,
-                &faults,
-                trace_spans,
-            );
-            prop_assert_eq!(
-                observed.schedule_digest, plain.schedule_digest,
-                "observation must never perturb the schedule"
-            );
-            prop_assert_eq!(&observed.trace, &plain.trace);
-            prop_assert_eq!(observed.divergent_rounds, plain.divergent_rounds);
-            prop_assert_eq!(observed.deadline_misses, plain.deadline_misses);
-            prop_assert_eq!(observed.windows_served, plain.windows_served);
-            prop_assert_eq!(
-                observed.events, plain.events,
-                "observation must not schedule a single extra event"
-            );
-            prop_assert_eq!(
-                format!("{:?}", observed.cp),
-                format!("{:?}", plain.cp),
-                "CP statistics must be untouched"
-            );
-            prop_assert_eq!(&observed.resilience, &plain.resilience);
-        }
+        let plain = build(
+            fleet.clone(),
+            requests.clone(),
+            cp.clone(),
+            seed,
+            &faults,
+        )
+        .run();
+        let (observed, _sink) = run_observed(fleet, requests, cp, seed, &faults, trace_spans);
+        prop_assert_eq!(
+            observed.schedule_digest, plain.schedule_digest,
+            "observation must never perturb the schedule"
+        );
+        prop_assert_eq!(&observed.trace, &plain.trace);
+        prop_assert_eq!(observed.divergent_rounds, plain.divergent_rounds);
+        prop_assert_eq!(observed.deadline_misses, plain.deadline_misses);
+        prop_assert_eq!(observed.windows_served, plain.windows_served);
+        prop_assert_eq!(
+            format!("{:?}", observed.cp),
+            format!("{:?}", plain.cp),
+            "CP statistics must be untouched"
+        );
+        prop_assert_eq!(&observed.resilience, &plain.resilience);
     }
 
     /// (2) The registry a run leaves behind is internally consistent.
@@ -237,20 +218,12 @@ proptest! {
         workload in arb_fleet_workload(),
         cp_idx in 0usize..3,
         miss_milli in 0u64..500,
-        engine_event in any::<bool>(),
         seed in any::<u64>()
     ) {
         let (fleet, requests) = workload;
         let cp = cp_model(cp_idx, miss_milli, seed);
-        let engine = if engine_event {
-            EngineKind::Event
-        } else {
-            EngineKind::Round
-        };
         let faults = small_fault_plan(fleet.device_count());
-        let (outcome, sink) = run_observed(
-            fleet, requests, cp, seed, engine, &faults, false,
-        );
+        let (outcome, sink) = run_observed(fleet, requests, cp, seed, &faults, false);
         let r = sink.registry();
 
         let invocations = r.counter(Counter::PlannerInvocations);
@@ -281,24 +254,6 @@ proptest! {
             r.counter(Counter::CpOutageRounds) > 0,
             "the scripted outage window covers whole rounds"
         );
-        if engine == EngineKind::Event {
-            let fired: u64 = [
-                Counter::EngineEventsInject,
-                Counter::EngineEventsFault,
-                Counter::EngineEventsRoundStart,
-                Counter::EngineEventsFlood,
-                Counter::EngineEventsDeliver,
-                Counter::EngineEventsPlan,
-                Counter::EngineEventsRoundEnd,
-            ]
-            .into_iter()
-            .map(|c| r.counter(c))
-            .sum();
-            prop_assert_eq!(
-                fired, outcome.events,
-                "the per-kind tally must account for every event fired"
-            );
-        }
     }
 }
 

@@ -8,14 +8,11 @@
 //!    the simulation runs (each arrival injected shortly before its
 //!    absorbing round) produces the same order-sensitive
 //!    `schedule_digest`, load trace and service metrics as a batch run
-//!    whose trace carried the requests from round zero, on *both*
-//!    backends ([`EngineKind::Round`] and [`EngineKind::Event`]).
+//!    whose trace carried the requests from round zero.
 //! 2. **Kill/restore ≡ uninterrupted** — snapshotting the service at a
 //!    random round (`HANSRV01` bytes), rebuilding from the base
 //!    scenario and the snapshot, and running the rest of the window is
-//!    bit-identical to never having stopped (every outcome field except
-//!    the engine event count, which by contract excludes replayed
-//!    rounds).
+//!    bit-identical to never having stopped.
 //! 3. **Cap injection ≡ merged-profile batch** — injecting a cap change
 //!    mid-run equals batch-running under the merged step profile; the
 //!    change only invalidates memoized plans whose validity horizon it
@@ -27,7 +24,6 @@
 //! runs the full one.
 
 use han_core::algorithm::PlanConfig;
-use han_core::cp::event::EngineKind;
 use han_core::cp::CpModel;
 use han_core::fault::FaultPlan;
 use han_core::online::OnlineDriver;
@@ -50,7 +46,6 @@ fn config(
     devices: usize,
     minutes: u64,
     seed: u64,
-    engine: EngineKind,
     cap: Option<PowerCapProfile>,
 ) -> SimulationConfig {
     SimulationConfig {
@@ -62,7 +57,6 @@ fn config(
             ..PlanConfig::default()
         }),
         cp: CpModel::Ideal,
-        engine,
         seed,
     }
 }
@@ -97,8 +91,7 @@ fn run_streamed(config: SimulationConfig, events: &[TelemetryEvent]) -> Simulati
     online.into_outcome()
 }
 
-/// Field-by-field equality, minus the engine event count (excluded by
-/// the restore contract; batch-vs-streamed compares it too).
+/// Field-by-field equality of two outcomes.
 fn assert_same(a: &SimulationOutcome, b: &SimulationOutcome, what: &str) {
     assert_eq!(a.schedule_digest, b.schedule_digest, "{what}: digest");
     assert_eq!(a.trace.points(), b.trace.points(), "{what}: trace");
@@ -154,38 +147,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Streaming a workload online reproduces the batch run bit for
-    /// bit, on both backends.
+    /// bit.
     #[test]
     fn streamed_arrivals_match_batch(scenario in arb_scenario()) {
         let (devices, minutes, seed, requests) = scenario;
-        for engine in [EngineKind::Round, EngineKind::Event] {
-            let batch = run_batch(config(devices, minutes, seed, engine, None), requests.clone());
-            let streamed = run_streamed(
-                config(devices, minutes, seed, engine, None),
-                &arrivals(&requests),
-            );
-            assert_same(&batch, &streamed, "streamed vs batch");
-            // Without fault telemetry the online driver keeps the batch
-            // loop's shared-row fast path (per-node rows fan out lazily,
-            // only when a fault event first arrives), so the engine
-            // event count differs from batch *only* by the Inject-phase
-            // firings: one per round with a non-empty injection queue.
-            // This harness ingests each event one round ahead, so every
-            // injection is pending for at most two rounds.
-            assert!(
-                streamed.events >= batch.events
-                    && streamed.events - batch.events <= 2 * requests.len() as u64,
-                "streamed vs batch: events {} vs {} (≤{} inject firings expected)",
-                streamed.events,
-                batch.events,
-                2 * requests.len(),
-            );
-        }
+        let batch = run_batch(config(devices, minutes, seed, None), requests.clone());
+        let streamed = run_streamed(config(devices, minutes, seed, None), &arrivals(&requests));
+        assert_same(&batch, &streamed, "streamed vs batch");
     }
 
     /// Kill the service at a random round, restore from the snapshot
     /// bytes, finish the window: every field matches the uninterrupted
-    /// streamed run (the engine event count excepted, by contract).
+    /// streamed run.
     #[test]
     fn kill_restore_resume_is_bit_identical(
         scenario in arb_scenario(),
@@ -193,10 +166,10 @@ proptest! {
     ) {
         let (devices, minutes, seed, requests) = scenario;
         let events = arrivals(&requests);
-        let uninterrupted = run_streamed(config(devices, minutes, seed, EngineKind::Round, None), &events);
+        let uninterrupted = run_streamed(config(devices, minutes, seed, None), &events);
 
         let sim = HanSimulation::new(
-            config(devices, minutes, seed, EngineKind::Round, None),
+            config(devices, minutes, seed, None),
             Vec::new(),
         ).expect("valid config");
         let mut online = OnlineDriver::new(sim);
@@ -211,7 +184,7 @@ proptest! {
         drop(online); // the kill
 
         let base = HanSimulation::new(
-            config(devices, minutes, seed, EngineKind::Round, None),
+            config(devices, minutes, seed, None),
             Vec::new(),
         ).expect("valid config");
         let mut restored = OnlineDriver::restore(base, &snapshot).expect("snapshot restores");
@@ -239,7 +212,7 @@ proptest! {
         let mut sorted = requests.clone();
         sorted.sort_by_key(|r| (r.arrival, r.device));
         let mut sim = HanSimulation::new(
-            config(devices, minutes, seed, EngineKind::Round, None),
+            config(devices, minutes, seed, None),
             sorted,
         ).expect("valid config");
         sim.set_faults(FaultPlan::parse(&spec).expect("valid plan"))
@@ -249,7 +222,7 @@ proptest! {
         let mut events = arrivals(&requests);
         events.extend(TelemetryEvent::parse_script(&spec).expect("valid telemetry"));
         let streamed = run_streamed(
-            config(devices, minutes, seed, EngineKind::Round, None),
+            config(devices, minutes, seed, None),
             &events,
         );
         assert_same(&batch, &streamed, "churn vs batch fault plan");
@@ -275,7 +248,7 @@ proptest! {
         ]).expect("valid profile");
 
         let batch = run_batch(
-            config(devices, minutes, seed, EngineKind::Round, Some(merged)),
+            config(devices, minutes, seed, Some(merged)),
             requests.clone(),
         );
 
@@ -286,7 +259,6 @@ proptest! {
                 devices,
                 minutes,
                 seed,
-                EngineKind::Round,
                 Some(PowerCapProfile::constant(base_kw).expect("valid cap")),
             ),
             &events,

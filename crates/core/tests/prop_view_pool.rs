@@ -12,7 +12,6 @@
 //! reused (no unbounded growth across rounds), and an ideal CP keeps
 //! exactly one entry.
 
-use han_core::cp::event::EngineKind;
 use han_core::cp::CpModel;
 use han_core::simulation::{HanSimulation, SimulationConfig, SimulationOutcome, Strategy};
 use han_device::appliance::DeviceId;
@@ -40,7 +39,6 @@ fn run(
         round_period: SimDuration::from_secs(2),
         strategy: Strategy::coordinated(),
         cp,
-        engine: EngineKind::Round,
         seed,
     };
     let mut sim = HanSimulation::new(config, requests).expect("valid config");

@@ -84,7 +84,10 @@ fn hancity1_truncated_at_every_offset_is_a_typed_error() {
         match mp::decode_stream(&stream[..cut]) {
             Err(MpWireError::Truncated { .. }) => {}
             Err(other) => panic!("cut at {cut} must be Truncated, got {other:?}"),
-            Ok(_) => panic!("cut at {cut}/{} decoded — truncation must fail", stream.len()),
+            Ok(_) => panic!(
+                "cut at {cut}/{} decoded — truncation must fail",
+                stream.len()
+            ),
         }
     }
 }
@@ -198,9 +201,9 @@ proptest! {
         let mut bytes = records[record_pick % records.len()].clone();
         let byte = byte % bytes.len();
         bytes[byte] ^= 1 << bit;
-        match FeederAggregate::decode(&bytes) {
-            Ok((_, used)) => prop_assert!(used <= bytes.len()),
-            Err(_) => {} // typed — acceptable
+        // A typed error is acceptable; a decode must stay in bounds.
+        if let Ok((_, used)) = FeederAggregate::decode(&bytes) {
+            prop_assert!(used <= bytes.len());
         }
     }
 

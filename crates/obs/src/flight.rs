@@ -24,7 +24,7 @@ pub const DEFAULT_CAPACITY: usize = 256;
 pub struct FlightEvent {
     /// Round counter when the event fired.
     pub round: u64,
-    /// The engine layer that produced it.
+    /// The simulation layer that produced it.
     pub subsystem: Subsystem,
     /// Stable event kind (e.g. `fault-active`, `telemetry-absorbed`).
     pub kind: &'static str,

@@ -1,7 +1,7 @@
 //! # han-obs — the observability plane
 //!
 //! Structured, *observationally inert* instrumentation for the HAN
-//! engines: a zero-cost-when-disabled hook API ([`Obs`] / [`Observer`]),
+//! simulation: a zero-cost-when-disabled hook API ([`Obs`] / [`Observer`]),
 //! an atomic metrics [`registry::Registry`] with Prometheus text-format
 //! exposition, a bounded [`flight::FlightRecorder`] ring of recent
 //! structured events (dumped as JSONL when a fault fires or on demand),
@@ -11,9 +11,9 @@
 //!
 //! Instrumentation must never change what a simulation computes: an
 //! instrumented run is digest-, trace- and CP-stats-identical to an
-//! uninstrumented one on both engines (proptest-pinned in
+//! uninstrumented one (proptest-pinned in
 //! `han-core/tests/prop_obs.rs`). The hooks therefore only *read*
-//! engine state and publish copies of it — no hook result ever flows
+//! simulation state and publish copies of it — no hook result ever flows
 //! back into a scheduling or delivery decision, and no wall-clock value
 //! enters sim semantics. Wall-clock appears in exactly two places, both
 //! outside the deterministic core: the daemon's operational latency
@@ -22,7 +22,7 @@
 //!
 //! ## Zero cost when disabled
 //!
-//! The engine threads an [`Obs`] handle — a cheap-to-clone
+//! The simulation threads an [`Obs`] handle — a cheap-to-clone
 //! `Option<Arc<dyn Observer>>` — through its layers. Every hook method
 //! is `#[inline]` and early-outs on `None`, so a run without an
 //! attached sink pays one predicted branch per *publish boundary*
@@ -66,7 +66,7 @@ pub use trace::TraceWriter;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The engine layer a metric or flight event originates from.
+/// The simulation layer a metric or flight event originates from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Subsystem {
     /// The coordinated planner (memoized grouped planning).
@@ -75,8 +75,6 @@ pub enum Subsystem {
     Pool,
     /// The communication plane (ideal / lossy / packet models).
     Cp,
-    /// The discrete-event engine backend.
-    Engine,
     /// The inter-home feeder coordinator.
     Feeder,
     /// The online service driver (`hansim serve`).
@@ -94,7 +92,6 @@ impl Subsystem {
             Subsystem::Planner => "planner",
             Subsystem::Pool => "pool",
             Subsystem::Cp => "cp",
-            Subsystem::Engine => "engine",
             Subsystem::Feeder => "feeder",
             Subsystem::Online => "online",
             Subsystem::Fault => "fault",
@@ -166,20 +163,6 @@ metric_enum! {
         RoundsExecuted => ("han_sim_rounds_total", "Simulation rounds executed"),
         /// Rounds in which the fleet disagreed on the schedule.
         DivergentRounds => ("han_sim_divergent_rounds_total", "Rounds with disagreeing schedules"),
-        /// Event-engine `Inject` events fired.
-        EngineEventsInject => ("han_engine_events_inject_total", "Event engine: Inject events fired"),
-        /// Event-engine `Fault` events fired.
-        EngineEventsFault => ("han_engine_events_fault_total", "Event engine: Fault events fired"),
-        /// Event-engine `RoundStart` events fired.
-        EngineEventsRoundStart => ("han_engine_events_round_start_total", "Event engine: RoundStart events fired"),
-        /// Event-engine `Flood` events fired.
-        EngineEventsFlood => ("han_engine_events_flood_total", "Event engine: Flood events fired"),
-        /// Event-engine `Deliver` events fired.
-        EngineEventsDeliver => ("han_engine_events_deliver_total", "Event engine: Deliver events fired"),
-        /// Event-engine `Plan` events fired.
-        EngineEventsPlan => ("han_engine_events_plan_total", "Event engine: Plan events fired"),
-        /// Event-engine `RoundEnd` events fired.
-        EngineEventsRoundEnd => ("han_engine_events_round_end_total", "Event engine: RoundEnd events fired"),
         /// Feeder coordination iterations executed.
         FeederIterations => ("han_feeder_iterations_total", "Feeder coordination iterations executed"),
         /// Telemetry events absorbed by the round loop's inject phase.
@@ -205,8 +188,6 @@ metric_enum! {
         PoolLiveViews => ("han_pool_live_views", "Distinct views currently alive in the view pool"),
         /// High-water mark of concurrently live distinct views.
         PoolPeakViews => ("han_pool_peak_views", "Peak concurrently live distinct views"),
-        /// Deepest event-engine heap observed.
-        EngineHeapDepthPeak => ("han_engine_heap_depth_peak", "Peak pending-event heap depth of the event engine"),
         /// The feeder iterate committed by the coordinator.
         FeederSelectedIteration => ("han_feeder_selected_iteration", "Feeder iterate committed (0 = signal-free baseline)"),
         /// Why feeder coordination stopped (0 converged, 1 max iterations, 2 oscillating).
@@ -242,7 +223,7 @@ metric_enum! {
     }
 }
 
-/// The hook surface the engine calls into. Every method has a no-op
+/// The hook surface the simulation calls into. Every method has a no-op
 /// default, so a sink implements only what it stores; the production
 /// sink is [`ObsSink`] (registry + flight recorder + optional spans).
 pub trait Observer: Send + Sync {
@@ -267,7 +248,7 @@ pub trait Observer: Send + Sync {
     fn span(&self, _name: &'static str, _round: u64, _start: Instant, _end: Instant) {}
 }
 
-/// The cheap handle the engine threads through its layers: `None` means
+/// The cheap handle the simulation threads through its layers: `None` means
 /// observability is off and every hook is an inlined early-out.
 #[derive(Clone, Default)]
 pub struct Obs {
@@ -409,14 +390,14 @@ mod tests {
         obs.add(Counter::PlannerMemoHits, 3);
         obs.publish(Counter::PlannerInvocations, 7);
         obs.gauge(Gauge::PoolLiveViews, 4);
-        obs.gauge_max(Gauge::EngineHeapDepthPeak, 9);
-        obs.gauge_max(Gauge::EngineHeapDepthPeak, 5);
+        obs.gauge_max(Gauge::PoolPeakViews, 9);
+        obs.gauge_max(Gauge::PoolPeakViews, 5);
         obs.observe(Hist::AbsorbedPerBoundary, 3);
         let r = sink.registry();
         assert_eq!(r.counter(Counter::PlannerMemoHits), 5);
         assert_eq!(r.counter(Counter::PlannerInvocations), 7);
         assert_eq!(r.gauge(Gauge::PoolLiveViews), 4);
-        assert_eq!(r.gauge(Gauge::EngineHeapDepthPeak), 9);
+        assert_eq!(r.gauge(Gauge::PoolPeakViews), 9);
         assert_eq!(r.hist_count(Hist::AbsorbedPerBoundary), 1);
         assert_eq!(r.hist_sum(Hist::AbsorbedPerBoundary), 3);
     }

@@ -228,9 +228,9 @@ pub fn run_round(
 ///
 /// Internally one round is the phase sequence `sync_phase` → `n ×
 /// data_phase` → `finish_round_report`; callers that need the flood
-/// steps individually (the event-driven communication plane models each
-/// as its own typed event) drive those functions directly and get
-/// bit-identical behavior, because this *is* that sequence.
+/// steps individually (the packet communication plane runs one per
+/// flood phase) drive those functions directly and get bit-identical
+/// behavior, because this *is* that sequence.
 #[allow(clippy::too_many_arguments)]
 pub fn run_round_with(
     rssi: &[Vec<Dbm>],

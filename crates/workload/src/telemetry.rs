@@ -6,7 +6,7 @@
 //! changing its admission cap or tariff, a node crashing or rejoining, a
 //! communication blackout — delivered to a running simulation instead of
 //! baked into it. The online subsystem in `han-core` translates each event
-//! into the same first-class engine event the batch path would have used,
+//! into the same request, command or fault the batch path would have used,
 //! which is what makes streamed and batch execution bit-identical.
 //!
 //! # Grammar

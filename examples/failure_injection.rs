@@ -30,7 +30,6 @@ fn run(strategy: Strategy, loss: f64, faults: &FaultPlan, ttl: Option<u32>) -> S
         cp: CpModel::LossyRound {
             miss_probability: loss,
         },
-        engine: EngineKind::Round,
         seed: 11,
     };
     let mut sim = HanSimulation::new(config, requests).expect("valid config");

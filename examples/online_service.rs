@@ -24,7 +24,6 @@ fn base() -> Result<HanSimulation, ScenarioError> {
         round_period: SimDuration::from_secs(2),
         strategy: Strategy::Coordinated(PlanConfig::default()),
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 7,
     };
     HanSimulation::new(config, Vec::new())

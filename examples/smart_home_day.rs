@@ -80,7 +80,6 @@ fn main() -> Result<(), ScenarioError> {
         round_period: SimDuration::from_secs(2),
         strategy,
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 7,
     };
 

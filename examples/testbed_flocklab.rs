@@ -24,7 +24,6 @@ fn main() {
         round_period: SimDuration::from_secs(2),
         strategy: Strategy::coordinated(),
         cp: CpModel::paper_packet(3),
-        engine: EngineKind::Round,
         seed: 5,
     };
 

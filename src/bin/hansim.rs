@@ -19,10 +19,6 @@
 //!                                  communication plane (default: ideal;
 //!                                  ge = Gilbert-Elliott burst loss with
 //!                                  good/bad transition probabilities)
-//!   --engine <round|event>         simulation backend (default: round;
-//!                                  event = typed events on the han-sim
-//!                                  discrete-event engine, bit-identical
-//!                                  by contract)
 //!   --minutes <N>                  duration in minutes (default: 350)
 //!   --devices <N>                  number of 1 kW devices (default: 26)
 //!   --homes <N>                    homes on one feeder (default: 1 —
@@ -51,7 +47,7 @@
 //!   --csv                          per-minute series as CSV (single home:
 //!                                  per-strategy loads; neighborhood: the
 //!                                  feeder aggregate per policy)
-//!   --metrics-out <FILE>           dump the engine metrics registry as
+//!   --metrics-out <FILE>           dump the metrics registry as
 //!                                  Prometheus text exposition after the
 //!                                  run (single strategy; with --feeder,
 //!                                  covers the coordination run)
@@ -68,7 +64,7 @@
 //! can be injected while it runs, and a newline-delimited TCP protocol
 //! (STATUS / SCHEDULE / FEEDER / INJECT / ADVANCE / CHECKPOINT /
 //! METRICS / DUMP / SHUTDOWN) answers queries. Scenario flags (--rate, --workload,
-//! --minutes, --devices, --cp, --engine, --faults, --stale-ttl, --seed)
+//! --minutes, --devices, --cp, --faults, --stale-ttl, --seed)
 //! apply as above; --strategy must name a single strategy (default:
 //! coordinated). Serve-specific flags:
 //!
@@ -95,13 +91,12 @@
 //!                                  over the socket works regardless)
 //!
 //! City mode (`hansim city`) runs feeders × homes-per-feeder homes on
-//! shared-heap shards (see han_core::city) and prints the reduced
-//! feeder → substation → city report. The report is identical for every
-//! valid `--shards` value, and per-home results are digest-identical to
-//! the same homes run through the neighborhood path. Scenario flags
-//! (--rate, --workload, --minutes, --devices, --cp, --faults, --seed)
-//! apply as above; --engine is rejected (the city always runs the
-//! shared-heap event backend). City-specific flags:
+//! shards that stream one home at a time (see han_core::city) and
+//! prints the reduced feeder → substation → city report. The report is
+//! identical for every valid `--shards` value, and per-home results are
+//! digest-identical to the same homes run through the neighborhood
+//! path. Scenario flags (--rate, --workload, --minutes, --devices, --cp,
+//! --faults, --seed) apply as above. City-specific flags:
 //!
 //!   --feeders <N>                  feeders in the city (default: 4)
 //!   --homes-per-feeder <M>         homes on each feeder (default: 4)
@@ -258,7 +253,6 @@ struct Args {
     workload: String,
     strategy: String,
     cp: CpModel,
-    engine: EngineKind,
     minutes: u64,
     devices: usize,
     homes: usize,
@@ -316,7 +310,6 @@ fn parse_args() -> Result<Args, CliError> {
         workload: "poisson".into(),
         strategy: "compare".into(),
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         minutes: 350,
         devices: 26,
         homes: 1,
@@ -337,19 +330,7 @@ fn parse_args() -> Result<Args, CliError> {
     while let Some(flag) = it.next() {
         let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
         match flag.as_str() {
-            "--rate" => {
-                let v = value("--rate")?;
-                args.rate = match v.as_str() {
-                    "low" => 4.0,
-                    "moderate" => 18.0,
-                    "high" => 30.0,
-                    n => n.parse().map_err(|_| CliError::Invalid {
-                        flag: "--rate",
-                        value: n.to_string(),
-                        expected: "low|moderate|high|N",
-                    })?,
-                };
-            }
+            "--rate" => args.rate = parse_rate(&value("--rate")?)?,
             "--workload" => {
                 let v = value("--workload")?;
                 match v.as_str() {
@@ -402,14 +383,6 @@ fn parse_args() -> Result<Args, CliError> {
                     return Err(invalid(&v));
                 };
             }
-            "--engine" => {
-                let v = value("--engine")?;
-                args.engine = EngineKind::from_flag(&v).ok_or(CliError::Invalid {
-                    flag: "--engine",
-                    value: v,
-                    expected: "round|event",
-                })?;
-            }
             "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
             "--homes" => args.homes = parse_num(&value("--homes")?, "--homes")?,
@@ -445,6 +418,22 @@ fn parse_args() -> Result<Args, CliError> {
     // regardless of flag order.
     args.cp = cp_choice.build(args.seed);
     Ok(args)
+}
+
+/// Parses `--rate`: a paper regime by name (its rate from
+/// [`ArrivalRate::per_hour`]) or a number of requests per hour. Batch,
+/// serve and city mode all parse the flag here.
+fn parse_rate(value: &str) -> Result<f64, CliError> {
+    match value {
+        "low" => Ok(ArrivalRate::Low.per_hour()),
+        "moderate" => Ok(ArrivalRate::Moderate.per_hour()),
+        "high" => Ok(ArrivalRate::High.per_hour()),
+        n => n.parse().map_err(|_| CliError::Invalid {
+            flag: "--rate",
+            value: n.to_string(),
+            expected: "low|moderate|high|N",
+        }),
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &'static str) -> Result<T, CliError> {
@@ -543,7 +532,6 @@ fn run_one(
             scenario,
             strategy,
             args.cp.clone(),
-            args.engine,
             &args.faults,
             args.stale_ttl,
         )?);
@@ -552,7 +540,6 @@ fn run_one(
         scenario,
         strategy,
         args.cp.clone(),
-        args.engine,
         &args.faults,
         args.stale_ttl,
     )?;
@@ -803,7 +790,7 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         }
     }
     // Neighborhood observability covers the feeder coordination run —
-    // per-home engines build their simulations internally. Without a
+    // the per-home runs build their simulations internally. Without a
     // signal there is nothing for the sink (or the trace CSV) to record.
     if args.feeder.is_none() {
         for (flag, present) in [
@@ -827,8 +814,7 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         scenario,
         args.cp.clone(),
         args.homes,
-    )?
-    .on_engine(args.engine);
+    )?;
     if !args.faults.is_empty() {
         // Every home suffers the same scripted timeline (homes fail
         // independently inside their own HANs).
@@ -924,7 +910,6 @@ struct ServeArgs {
     workload: String,
     strategy: String,
     cp: CpModel,
-    engine: EngineKind,
     minutes: u64,
     devices: usize,
     faults: FaultPlan,
@@ -946,7 +931,6 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
         workload: "poisson".into(),
         strategy: "coordinated".into(),
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         minutes: 350,
         devices: 26,
         faults: FaultPlan::empty(),
@@ -966,7 +950,7 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
     while let Some(flag) = it.next() {
         let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
         match flag.as_str() {
-            "--rate" => args.rate = parse_num(&value("--rate")?, "--rate")?,
+            "--rate" => args.rate = parse_rate(&value("--rate")?)?,
             "--workload" => {
                 let v = value("--workload")?;
                 match v.as_str() {
@@ -1011,14 +995,6 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
                     });
                 };
             }
-            "--engine" => {
-                let v = value("--engine")?;
-                args.engine = EngineKind::from_flag(&v).ok_or(CliError::Invalid {
-                    flag: "--engine",
-                    value: v,
-                    expected: "round|event",
-                })?;
-            }
             "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
             "--faults" => {
@@ -1059,12 +1035,9 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
 }
 
 /// The serve-mode final report, printed when the window completes.
-///
-/// Deliberately *excludes* the engine event count: a daemon restored
-/// from a snapshot does not replay already-executed rounds, so only
-/// that counter may differ — everything printed here is byte-identical
-/// between an uninterrupted run and a kill/restore one (the daemon
-/// smoke test compares these lines verbatim).
+/// Everything printed here is byte-identical between an uninterrupted
+/// run and a kill/restore one (the daemon smoke test compares these
+/// lines verbatim).
 fn serve_report(outcome: smart_han::core::SimulationOutcome, minutes: u64) -> String {
     let r = summarize_outcome(outcome, SimDuration::from_mins(minutes));
     format!(
@@ -1113,7 +1086,6 @@ fn run_serve() -> Result<(), CliError> {
         &scenario,
         strategy_by_name(&args.strategy),
         args.cp.clone(),
-        args.engine,
         &args.faults,
         args.stale_ttl,
     )?;
@@ -1223,19 +1195,7 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
             }
             "--shards" => args.shards = parse_num(&value("--shards")?, "--shards")?,
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--rate" => {
-                let v = value("--rate")?;
-                args.rate = match v.as_str() {
-                    "low" => 4.0,
-                    "moderate" => 18.0,
-                    "high" => 30.0,
-                    n => n.parse().map_err(|_| CliError::Invalid {
-                        flag: "--rate",
-                        value: n.to_string(),
-                        expected: "low|moderate|high|N",
-                    })?,
-                };
-            }
+            "--rate" => args.rate = parse_rate(&value("--rate")?)?,
             "--workload" => {
                 let v = value("--workload")?;
                 match v.as_str() {
@@ -1291,18 +1251,6 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
             "--mp-restart" => args.mp_restart = true,
             "--mp-deadline-ms" => {
                 args.mp_deadline_ms = parse_num(&value("--mp-deadline-ms")?, "--mp-deadline-ms")?
-            }
-            // The city layer has no backend choice: homes always run the
-            // shared-heap event engine (the equivalence contract makes
-            // the synchronous loop redundant at this scale). Rejected,
-            // not ignored — a typed error, never a silent no-op.
-            "--engine" => {
-                let v = value("--engine").unwrap_or_else(|_| "absent".into());
-                return Err(CliError::Invalid {
-                    flag: "--engine",
-                    value: v,
-                    expected: "no --engine in city mode (always the shared-heap event backend)",
-                });
             }
             "--help" | "-h" => return Err(CliError::Usage),
             other => {
@@ -1456,10 +1404,7 @@ impl<W: Write> SabotagedWriter<W> {
         SabotagedWriter {
             inner,
             written: 0,
-            crash_at: armed(
-                "HANSIM_CITY_WORKER_CRASH",
-                mp::HANDSHAKE_LEN + 10,
-            ),
+            crash_at: armed("HANSIM_CITY_WORKER_CRASH", mp::HANDSHAKE_LEN + 10),
             stall_at: armed("HANSIM_CITY_WORKER_STALL", mp::HANDSHAKE_LEN),
         }
     }
@@ -1630,7 +1575,7 @@ fn fail(error: &CliError) -> ExitCode {
     eprintln!(
         "usage: hansim [--rate low|moderate|high|N] [--workload poisson|daily] \
          [--strategy coordinated|uncoordinated|centralized|compare] \
-         [--cp ideal|lossy:P|ge:PGB,PBG|packet] [--engine round|event] [--minutes N] \
+         [--cp ideal|lossy:P|ge:PGB,PBG|packet] [--minutes N] \
          [--devices N] [--homes N] [--feeder cap:KW|tou|congestion[:U]] \
          [--faults SPEC] [--stale-ttl N] [--checkpoint PATH] [--restore PATH] \
          [--seed N] [--csv] [--metrics-out FILE] [--trace FILE] [--flight FILE] \

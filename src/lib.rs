@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `han-sim` | deterministic discrete-event kernel |
+//! | [`sim`] | `han-sim` | deterministic time, RNG and trace substrate |
 //! | [`radio`] | `han-radio` | 802.15.4 PHY, capture effect, energy |
 //! | [`net`] | `han-net` | topologies incl. the FlockLab-like testbed |
 //! | [`st`] | `han-st` | Glossy floods, MiniCast all-to-all rounds |
@@ -20,7 +20,7 @@
 //! | [`core`] | `han-core` | the collaborative scheduler + simulation |
 //! | [`workload`] | `han-workload` | Poisson / household request workloads |
 //! | [`metrics`] | `han-metrics` | load traces, statistics, reports |
-//! | [`obs`] | `han-obs` | engine metrics, flight recorder, span traces |
+//! | [`obs`] | `han-obs` | metrics registry, flight recorder, span traces |
 //!
 //! # Quickstart
 //!
@@ -107,11 +107,9 @@ pub use han_workload as workload;
 /// the paper's Type-1/Type-2 appliance classification enum remains at
 /// [`device::DeviceClass`](han_device::appliance::DeviceClass).
 pub mod prelude {
-    pub use han_core::cp::event::EngineKind;
     pub use han_core::cp::CpModel;
     pub use han_core::experiment::{
-        compare, compare_faulted, compare_on, run_strategy, run_strategy_faulted, run_strategy_on,
-        Comparison, StrategyResult,
+        compare, compare_faulted, run_strategy, run_strategy_faulted, Comparison, StrategyResult,
     };
     pub use han_core::feeder::{
         ConvergenceCriterion, ConvergenceTrace, FeederPolicy, FeederReport, FeederSignal,

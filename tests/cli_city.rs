@@ -4,16 +4,16 @@
 //!
 //! 1. The printed report is **byte-identical** for every valid `--shards`
 //!    value (the shard count is an execution detail, never a result).
-//! 2. `--engine` is rejected with the typed `CliError::Invalid` message —
-//!    the city always runs the shared-heap event backend, so offering the
-//!    flag would be a lie.
+//! 2. `--engine` is an unknown flag in city mode, as in batch and serve
+//!    mode — the synchronous round loop is the only executor, so there is
+//!    no backend to choose.
 //! 3. Misuse (zero feeders, more shards than feeders, malformed counts)
 //!    fails through the typed error path with a non-zero exit and a
 //!    one-line `error:` diagnostic — never a panic backtrace.
 
 mod common;
 
-use common::{assert_bytes_eq, hansim};
+use common::{assert_bytes_eq, assert_engine_flag_rejected, hansim};
 
 /// A small city that still exercises multi-feeder reduction: 3 feeders
 /// x 2 homes x 5 devices for 40 minutes.
@@ -73,22 +73,12 @@ fn csv_series_is_shard_invariant_too() {
 
 #[test]
 fn engine_flag_is_rejected_with_a_typed_error() {
-    // The city has no engine choice to offer; the flag must fail loudly
-    // through CliError::Invalid rather than being silently ignored.
-    let out = hansim(&["city", "--engine", "event"]);
-    assert!(
-        !out.status.success(),
-        "--engine must be rejected in city mode"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("error: bad value 'event' for --engine"),
-        "expected the typed CliError::Invalid diagnostic, got: {stderr}"
-    );
-    assert!(
-        stderr.contains("no --engine in city mode"),
-        "the diagnostic must say why the flag does not apply: {stderr}"
-    );
+    // With and without a value; batch and serve mode are covered by
+    // `tests/cli_engine.rs` with the same assertion.
+    assert_engine_flag_rejected(&[
+        &["city", "--engine", "event"],
+        &["city", "--feeders", "2", "--engine"],
+    ]);
 }
 
 #[test]

@@ -84,7 +84,11 @@ fn csv_series_is_worker_invariant_too() {
         "CSV header missing"
     );
     assert_bytes_eq(&one.stdout, &three.stdout, "CSV --workers 1 vs 3");
-    assert_bytes_eq(&in_process.stdout, &one.stdout, "CSV in-process vs --workers 1");
+    assert_bytes_eq(
+        &in_process.stdout,
+        &one.stdout,
+        "CSV in-process vs --workers 1",
+    );
 }
 
 #[test]

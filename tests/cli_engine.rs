@@ -1,88 +1,32 @@
-//! Golden-output test of the hansim CLI's `--engine` flag.
+//! CLI face of the single-executor contract in batch and serve mode.
 //!
-//! `--engine round` and `--engine event` must produce **byte-identical**
-//! reports on the paper scenario (the CLI's default configuration is
-//! exactly `Scenario::paper`: 26 × 1 kW devices, high rate, 350 min) —
-//! the CLI-level face of the event backend's determinism contract — and
-//! an unknown engine name must fail through the typed `CliError` path
-//! with a non-zero exit.
+//! The fixed-period synchronous round loop is the only executor, so
+//! `--engine` is not a flag of `hansim`: any use of it — with a value,
+//! known or not, or bare at the end of the command line — must fail
+//! through the typed `CliError::UnknownFlag` path with a non-zero exit,
+//! the usage text on stderr and nothing on stdout, never be silently
+//! ignored. City mode is covered by `tests/cli_city.rs`.
 
-use std::process::Command;
+mod common;
 
-fn hansim(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_hansim"))
-        .args(args)
-        .output()
-        .expect("hansim binary runs")
-}
-
-#[test]
-fn round_and_event_reports_are_byte_identical_on_paper_scenario() {
-    let round = hansim(&["--engine", "round", "--seed", "0"]);
-    let event = hansim(&["--engine", "event", "--seed", "0"]);
-    assert!(round.status.success(), "round run failed: {round:?}");
-    assert!(event.status.success(), "event run failed: {event:?}");
-    assert!(
-        !round.stdout.is_empty(),
-        "the report must not be empty (golden output vacuous otherwise)"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&round.stdout),
-        String::from_utf8_lossy(&event.stdout),
-        "the two backends must print byte-identical reports"
-    );
-}
-
-#[test]
-fn csv_series_are_byte_identical_too() {
-    // The raw per-minute series is the strictest text probe the CLI has.
-    let round = hansim(&["--engine", "round", "--csv", "--minutes", "90"]);
-    let event = hansim(&["--engine", "event", "--csv", "--minutes", "90"]);
-    assert!(round.status.success() && event.status.success());
-    assert_eq!(round.stdout, event.stdout, "CSV series must match exactly");
-}
-
-#[test]
-fn neighborhood_runs_agree_across_engines() {
-    let args = |engine| {
-        vec![
-            "--engine",
-            engine,
-            "--homes",
-            "3",
-            "--minutes",
-            "60",
-            "--csv",
-        ]
-    };
-    let round = hansim(&args("round"));
-    let event = hansim(&args("event"));
-    assert!(round.status.success() && event.status.success());
-    assert_eq!(
-        round.stdout, event.stdout,
-        "the feeder aggregate must be engine-blind"
-    );
-}
+use common::assert_engine_flag_rejected;
 
 #[test]
 fn unknown_engine_is_a_typed_cli_error() {
-    let out = hansim(&["--engine", "warp"]);
-    assert!(!out.status.success(), "unknown engine must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("bad value 'warp' for --engine (expected round|event)"),
-        "typed CliError::Invalid must name the flag and expectation, got:\n{stderr}"
-    );
-    assert!(stderr.contains("usage:"), "usage line follows the error");
+    assert_engine_flag_rejected(&[
+        &["--engine", "warp"],
+        &["--engine", "round"],
+        &["--engine", "event"],
+        &["serve", "--engine", "warp"],
+        &["serve", "--engine", "event"],
+    ]);
 }
 
 #[test]
 fn missing_engine_value_is_reported() {
-    let out = hansim(&["--engine"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--engine requires a value"),
-        "typed CliError::MissingValue expected, got:\n{stderr}"
-    );
+    assert_engine_flag_rejected(&[
+        &["--engine"],
+        &["--minutes", "10", "--engine"],
+        &["serve", "--minutes", "10", "--engine"],
+    ]);
 }

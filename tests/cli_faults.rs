@@ -5,8 +5,8 @@
 //! (`--restore`) must print **byte-identical** reports — the CLI-level
 //! face of the kill-restore-resume bit-identity the checkpoint codec
 //! guarantees. Alongside it: `--faults` changes the report (resilience
-//! lines appear) but never costs a deadline, the fault timeline is
-//! engine-blind, and every misuse fails through the typed `CliError`
+//! lines appear) but never costs a deadline, and every misuse fails
+//! through the typed `CliError`
 //! path with a non-zero exit.
 
 use std::process::Command;
@@ -60,32 +60,22 @@ fn checkpoint_and_restore_reports_are_byte_identical() {
 }
 
 #[test]
-fn fault_plans_are_engine_blind_and_report_resilience() {
-    let args = |engine: &'static str| {
-        vec![
-            "--engine",
-            engine,
-            "--minutes",
-            "60",
-            "--strategy",
-            "coordinated",
-            "--faults",
-            PLAN,
-        ]
-    };
-    let round = hansim(&args("round"));
-    let event = hansim(&args("event"));
-    assert!(round.status.success() && event.status.success());
-    let stdout = String::from_utf8_lossy(&round.stdout);
+fn fault_plans_report_resilience() {
+    let out = hansim(&[
+        "--minutes",
+        "60",
+        "--strategy",
+        "coordinated",
+        "--faults",
+        PLAN,
+    ]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("resilience: availability"),
         "a faulted run must report resilience metrics, got:\n{stdout}"
     );
     assert!(stdout.contains("misses 0"), "churn never costs a deadline");
-    assert_eq!(
-        round.stdout, event.stdout,
-        "the fault timeline must be engine-blind"
-    );
 }
 
 #[test]

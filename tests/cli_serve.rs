@@ -7,9 +7,7 @@
 //! cadence snapshot the state, **kill the daemon with no warning**,
 //! restore a fresh process from the last snapshot, and finish the
 //! window. The finished report must be **byte-identical** to an
-//! uninterrupted replay-mode run of the same telemetry — the serve
-//! report deliberately excludes the engine event count, the one field
-//! the restore contract exempts.
+//! uninterrupted replay-mode run of the same telemetry.
 
 mod common;
 
@@ -127,27 +125,37 @@ fn daemon_kill_and_restore_report_is_byte_identical() {
 }
 
 #[test]
-fn replay_mode_is_engine_blind() {
-    let dir = std::env::temp_dir().join("hansim-cli-serve-engines");
+fn replay_accepts_rate_names() {
+    // Serve mode parses `--rate` like batch and city mode: a named paper
+    // regime runs exactly the scenario its number does (high = 30/h).
+    let dir = std::env::temp_dir().join("hansim-cli-serve-rates");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let script = dir.join("telemetry.txt");
     std::fs::write(&script, TELEMETRY).expect("write telemetry");
     let script = script.to_str().expect("utf-8 path");
 
     let mut reports = Vec::new();
-    for engine in ["round", "event"] {
+    for rate in ["high", "30"] {
         let out = hansim_cmd()
             .arg("serve")
-            .args(SCENARIO)
-            .args(["--replay", script, "--engine", engine])
+            .args(["--minutes", "20", "--devices", "8", "--rate", rate])
+            .args(["--replay", script])
             .output()
             .expect("replay run");
-        assert!(out.status.success(), "replay on {engine} failed: {out:?}");
+        assert!(
+            out.status.success(),
+            "replay at --rate {rate} failed: {out:?}"
+        );
         reports.push(String::from_utf8(out.stdout).expect("utf-8 report"));
     }
+    assert!(
+        reports[0].starts_with("serve report: rounds=601 "),
+        "unexpected report: {}",
+        reports[0]
+    );
     assert_eq!(
         reports[0], reports[1],
-        "replayed telemetry must be engine-blind"
+        "--rate high must replay exactly like --rate 30"
     );
 }
 

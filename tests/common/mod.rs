@@ -19,7 +19,10 @@ pub fn hansim_cmd() -> Command {
 
 /// Runs `hansim` with `args` to completion and returns its output.
 pub fn hansim(args: &[&str]) -> Output {
-    hansim_cmd().args(args).output().expect("hansim binary runs")
+    hansim_cmd()
+        .args(args)
+        .output()
+        .expect("hansim binary runs")
 }
 
 /// Spawns `hansim` with `args`, stdout piped, stderr captured.
@@ -60,6 +63,32 @@ pub fn assert_bytes_eq(reference: &[u8], candidate: &[u8], what: &str) {
     );
     // Lossy equality can mask non-UTF8 differences; pin the raw bytes.
     assert_eq!(reference, candidate, "{what}: raw bytes differ");
+}
+
+/// Asserts that `hansim` rejects `--engine` in every invocation of
+/// `cases`: the synchronous round loop is the only executor, so the flag
+/// must fail through the typed unknown-flag path — non-zero exit, the
+/// one-line `error:` diagnostic plus the usage text on stderr, and no
+/// report on stdout.
+pub fn assert_engine_flag_rejected(cases: &[&[&str]]) {
+    for args in cases {
+        let out = hansim(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} printed to stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: unknown flag '--engine'"),
+            "expected the typed unknown-flag diagnostic for {args:?}, got: {stderr}"
+        );
+        assert!(
+            stderr.contains("usage:"),
+            "the usage text must follow the error for {args:?}, got: {stderr}"
+        );
+    }
 }
 
 /// Grabs a free loopback port (bind-then-drop; the daemon rebinds it).

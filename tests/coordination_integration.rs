@@ -76,7 +76,6 @@ fn synchronized_burst_halves_the_peak_exactly() {
             round_period: SimDuration::from_secs(2),
             strategy,
             cp: CpModel::Ideal,
-            engine: EngineKind::Round,
             seed: 1,
         };
         let requests = burst(SimTime::from_mins(1), 2 * k);
@@ -124,7 +123,6 @@ fn centralized_matches_coordinated_when_healthy() {
         round_period: SimDuration::from_secs(2),
         strategy,
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 2,
     };
     let cent = HanSimulation::new(
@@ -155,7 +153,6 @@ fn controller_crash_breaks_centralized_but_not_decentralized() {
         round_period: SimDuration::from_secs(2),
         strategy,
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 7,
     };
     let crashed = HanSimulation::new(
@@ -195,7 +192,6 @@ fn heterogeneous_fleet_respects_power_weighting() {
         round_period: SimDuration::from_secs(2),
         strategy: Strategy::coordinated(),
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 1,
     };
     let outcome = HanSimulation::new(config, requests).unwrap().run();

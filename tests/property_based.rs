@@ -14,7 +14,6 @@ fn run(strategy: HanStrategy, requests: Vec<Request>, devices: usize) -> Simulat
         round_period: SimDuration::from_secs(2),
         strategy,
         cp: CpModel::Ideal,
-        engine: EngineKind::Round,
         seed: 0,
     };
     HanSimulation::new(config, requests)

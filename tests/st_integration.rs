@@ -14,7 +14,6 @@ fn packet_config(strategy: Strategy, minutes: u64, channel_seed: u64) -> Simulat
         round_period: SimDuration::from_secs(2),
         strategy,
         cp: CpModel::paper_packet(channel_seed),
-        engine: EngineKind::Round,
         seed: channel_seed,
     }
 }
@@ -115,7 +114,6 @@ fn desynchronized_network_degrades_gracefully() {
             st,
             topology: smart_han::net::flocklab::flocklab26(9),
         },
-        engine: EngineKind::Round,
         seed: 9,
     };
     let requests = PoissonArrivals::new(30.0, 26).generate(SimDuration::from_mins(15), 9);
