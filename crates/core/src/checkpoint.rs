@@ -15,6 +15,14 @@
 //! run — proven by `checkpoint_restore_is_bit_identical` in
 //! `crates/core/tests/prop_fault.rs`.
 //!
+//! A checkpoint is untrusted input: restore never panics on it. Decoding
+//! fails typed on any malformed byte, and before a single round runs the
+//! decoded state is checked against the configuration it is resumed
+//! under — counts per device, device ids, trace order, instants no later
+//! than the next round, view-pool handles and reference counts — so a
+//! well-formed but inconsistent state is [`CheckpointError::Inconsistent`]
+//! rather than an index out of bounds mid-run.
+//!
 //! # Wire format
 //!
 //! A versioned little-endian byte stream: the 8-byte magic `HANCKPT1`,
@@ -24,15 +32,18 @@
 //! sequences a `u64` count. Timestamps are stored at full microsecond
 //! resolution — the lossy 23-byte status wire format is deliberately
 //! *not* reused here, because checkpointing must not round anything.
+//! It is written and read through the crate's one wire codec, shared
+//! with the `HANSRV01` service snapshot and the city formats.
 
 use crate::cp::{CpExport, CpStats, PacketExport, StoreExport};
 use crate::pool::{PoolSlotExport, ViewPoolExport, ViewPoolStats};
+use crate::wire::{Dec, Enc, WireError};
 use han_device::appliance::DeviceId;
 use han_device::duty_cycle::{ActiveSnapshot, DutyCyclerSnapshot};
 use han_device::interface::{DeviceInterfaceSnapshot, DiCounters};
 use han_device::status::StatusRecord;
 use han_metrics::ResilienceStats;
-use han_sim::time::{SimDuration, SimTime};
+use han_sim::time::SimTime;
 use han_st::stats::DisseminationStats;
 use std::fmt;
 
@@ -100,6 +111,13 @@ pub enum CheckpointError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
+    /// The state decoded, but contradicts itself or the configuration it
+    /// is resumed under (a count, id, instant or reference that no run
+    /// could have produced).
+    Inconsistent {
+        /// What failed the check.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -123,11 +141,34 @@ impl fmt::Display for CheckpointError {
                     "{extra} unexpected trailing bytes after checkpoint state"
                 )
             }
+            CheckpointError::Inconsistent { reason } => {
+                write!(f, "inconsistent checkpoint state: {reason}")
+            }
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { offset, .. } => CheckpointError::Truncated { offset },
+            WireError::BadMagic => CheckpointError::BadMagic,
+            WireError::BadValue { offset } => CheckpointError::BadValue { offset },
+        }
+    }
+}
+
+/// `Ok` if `holds`, else [`CheckpointError::Inconsistent`] with the
+/// lazily built `reason` — the one shape every restore-time check takes.
+pub(crate) fn ensure(holds: bool, reason: impl FnOnce() -> String) -> Result<(), CheckpointError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(CheckpointError::Inconsistent { reason: reason() })
+    }
+}
 
 /// The full dynamic state of a paused simulation, as captured by the
 /// driver. Everything needed to continue bit-identically; nothing that
@@ -158,158 +199,12 @@ pub(crate) struct SimState {
 }
 
 // ---------------------------------------------------------------------
-// Primitive little-endian writer/reader.
-// ---------------------------------------------------------------------
-
-/// Little-endian byte writer for the checkpoint stream.
-pub(crate) struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    pub(crate) fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn len(&mut self, n: usize) {
-        self.u64(n as u64);
-    }
-
-    pub(crate) fn time(&mut self, t: SimTime) {
-        self.u64(t.as_micros());
-    }
-
-    pub(crate) fn duration(&mut self, d: SimDuration) {
-        self.u64(d.as_micros());
-    }
-
-    pub(crate) fn opt_time(&mut self, t: Option<SimTime>) {
-        match t {
-            None => self.u8(0),
-            Some(t) => {
-                self.u8(1);
-                self.time(t);
-            }
-        }
-    }
-}
-
-/// Little-endian byte reader with typed truncation errors.
-pub(crate) struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Consumes the next `n` raw bytes (shared with the sibling `HANSRV01`
-    /// online-snapshot codec, which embeds whole `HANCKPT1` streams as
-    /// length-prefixed blobs).
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated { offset: self.pos });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, CheckpointError> {
-        let offset = self.pos;
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::BadValue { offset }),
-        }
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn len(&mut self) -> Result<usize, CheckpointError> {
-        let offset = self.pos;
-        usize::try_from(self.u64()?).map_err(|_| CheckpointError::BadValue { offset })
-    }
-
-    pub(crate) fn time(&mut self) -> Result<SimTime, CheckpointError> {
-        Ok(SimTime::from_micros(self.u64()?))
-    }
-
-    pub(crate) fn duration(&mut self) -> Result<SimDuration, CheckpointError> {
-        Ok(SimDuration::from_micros(self.u64()?))
-    }
-
-    pub(crate) fn opt_time(&mut self) -> Result<Option<SimTime>, CheckpointError> {
-        Ok(if self.bool()? {
-            Some(self.time()?)
-        } else {
-            None
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // State codec.
 // ---------------------------------------------------------------------
 
 fn encode(state: &SimState) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut out = Vec::new();
+    let mut e = Enc::new(&mut out);
     e.raw(MAGIC);
     e.u64(state.fingerprint);
     e.u64(state.next_round);
@@ -318,508 +213,301 @@ fn encode(state: &SimState) -> Vec<u8> {
     e.u64(state.next_request);
     e.f64(state.last_load_kw);
     e.u64(state.schedule_digest);
-
-    e.len(state.trace.len());
-    for &(t, kw) in &state.trace {
+    e.list(&state.trace, |e, &(t, kw)| {
         e.time(t);
         e.f64(kw);
-    }
-
-    e.len(state.last_command.len());
-    for &c in &state.last_command {
-        e.bool(c);
-    }
-
-    e.len(state.dis.len());
-    for di in &state.dis {
-        encode_di(&mut e, di);
-    }
-
-    e.len(state.planners.len());
-    for &(level, last) in &state.planners {
+    });
+    e.list(&state.last_command, |e, &c| e.bool(c));
+    e.list(&state.dis, encode_di);
+    e.list(&state.planners, |e, &(level, last)| {
         e.f64(level);
-        e.opt_time(last);
-    }
-
+        e.opt(last, Enc::time);
+    });
     encode_cp(&mut e, &state.cp);
     encode_resilience(&mut e, &state.resilience);
-
-    match state.recovery_since {
-        None => e.u8(0),
-        Some(r) => {
-            e.u8(1);
-            e.u64(r);
-        }
-    }
+    e.opt(state.recovery_since, Enc::u64);
     e.bool(state.fault_active_last);
     e.u32(state.last_miss_total);
-    e.into_bytes()
+    out
 }
 
 fn decode(bytes: &[u8]) -> Result<SimState, CheckpointError> {
     let mut d = Dec::new(bytes);
-    if d.take(MAGIC.len()).map_err(|_| CheckpointError::BadMagic)? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let fingerprint = d.u64()?;
-    let next_round = d.u64()?;
-    let divergent_rounds = d.u64()?;
-    let delivered = d.u64()?;
-    let next_request = d.u64()?;
-    let last_load_kw = d.f64()?;
-    let schedule_digest = d.u64()?;
-
-    let mut trace = Vec::new();
-    for _ in 0..d.len()? {
-        let t = d.time()?;
-        let kw = d.f64()?;
-        trace.push((t, kw));
-    }
-
-    let mut last_command = Vec::new();
-    for _ in 0..d.len()? {
-        last_command.push(d.bool()?);
-    }
-
-    let mut dis = Vec::new();
-    for _ in 0..d.len()? {
-        dis.push(decode_di(&mut d)?);
-    }
-
-    let mut planners = Vec::new();
-    for _ in 0..d.len()? {
-        let level = d.f64()?;
-        let last = d.opt_time()?;
-        planners.push((level, last));
-    }
-
-    let cp = decode_cp(&mut d)?;
-    let resilience = decode_resilience(&mut d)?;
-
-    let recovery_since = if d.bool()? { Some(d.u64()?) } else { None };
-    let fault_active_last = d.bool()?;
-    let last_miss_total = d.u32()?;
-
+    d.magic(MAGIC)?;
+    let state = decode_state(&mut d)?;
     if d.remaining() != 0 {
         return Err(CheckpointError::TrailingBytes {
             extra: d.remaining(),
         });
     }
+    Ok(state)
+}
+
+// List arguments below are each element's minimum encoded size, the
+// bound `Dec::list` clamps a claimed count against.
+fn decode_state(d: &mut Dec<'_>) -> Result<SimState, WireError> {
     Ok(SimState {
-        fingerprint,
-        next_round,
-        divergent_rounds,
-        delivered,
-        next_request,
-        last_load_kw,
-        schedule_digest,
-        trace,
-        last_command,
-        dis,
-        planners,
-        cp,
-        resilience,
-        recovery_since,
-        fault_active_last,
-        last_miss_total,
+        fingerprint: d.u64()?,
+        next_round: d.u64()?,
+        divergent_rounds: d.u64()?,
+        delivered: d.u64()?,
+        next_request: d.u64()?,
+        last_load_kw: d.f64()?,
+        schedule_digest: d.u64()?,
+        trace: d.list(16, |d| Ok((d.time()?, d.f64()?)))?,
+        last_command: d.list(1, Dec::bool)?,
+        dis: d.list(19, decode_di)?,
+        planners: d.list(9, |d| Ok((d.f64()?, d.opt(Dec::time)?)))?,
+        cp: decode_cp(d)?,
+        resilience: decode_resilience(d)?,
+        recovery_since: d.opt(Dec::u64)?,
+        fault_active_last: d.bool()?,
+        last_miss_total: d.u32()?,
     })
 }
 
 /// Full-resolution status-record codec — microsecond-exact, unlike the
 /// 23-byte second-granular wire format.
-fn encode_record(e: &mut Enc, r: &StatusRecord) {
+fn encode_record(e: &mut Enc<'_>, r: &StatusRecord) {
     e.u32(r.device.0);
     e.bool(r.active);
     e.bool(r.on);
     e.duration(r.owed);
-    e.opt_time(r.deadline);
+    e.opt(r.deadline, Enc::time);
     e.u32(r.windows_remaining);
-    e.opt_time(r.arrival);
-    e.opt_time(r.planned_start);
+    e.opt(r.arrival, Enc::time);
+    e.opt(r.planned_start, Enc::time);
     e.u16(r.power_w);
     e.duration(r.min_dcd);
     e.duration(r.max_dcp);
 }
 
-fn decode_record(d: &mut Dec<'_>) -> Result<StatusRecord, CheckpointError> {
+fn decode_record(d: &mut Dec<'_>) -> Result<StatusRecord, WireError> {
     Ok(StatusRecord {
         device: DeviceId(d.u32()?),
         active: d.bool()?,
         on: d.bool()?,
         owed: d.duration()?,
-        deadline: d.opt_time()?,
+        deadline: d.opt(Dec::time)?,
         windows_remaining: d.u32()?,
-        arrival: d.opt_time()?,
-        planned_start: d.opt_time()?,
+        arrival: d.opt(Dec::time)?,
+        planned_start: d.opt(Dec::time)?,
         power_w: d.u16()?,
         min_dcd: d.duration()?,
         max_dcp: d.duration()?,
     })
 }
 
-fn encode_opt_record(e: &mut Enc, r: &Option<StatusRecord>) {
-    match r {
-        None => e.u8(0),
-        Some(r) => {
-            e.u8(1);
-            encode_record(e, r);
-        }
-    }
+fn encode_opt_record(e: &mut Enc<'_>, r: &Option<StatusRecord>) {
+    e.opt(r.as_ref(), encode_record);
 }
 
-fn decode_opt_record(d: &mut Dec<'_>) -> Result<Option<StatusRecord>, CheckpointError> {
-    Ok(if d.bool()? {
-        Some(decode_record(d)?)
-    } else {
-        None
-    })
+fn decode_opt_record(d: &mut Dec<'_>) -> Result<Option<StatusRecord>, WireError> {
+    d.opt(decode_record)
 }
 
-fn encode_di(e: &mut Enc, di: &DeviceInterfaceSnapshot) {
-    match &di.cycler.active {
-        None => e.u8(0),
-        Some(a) => {
-            e.u8(1);
-            e.time(a.window_start);
-            e.u32(a.windows_remaining);
-            e.duration(a.served_in_window);
-            e.opt_time(a.on_since);
-            e.opt_time(a.instance_start);
-            e.time(a.arrival);
-        }
-    }
+fn encode_di(e: &mut Enc<'_>, di: &DeviceInterfaceSnapshot) {
+    e.opt(di.cycler.active.as_ref(), |e, a| {
+        e.time(a.window_start);
+        e.u32(a.windows_remaining);
+        e.duration(a.served_in_window);
+        e.opt(a.on_since, Enc::time);
+        e.opt(a.instance_start, Enc::time);
+        e.time(a.arrival);
+    });
     e.u32(di.counters.deadline_misses);
     e.u32(di.counters.refused_early_off);
     e.u32(di.counters.windows_served);
     e.u32(di.seq);
-    e.opt_time(di.planned_start);
+    e.opt(di.planned_start, Enc::time);
     encode_opt_record(e, &di.last_published);
 }
 
-fn decode_di(d: &mut Dec<'_>) -> Result<DeviceInterfaceSnapshot, CheckpointError> {
-    let active = if d.bool()? {
-        Some(ActiveSnapshot {
-            window_start: d.time()?,
-            windows_remaining: d.u32()?,
-            served_in_window: d.duration()?,
-            on_since: d.opt_time()?,
-            instance_start: d.opt_time()?,
-            arrival: d.time()?,
-        })
-    } else {
-        None
-    };
+fn decode_di(d: &mut Dec<'_>) -> Result<DeviceInterfaceSnapshot, WireError> {
     Ok(DeviceInterfaceSnapshot {
-        cycler: DutyCyclerSnapshot { active },
+        cycler: DutyCyclerSnapshot {
+            active: d.opt(|d| {
+                Ok(ActiveSnapshot {
+                    window_start: d.time()?,
+                    windows_remaining: d.u32()?,
+                    served_in_window: d.duration()?,
+                    on_since: d.opt(Dec::time)?,
+                    instance_start: d.opt(Dec::time)?,
+                    arrival: d.time()?,
+                })
+            })?,
+        },
         counters: DiCounters {
             deadline_misses: d.u32()?,
             refused_early_off: d.u32()?,
             windows_served: d.u32()?,
         },
         seq: d.u32()?,
-        planned_start: d.opt_time()?,
+        planned_start: d.opt(Dec::time)?,
         last_published: decode_opt_record(d)?,
     })
 }
 
-fn encode_cp(e: &mut Enc, cp: &CpExport) {
+fn encode_cp(e: &mut Enc<'_>, cp: &CpExport) {
     for w in cp.rng {
         e.u64(w);
     }
     e.u64(cp.round_index);
     encode_cp_stats(e, &cp.stats);
-    e.len(cp.last_refresh.len());
-    for &r in &cp.last_refresh {
-        e.u64(r);
-    }
-    e.len(cp.ge_bad.len());
-    for &b in &cp.ge_bad {
-        e.bool(b);
-    }
+    e.list(&cp.last_refresh, |e, &r| e.u64(r));
+    e.list(&cp.ge_bad, |e, &b| e.bool(b));
     e.bool(cp.per_node_rows);
     match &cp.store {
         StoreExport::Pooled { pool, handles } => {
             e.u8(0);
-            e.len(pool.slots.len());
-            for slot in &pool.slots {
+            e.list(&pool.slots, |e, slot| {
                 e.u32(slot.refs);
                 e.u64(slot.key);
-                e.len(slot.records.len());
-                for r in &slot.records {
-                    encode_opt_record(e, r);
-                }
-            }
-            e.len(pool.free.len());
-            for &f in &pool.free {
-                e.u32(f);
-            }
-            e.len(pool.live);
-            e.len(pool.peak);
-            e.len(handles.len());
-            for &h in handles {
-                e.u32(h);
-            }
+                e.list(&slot.records, encode_opt_record);
+            });
+            e.list(&pool.free, |e, &f| e.u32(f));
+            e.usize(pool.live);
+            e.usize(pool.peak);
+            e.list(handles, |e, &h| e.u32(h));
         }
         StoreExport::PerNode { views } => {
             e.u8(1);
-            e.len(views.len());
-            for row in views {
-                e.len(row.len());
-                for r in row {
-                    encode_opt_record(e, r);
-                }
-            }
+            e.list(views, |e, row| e.list(row, encode_opt_record));
         }
     }
-    match &cp.packet {
-        None => e.u8(0),
-        Some(p) => {
-            e.u8(1);
-            e.len(p.items.len());
-            for store in &p.items {
-                e.len(store.len());
-                for (origin, seq, payload) in store {
-                    e.u32(*origin);
-                    e.u32(*seq);
-                    e.len(payload.len());
-                    e.raw(payload);
-                }
-            }
-            e.len(p.last_seen.len());
-            for row in &p.last_seen {
-                e.len(row.len());
-                for seen in row {
-                    match seen {
-                        None => e.u8(0),
-                        Some(s) => {
-                            e.u8(1);
-                            e.u32(*s);
-                        }
-                    }
-                }
-            }
-            e.len(p.staleness.len());
-            for &s in &p.staleness {
-                e.u32(s);
-            }
-        }
-    }
+    e.opt(cp.packet.as_ref(), |e, p| {
+        e.list(&p.items, |e, store| {
+            e.list(store, |e, (origin, seq, payload)| {
+                e.u32(*origin);
+                e.u32(*seq);
+                e.bytes(payload);
+            });
+        });
+        e.list(&p.last_seen, |e, row| {
+            e.list(row, |e, &seen| e.opt(seen, Enc::u32));
+        });
+        e.list(&p.staleness, |e, &s| e.u32(s));
+    });
 }
 
-fn decode_cp(d: &mut Dec<'_>) -> Result<CpExport, CheckpointError> {
+fn decode_cp(d: &mut Dec<'_>) -> Result<CpExport, WireError> {
     let mut rng = [0u64; 4];
     for w in &mut rng {
         *w = d.u64()?;
     }
-    let round_index = d.u64()?;
-    let stats = decode_cp_stats(d)?;
-    let mut last_refresh = Vec::new();
-    for _ in 0..d.len()? {
-        last_refresh.push(d.u64()?);
-    }
-    let mut ge_bad = Vec::new();
-    for _ in 0..d.len()? {
-        ge_bad.push(d.bool()?);
-    }
-    let per_node_rows = d.bool()?;
-    let store_tag_offset = d.pos;
-    let store = match d.u8()? {
-        0 => {
-            let mut slots = Vec::new();
-            for _ in 0..d.len()? {
-                let refs = d.u32()?;
-                let key = d.u64()?;
-                let mut records = Vec::new();
-                for _ in 0..d.len()? {
-                    records.push(decode_opt_record(d)?);
-                }
-                slots.push(PoolSlotExport { refs, key, records });
-            }
-            let mut free = Vec::new();
-            for _ in 0..d.len()? {
-                free.push(d.u32()?);
-            }
-            let live = d.len()?;
-            let peak = d.len()?;
-            let mut handles = Vec::new();
-            for _ in 0..d.len()? {
-                handles.push(d.u32()?);
-            }
-            StoreExport::Pooled {
-                pool: ViewPoolExport {
-                    slots,
-                    free,
-                    live,
-                    peak,
-                },
-                handles,
-            }
-        }
-        1 => {
-            let mut views = Vec::new();
-            for _ in 0..d.len()? {
-                let mut row = Vec::new();
-                for _ in 0..d.len()? {
-                    row.push(decode_opt_record(d)?);
-                }
-                views.push(row);
-            }
-            StoreExport::PerNode { views }
-        }
-        _ => {
-            return Err(CheckpointError::BadValue {
-                offset: store_tag_offset,
-            })
-        }
-    };
-    let packet = if d.bool()? {
-        let mut items = Vec::new();
-        for _ in 0..d.len()? {
-            let mut store = Vec::new();
-            for _ in 0..d.len()? {
-                let origin = d.u32()?;
-                let seq = d.u32()?;
-                let len = d.len()?;
-                let payload = d.take(len)?.to_vec();
-                store.push((origin, seq, payload));
-            }
-            items.push(store);
-        }
-        let mut last_seen = Vec::new();
-        for _ in 0..d.len()? {
-            let mut row = Vec::new();
-            for _ in 0..d.len()? {
-                row.push(if d.bool()? { Some(d.u32()?) } else { None });
-            }
-            last_seen.push(row);
-        }
-        let mut staleness = Vec::new();
-        for _ in 0..d.len()? {
-            staleness.push(d.u32()?);
-        }
-        Some(PacketExport {
-            items,
-            last_seen,
-            staleness,
-        })
-    } else {
-        None
-    };
     Ok(CpExport {
         rng,
-        round_index,
-        stats,
-        last_refresh,
-        ge_bad,
-        per_node_rows,
-        store,
-        packet,
+        round_index: d.u64()?,
+        stats: decode_cp_stats(d)?,
+        last_refresh: d.list(8, Dec::u64)?,
+        ge_bad: d.list(1, Dec::bool)?,
+        per_node_rows: d.bool()?,
+        store: decode_store(d)?,
+        packet: d.opt(|d| {
+            Ok(PacketExport {
+                items: d.list(8, |d| {
+                    d.list(16, |d| Ok((d.u32()?, d.u32()?, d.bytes()?.to_vec())))
+                })?,
+                last_seen: d.list(8, |d| d.list(1, |d| d.opt(Dec::u32)))?,
+                staleness: d.list(4, Dec::u32)?,
+            })
+        })?,
     })
 }
 
-fn encode_cp_stats(e: &mut Enc, s: &CpStats) {
+fn decode_store(d: &mut Dec<'_>) -> Result<StoreExport, WireError> {
+    let offset = d.pos();
+    match d.u8()? {
+        0 => Ok(StoreExport::Pooled {
+            pool: ViewPoolExport {
+                slots: d.list(20, |d| {
+                    Ok(PoolSlotExport {
+                        refs: d.u32()?,
+                        key: d.u64()?,
+                        records: d.list(1, decode_opt_record)?,
+                    })
+                })?,
+                free: d.list(4, Dec::u32)?,
+                live: d.usize()?,
+                peak: d.usize()?,
+            },
+            handles: d.list(4, Dec::u32)?,
+        }),
+        1 => Ok(StoreExport::PerNode {
+            views: d.list(8, |d| d.list(1, decode_opt_record))?,
+        }),
+        _ => Err(WireError::BadValue { offset }),
+    }
+}
+
+fn encode_cp_stats(e: &mut Enc<'_>, s: &CpStats) {
     e.u64(s.rounds);
     e.u64(s.refreshed_records);
     e.u64(s.expected_records);
     e.u64(s.full_rounds);
-    match &s.dissemination {
-        None => e.u8(0),
-        Some(d) => {
-            e.u8(1);
-            let (rounds, a2a, rel_sum, worst, tx, radio_on, nodes) = d.raw_parts();
-            e.u64(rounds);
-            e.u64(a2a);
-            e.f64(rel_sum);
-            e.f64(worst);
-            e.u64(tx);
-            e.duration(radio_on);
-            e.len(nodes);
-        }
-    }
-    match s.worst_sync_error {
-        None => e.u8(0),
-        Some(w) => {
-            e.u8(1);
-            e.duration(w);
-        }
-    }
-    match &s.view_pool {
-        None => e.u8(0),
-        Some(p) => {
-            e.u8(1);
-            e.len(p.live_views);
-            e.len(p.peak_views);
-            e.len(p.slots);
-            e.len(p.resident_bytes);
-            e.len(p.per_node_bytes);
-        }
-    }
+    e.opt(s.dissemination.as_ref(), |e, d| {
+        let (rounds, a2a, rel_sum, worst, tx, radio_on, nodes) = d.raw_parts();
+        e.u64(rounds);
+        e.u64(a2a);
+        e.f64(rel_sum);
+        e.f64(worst);
+        e.u64(tx);
+        e.duration(radio_on);
+        e.usize(nodes);
+    });
+    e.opt(s.worst_sync_error, Enc::duration);
+    e.opt(s.view_pool.as_ref(), |e, p| {
+        e.usize(p.live_views);
+        e.usize(p.peak_views);
+        e.usize(p.slots);
+        e.usize(p.resident_bytes);
+        e.usize(p.per_node_bytes);
+    });
 }
 
-fn decode_cp_stats(d: &mut Dec<'_>) -> Result<CpStats, CheckpointError> {
-    let rounds = d.u64()?;
-    let refreshed_records = d.u64()?;
-    let expected_records = d.u64()?;
-    let full_rounds = d.u64()?;
-    let dissemination = if d.bool()? {
-        let parts = (
-            d.u64()?,
-            d.u64()?,
-            d.f64()?,
-            d.f64()?,
-            d.u64()?,
-            d.duration()?,
-            d.len()?,
-        );
-        Some(DisseminationStats::from_raw_parts(parts))
-    } else {
-        None
-    };
-    let worst_sync_error = if d.bool()? { Some(d.duration()?) } else { None };
-    let view_pool = if d.bool()? {
-        Some(ViewPoolStats {
-            live_views: d.len()?,
-            peak_views: d.len()?,
-            slots: d.len()?,
-            resident_bytes: d.len()?,
-            per_node_bytes: d.len()?,
-        })
-    } else {
-        None
-    };
+fn decode_cp_stats(d: &mut Dec<'_>) -> Result<CpStats, WireError> {
     Ok(CpStats {
-        rounds,
-        refreshed_records,
-        expected_records,
-        full_rounds,
-        dissemination,
-        worst_sync_error,
-        view_pool,
+        rounds: d.u64()?,
+        refreshed_records: d.u64()?,
+        expected_records: d.u64()?,
+        full_rounds: d.u64()?,
+        dissemination: d.opt(|d| {
+            Ok(DisseminationStats::from_raw_parts((
+                d.u64()?,
+                d.u64()?,
+                d.f64()?,
+                d.f64()?,
+                d.u64()?,
+                d.duration()?,
+                d.usize()?,
+            )))
+        })?,
+        worst_sync_error: d.opt(Dec::duration)?,
+        view_pool: d.opt(|d| {
+            Ok(ViewPoolStats {
+                live_views: d.usize()?,
+                peak_views: d.usize()?,
+                slots: d.usize()?,
+                resident_bytes: d.usize()?,
+                per_node_bytes: d.usize()?,
+            })
+        })?,
     })
 }
 
-fn encode_resilience(e: &mut Enc, r: &ResilienceStats) {
+fn encode_resilience(e: &mut Enc<'_>, r: &ResilienceStats) {
     e.u64(r.down_node_rounds);
     e.u64(r.outage_rounds);
-    e.len(r.recoveries.len());
-    for &rec in &r.recoveries {
-        e.u64(rec);
-    }
+    e.list(&r.recoveries, |e, &rec| e.u64(rec));
     e.u64(r.misses_while_down);
     e.u64(r.misses_during_outage);
 }
 
-fn decode_resilience(d: &mut Dec<'_>) -> Result<ResilienceStats, CheckpointError> {
-    let down_node_rounds = d.u64()?;
-    let outage_rounds = d.u64()?;
-    let mut recoveries = Vec::new();
-    for _ in 0..d.len()? {
-        recoveries.push(d.u64()?);
-    }
+fn decode_resilience(d: &mut Dec<'_>) -> Result<ResilienceStats, WireError> {
     Ok(ResilienceStats {
-        down_node_rounds,
-        outage_rounds,
-        recoveries,
+        down_node_rounds: d.u64()?,
+        outage_rounds: d.u64()?,
+        recoveries: d.list(8, Dec::u64)?,
         misses_while_down: d.u64()?,
         misses_during_outage: d.u64()?,
     })
@@ -828,6 +516,7 @@ fn decode_resilience(d: &mut Dec<'_>) -> Result<ResilienceStats, CheckpointError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use han_sim::time::SimDuration;
 
     fn sample_record(id: u32) -> StatusRecord {
         StatusRecord {
@@ -1043,5 +732,10 @@ mod tests {
         assert!(CheckpointError::BadValue { offset: 9 }
             .to_string()
             .contains("9"));
+        assert!(CheckpointError::Inconsistent {
+            reason: "device id 40 outside the fleet".into()
+        }
+        .to_string()
+        .contains("device id 40"));
     }
 }

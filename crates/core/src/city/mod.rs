@@ -19,10 +19,9 @@
 //!    calls — so a city run is digest- and trace-identical per home to
 //!    the same homes run through [`Neighborhood::run`].
 //! 2. **Shard-count invariance.** Feeders are partitioned contiguously
-//!    across shards, each feeder folds into a self-delimiting
-//!    [`FeederAggregate`] record, and the reduction orders records by
-//!    feeder id before summing — so `--shards 1` and `--shards K`
-//!    produce byte-identical reports.
+//!    across shards, each feeder folds into one [`FeederAggregate`], and
+//!    the reduction orders aggregates by feeder id before summing — so
+//!    `--shards 1` and `--shards K` produce byte-identical reports.
 //! 3. **Stable per-home seeds.** Home `i` of feeder `f` draws its
 //!    workload from `mix_seed(city_seed, home_id)` — a splitmix over the
 //!    *(seed, home-id)* pair, not a positional offset — so adding homes
@@ -33,8 +32,10 @@
 //!
 //! No per-home trace is materialized at city scale: a shard folds each
 //! feeder's homes into one [`FeederAggregate`] (counters, the two
-//! per-minute series, per-home digests) and streams the encoded record
-//! up the feeder → substation → city tree (see [`tree`]).
+//! per-minute series, per-home digests) and hands the aggregates up the
+//! feeder → substation → city tree as plain values (see [`tree`]).
+//! Nothing in-process is encoded; only a worker process of the [`mp`]
+//! fleet serializes its aggregates, as `HANFAGG1` records.
 //!
 //! # Examples
 //!
@@ -78,7 +79,7 @@ use han_workload::fleet::ScenarioError;
 use han_workload::scenario::{Scenario, Workload};
 use rayon::prelude::*;
 
-pub use tree::{AggregateWireError, FeederAggregate, HomeDigest, SubstationSummary};
+pub use tree::{FeederAggregate, HomeDigest, SubstationSummary};
 
 /// Shards used when [`CitySpec::shards`] is 0 (auto), capped by the
 /// feeder count. A fixed default — not the worker count — so a spec's
@@ -372,20 +373,6 @@ impl CitySpec {
     }
 }
 
-/// What one shard hands back: its encoded feeder-aggregate stream plus
-/// the shard-level load figures the observability plane reports.
-struct ShardOutput {
-    /// Concatenated [`FeederAggregate`] records, feeder order within the
-    /// shard's contiguous range.
-    stream: Vec<u8>,
-    /// Homes this shard ran.
-    homes: u64,
-    /// Devices this shard ran.
-    devices: u64,
-    /// Communication rounds executed on this shard (coordinated runs).
-    rounds: u64,
-}
-
 /// A runnable city: a validated [`CitySpec`] plus an observability
 /// handle.
 #[derive(Debug, Clone)]
@@ -438,30 +425,23 @@ impl City {
     /// feeder/home order.
     pub fn run(&self) -> Result<CityReport, ScenarioError> {
         let ranges = self.shard_ranges();
-        let outputs = collect_results(
+        let shards = collect_results(
             ranges
                 .par_iter()
                 .map(|range| self.run_shard_range(range.clone()))
                 .collect(),
         )?;
+        self.publish_obs(&shards);
 
-        // Decode every shard's stream and order by feeder id: from here
-        // on, nothing remembers which shard ran which feeder.
-        let mut feeders: Vec<FeederAggregate> = Vec::with_capacity(self.spec.feeders);
-        for output in &outputs {
-            let mut rest = &output.stream[..];
-            while !rest.is_empty() {
-                let (agg, used) = FeederAggregate::decode(rest).expect("shard-local encode");
-                feeders.push(agg);
-                rest = &rest[used..];
-            }
-        }
+        // Order by feeder id: from here on, nothing remembers which shard
+        // ran which feeder.
+        let mut feeders: Vec<FeederAggregate> = shards.into_iter().flatten().collect();
         feeders.sort_by_key(|f| f.feeder);
-
-        let report =
-            CityReport::reduce(self.spec.name.clone(), feeders, self.spec.effective_fanin());
-        self.publish_obs(&outputs, &report);
-        Ok(report)
+        Ok(CityReport::reduce(
+            self.spec.name.clone(),
+            feeders,
+            self.spec.effective_fanin(),
+        ))
     }
 
     /// Runs the city under a feeder coordination policy: every feeder
@@ -496,13 +476,9 @@ impl City {
     /// Runs one shard's contiguous feeder range home by home: each home
     /// runs both strategies through [`compare_faulted`], folds into its
     /// feeder's aggregate and is dropped before the next one is built.
-    fn run_shard_range(&self, range: Range<usize>) -> Result<ShardOutput, ScenarioError> {
-        let mut shard = ShardOutput {
-            stream: Vec::new(),
-            homes: 0,
-            devices: 0,
-            rounds: 0,
-        };
+    /// Returns the range's aggregates in feeder order.
+    fn run_shard_range(&self, range: Range<usize>) -> Result<Vec<FeederAggregate>, ScenarioError> {
+        let mut shard = Vec::with_capacity(range.len());
         for feeder in range {
             let mut agg = FeederAggregate {
                 feeder: feeder as u32,
@@ -546,10 +522,7 @@ impl City {
                     coordinated: coord.outcome.schedule_digest,
                 });
             }
-            shard.homes += u64::from(agg.homes);
-            shard.devices += u64::from(agg.devices);
-            shard.rounds += agg.rounds;
-            agg.encode_into(&mut shard.stream);
+            shard.push(agg);
         }
         Ok(shard)
     }
@@ -558,23 +531,29 @@ impl City {
     /// contract (asserted in `prop_obs.rs`): the sum of the per-shard
     /// [`Counter::CityShardRounds`] increments equals the single
     /// [`Counter::CityRounds`] increment.
-    fn publish_obs(&self, outputs: &[ShardOutput], report: &CityReport) {
+    fn publish_obs(&self, shards: &[Vec<FeederAggregate>]) {
         if !self.obs.enabled() {
             return;
         }
         let mut max_homes = 0u64;
         let mut max_devices = 0u64;
-        for shard in outputs {
-            self.obs.add(Counter::CityShardRounds, shard.rounds);
-            max_homes = max_homes.max(shard.homes);
-            max_devices = max_devices.max(shard.devices);
+        let mut rounds = 0u64;
+        let mut total = 0u64;
+        for shard in shards {
+            let shard_rounds: u64 = shard.iter().map(|f| f.rounds).sum();
+            let homes: u64 = shard.iter().map(|f| u64::from(f.homes)).sum();
+            let devices: u64 = shard.iter().map(|f| u64::from(f.devices)).sum();
+            self.obs.add(Counter::CityShardRounds, shard_rounds);
+            rounds += shard_rounds;
+            total += devices;
+            max_homes = max_homes.max(homes);
+            max_devices = max_devices.max(devices);
         }
-        self.obs.add(Counter::CityRounds, report.rounds);
+        self.obs.add(Counter::CityRounds, rounds);
         self.obs.gauge_max(Gauge::CityShardHomes, max_homes);
         // 1000 = perfectly balanced; lower = the largest shard carries
         // proportionally more devices than the mean.
-        let k = outputs.len() as u64;
-        let total: u64 = outputs.iter().map(|s| s.devices).sum();
+        let k = shards.len() as u64;
         if max_devices > 0 {
             self.obs.gauge(
                 Gauge::CityShardImbalancePermille,

@@ -6,12 +6,12 @@
 //! assigns each worker a contiguous feeder range (the same pure
 //! `partition` function shards use), and each
 //! worker streams its per-feeder [`FeederAggregate`]s back over a byte
-//! pipe as length-framed `HANFAGG1` records. Because the aggregate
-//! format already crosses shard boundaries byte-for-byte, the parent's
-//! reduction path — order by feeder id, fold through
-//! `CityReport::reduce` — is unchanged, and the multi-process report is
-//! `PartialEq`-identical to the in-process one (pinned by
-//! `tests/prop_city_mp.rs` and the CLI golden battery).
+//! pipe as length-framed `HANFAGG1` records. In-process shards hand the
+//! same aggregates over as values; the record format round-trips every
+//! field bit-exactly, so the parent's reduction path — order by feeder
+//! id, fold through `CityReport::reduce` — is shared, and the
+//! multi-process report is `PartialEq`-identical to the in-process one
+//! (pinned by `tests/prop_city_mp.rs` and the CLI golden battery).
 //!
 //! # Wire protocol
 //!
@@ -25,17 +25,27 @@
 //! fin       := 0:u32
 //! ```
 //!
-//! All integers are little-endian. The handshake is versioned and
-//! carries the parent's expected [`CitySpec::fingerprint`] — a worker
-//! that derived a different spec (version skew, mangled argv) fails
-//! with a typed [`WorkerError::FingerprintMismatch`] before a single
-//! record is reduced. Record frames are length-framed *and* the payload
-//! is a self-delimiting record, so the parent can detect trailing
-//! garbage inside a frame ([`MpWireError::TrailingBytes`]) as well as a
-//! short stream ([`MpWireError::Truncated`]). The zero-length `fin`
-//! frame closes the stream; bytes after it are
-//! [`MpWireError::TrailingData`].
+//! All integers are little-endian, written and read through the crate's
+//! one wire codec (shared with the `HANCKPT1`/`HANSRV01` snapshot
+//! formats). The handshake is versioned and carries the parent's
+//! expected [`CitySpec::fingerprint`] — a worker that derived a
+//! different spec (version skew, mangled argv) fails with a typed
+//! [`WorkerError::FingerprintMismatch`] before a single record is
+//! reduced. Record frames are length-framed *and* the payload is a
+//! self-delimiting record, so the parent can detect trailing garbage
+//! inside a frame ([`MpWireError::TrailingBytes`]) as well as a short
+//! stream ([`MpWireError::Truncated`]). The zero-length `fin` frame
+//! closes the stream; bytes after it are [`MpWireError::TrailingData`].
 //!
+//! One deframer reads every stream, over any `Read`: the supervisor's
+//! per-worker reader thread runs it over the worker's pipe, and
+//! [`decode_stream`] runs it over a byte slice — which is what the
+//! adversarial battery truncates and corrupts, so the battery attacks
+//! the production reader. The two differ only in how a stream that
+//! stops at a message boundary reads: [`MpWireError::Truncated`] over a
+//! slice, [`WorkerError::Died`] from a live worker. A worker frames each
+//! aggregate as it encodes it; nothing is decoded on the writing side.
+
 //! # Supervisor robustness
 //!
 //! The parent owns the failure modes: a per-worker read **deadline**
@@ -66,8 +76,9 @@ use han_obs::{Counter, Gauge, Obs};
 use han_workload::fleet::ScenarioError;
 use rayon::prelude::*;
 
-use super::tree::{AggregateWireError, FeederAggregate};
+use super::tree::FeederAggregate;
 use super::{partition, City, CityReport, CitySpec};
+use crate::wire::{Dec, Enc, WireError};
 
 /// Version carried (and required) by the `HANCITY1` handshake.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -105,13 +116,14 @@ impl Handshake {
     /// Serializes the handshake ([`HANDSHAKE_LEN`] bytes), appending to
     /// `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.worker.to_le_bytes());
-        out.extend_from_slice(&self.workers.to_le_bytes());
-        out.extend_from_slice(&self.first_feeder.to_le_bytes());
-        out.extend_from_slice(&self.feeder_count.to_le_bytes());
+        let mut e = Enc::new(out);
+        e.raw(MAGIC);
+        e.u32(self.version);
+        e.u64(self.fingerprint);
+        e.u32(self.worker);
+        e.u32(self.workers);
+        e.u32(self.first_feeder);
+        e.u32(self.feeder_count);
     }
 
     /// Serializes to a fresh buffer.
@@ -130,57 +142,30 @@ impl Handshake {
     /// version is *not* checked here — the supervisor turns an
     /// unexpected version into the typed [`WorkerError::Version`].
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), MpWireError> {
-        let need = |at: usize, n: usize| -> Result<(), MpWireError> {
-            if bytes.len() < at + n {
-                Err(MpWireError::Truncated {
-                    needed: n,
-                    have: bytes.len() - at.min(bytes.len()),
-                })
-            } else {
-                Ok(())
-            }
+        let mut d = Dec::new(bytes);
+        d.magic(MAGIC)?;
+        let handshake = Handshake {
+            version: d.u32()?,
+            fingerprint: d.u64()?,
+            worker: d.u32()?,
+            workers: d.u32()?,
+            first_feeder: d.u32()?,
+            feeder_count: d.u32()?,
         };
-        need(0, MAGIC.len())?;
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(MpWireError::BadMagic);
-        }
-        let mut pos = MAGIC.len();
-        let u32_at = |pos: &mut usize| -> Result<u32, MpWireError> {
-            need(*pos, 4)?;
-            let v = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("len 4"));
-            *pos += 4;
-            Ok(v)
-        };
-        let version = u32_at(&mut pos)?;
-        need(pos, 8)?;
-        let fingerprint = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("len 8"));
-        pos += 8;
-        let worker = u32_at(&mut pos)?;
-        let workers = u32_at(&mut pos)?;
-        let first_feeder = u32_at(&mut pos)?;
-        let feeder_count = u32_at(&mut pos)?;
-        Ok((
-            Handshake {
-                version,
-                fingerprint,
-                worker,
-                workers,
-                first_feeder,
-                feeder_count,
-            },
-            pos,
-        ))
+        Ok((handshake, d.pos()))
     }
 }
 
 /// Why a worker's byte stream failed to decode — the wire-layer half of
-/// [`WorkerError`], also produced by the pure-slice [`decode_stream`]
-/// the adversarial battery truncates and corrupts.
+/// [`WorkerError`]. The supervisor's reader thread and the pure-slice
+/// [`decode_stream`] the adversarial battery truncates and corrupts run
+/// the same deframer, so both report the same variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpWireError {
     /// The stream did not start with the `HANCITY1` magic.
     BadMagic,
-    /// The stream ended mid-structure.
+    /// The stream — or a record inside its frame — ended mid-structure,
+    /// or claimed a count its remaining bytes cannot hold.
     Truncated {
         /// Bytes the decoder needed next.
         needed: usize,
@@ -192,8 +177,8 @@ pub enum MpWireError {
         /// The claimed length.
         len: u32,
     },
-    /// A frame payload failed to decode as a `HANFAGG1` record.
-    Record(AggregateWireError),
+    /// A frame payload did not start with the `HANFAGG1` record magic.
+    BadRecordMagic,
     /// A frame payload decoded, but `extra` bytes followed the record
     /// inside the frame.
     TrailingBytes {
@@ -221,7 +206,9 @@ impl std::fmt::Display for MpWireError {
                 f,
                 "frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"
             ),
-            MpWireError::Record(e) => write!(f, "frame payload: {e}"),
+            MpWireError::BadRecordMagic => {
+                write!(f, "frame payload does not start with HANFAGG1")
+            }
             MpWireError::TrailingBytes { extra } => {
                 write!(f, "{extra} stray byte(s) after the record inside a frame")
             }
@@ -234,17 +221,27 @@ impl std::fmt::Display for MpWireError {
 
 impl std::error::Error for MpWireError {}
 
-impl From<AggregateWireError> for MpWireError {
-    fn from(e: AggregateWireError) -> Self {
-        MpWireError::Record(e)
+impl From<WireError> for MpWireError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { needed, have, .. } => MpWireError::Truncated { needed, have },
+            WireError::BadMagic => MpWireError::BadMagic,
+            // `Dec` reports a bad value only for tag bytes and stored
+            // sizes, and neither the handshake nor a record has one.
+            WireError::BadValue { offset } => {
+                unreachable!("HANCITY1 and HANFAGG1 hold no tag at byte {offset}")
+            }
+        }
     }
 }
 
 /// Decodes one complete worker stream — handshake, record frames, fin —
-/// from a byte slice. The pure-slice face of the protocol: exactly what
-/// the streaming supervisor accepts, minus the deadlines, so the
-/// adversarial battery can truncate and bit-flip it at every offset and
-/// require a typed error (never a panic) in return.
+/// from a byte slice. It runs the supervisor's own deframer over the
+/// slice, minus the deadlines, so the adversarial battery can truncate
+/// and bit-flip it at every offset and require a typed error (never a
+/// panic) from exactly the code a live fleet runs. A stream that simply
+/// stops at a message boundary is [`MpWireError::Truncated`] here (the
+/// supervisor reports a dead worker instead).
 ///
 /// # Errors
 ///
@@ -252,43 +249,146 @@ impl From<AggregateWireError> for MpWireError {
 /// fingerprint are *not* validated (that is supervisor policy, not wire
 /// shape).
 pub fn decode_stream(bytes: &[u8]) -> Result<(Handshake, Vec<FeederAggregate>), MpWireError> {
-    let (handshake, mut pos) = Handshake::decode(bytes)?;
+    let mut stream = StreamReader::new(bytes);
+    let handshake = stream.handshake().map_err(StreamEnd::into_wire)?;
     let mut records = Vec::new();
     loop {
-        if bytes.len() < pos + 4 {
-            return Err(MpWireError::Truncated {
-                needed: 4,
-                have: bytes.len() - pos,
-            });
+        match stream.next_frame().map_err(StreamEnd::into_wire)? {
+            Frame::Record { record, .. } => records.push(record),
+            Frame::Fin => return Ok((handshake, records)),
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len 4"));
-        pos += 4;
+    }
+}
+
+/// One message of a worker stream after its handshake.
+enum Frame {
+    /// A decoded record and the length its frame claimed.
+    Record {
+        record: FeederAggregate,
+        payload_len: u32,
+    },
+    /// The zero-length closing frame, with nothing after it.
+    Fin,
+}
+
+/// Why [`StreamReader`] stopped short of a message.
+enum StreamEnd {
+    /// Bytes arrived that do not parse.
+    Wire(MpWireError),
+    /// No byte of the next message arrived (`needed` were due): the
+    /// writer closed the stream at a message boundary, or reading failed
+    /// outright.
+    Closed { needed: usize, detail: String },
+}
+
+impl StreamEnd {
+    /// The byte-slice reading of an end: a stream that stops at a
+    /// message boundary is a truncated one.
+    fn into_wire(self) -> MpWireError {
+        match self {
+            StreamEnd::Wire(e) => e,
+            StreamEnd::Closed { needed, .. } => MpWireError::Truncated { needed, have: 0 },
+        }
+    }
+}
+
+/// The one `HANCITY1` deframer, over any byte source: [`decode_stream`]
+/// runs it over a slice, the supervisor's reader thread over a worker
+/// pipe.
+struct StreamReader<R> {
+    reader: R,
+    /// Reused frame-payload buffer.
+    payload: Vec<u8>,
+}
+
+impl<R: Read> StreamReader<R> {
+    fn new(reader: R) -> Self {
+        StreamReader {
+            reader,
+            payload: Vec::new(),
+        }
+    }
+
+    /// Reads until `buf` is full or the stream ends, returning how many
+    /// bytes arrived; none at all is [`StreamEnd::Closed`].
+    fn fill(&mut self, buf: &mut [u8], next: &str) -> Result<usize, StreamEnd> {
+        let needed = buf.len();
+        let closed = |detail: String| StreamEnd::Closed { needed, detail };
+        match read_full(&mut self.reader, buf) {
+            Ok(0) => Err(closed(format!("stream closed before {next}"))),
+            Ok(n) => Ok(n),
+            Err(e) => Err(closed(e.to_string())),
+        }
+    }
+
+    fn handshake(&mut self) -> Result<Handshake, StreamEnd> {
+        let mut header = [0u8; HANDSHAKE_LEN];
+        let n = self.fill(&mut header, "the handshake")?;
+        Handshake::decode(&header[..n])
+            .map(|(handshake, _)| handshake)
+            .map_err(StreamEnd::Wire)
+    }
+
+    fn next_frame(&mut self) -> Result<Frame, StreamEnd> {
+        let mut prefix = [0u8; 4];
+        let n = self.fill(&mut prefix, "the fin frame")?;
+        let len = Dec::new(&prefix[..n])
+            .u32()
+            .map_err(|e| StreamEnd::Wire(e.into()))?;
         if len == 0 {
-            if bytes.len() > pos {
-                return Err(MpWireError::TrailingData {
-                    extra: bytes.len() - pos,
-                });
-            }
-            return Ok((handshake, records));
+            // Fin. Anything after it is garbage.
+            let mut probe = [0u8; 64];
+            return match read_full(&mut self.reader, &mut probe) {
+                Ok(0) => Ok(Frame::Fin),
+                Ok(extra) => Err(StreamEnd::Wire(MpWireError::TrailingData { extra })),
+                Err(e) => Err(StreamEnd::Closed {
+                    needed: 0,
+                    detail: e.to_string(),
+                }),
+            };
         }
         if len > MAX_FRAME_LEN {
-            return Err(MpWireError::FrameTooLarge { len });
+            return Err(StreamEnd::Wire(MpWireError::FrameTooLarge { len }));
         }
-        let len = len as usize;
-        if bytes.len() < pos + len {
-            return Err(MpWireError::Truncated {
-                needed: len,
-                have: bytes.len() - pos,
-            });
+        // Read through `take` rather than into a `len`-sized buffer: a
+        // lying prefix then costs only the bytes that actually arrive.
+        self.payload.clear();
+        let have = (&mut self.reader)
+            .take(u64::from(len))
+            .read_to_end(&mut self.payload)
+            .map_err(|e| StreamEnd::Closed {
+                needed: len as usize,
+                detail: e.to_string(),
+            })?;
+        let needed = len as usize;
+        if have < needed {
+            return Err(StreamEnd::Wire(MpWireError::Truncated { needed, have }));
         }
-        let payload = &bytes[pos..pos + len];
-        pos += len;
-        let (record, used) = FeederAggregate::decode(payload)?;
-        if used != len {
-            return Err(MpWireError::TrailingBytes { extra: len - used });
+        let (record, used) = FeederAggregate::decode(&self.payload).map_err(StreamEnd::Wire)?;
+        if used != needed {
+            return Err(StreamEnd::Wire(MpWireError::TrailingBytes {
+                extra: needed - used,
+            }));
         }
-        records.push(record);
+        Ok(Frame::Record {
+            record,
+            payload_len: len,
+        })
     }
+}
+
+/// Reads `buf.len()` bytes or returns how many arrived before EOF.
+fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut have = 0;
+    while have < buf.len() {
+        match reader.read(&mut buf[have..]) {
+            Ok(0) => break,
+            Ok(n) => have += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(have)
 }
 
 /// Why the multi-process supervisor failed. Every variant names the
@@ -527,7 +627,7 @@ pub fn serve_worker(
         .into_iter()
         .map(|r| range.start + r.start..range.start + r.end)
         .collect();
-    let outputs = crate::experiment::collect_results(
+    let shards = crate::experiment::collect_results(
         subranges
             .par_iter()
             .map(|r| city.run_shard_range(r.clone()))
@@ -535,18 +635,17 @@ pub fn serve_worker(
     )
     .map_err(ServeError::Scenario)?;
 
-    for output in &outputs {
-        // Walk the shard-local stream to find record boundaries; each
-        // record becomes one length-framed payload.
-        let mut rest = &output.stream[..];
-        while !rest.is_empty() {
-            let (_, used) = FeederAggregate::decode(rest).expect("shard-local encode");
-            out.write_all(&(used as u32).to_le_bytes())?;
-            out.write_all(&rest[..used])?;
-            rest = &rest[used..];
-        }
+    // Each aggregate is framed as it is encoded; the fin is the empty
+    // frame.
+    let mut frame = Vec::new();
+    for agg in shards.iter().flatten() {
+        frame.clear();
+        Enc::new(&mut frame).frame(|e| agg.write(e));
+        out.write_all(&frame)?;
     }
-    out.write_all(&0u32.to_le_bytes())?;
+    frame.clear();
+    Enc::new(&mut frame).frame(|_| {});
+    out.write_all(&frame)?;
     out.flush()?;
     Ok(())
 }
@@ -655,104 +754,44 @@ pub struct MpStats {
     pub worker_wall: Vec<Duration>,
 }
 
-/// One parsed protocol message, shipped from a reader thread to the
+/// One protocol message, shipped from a reader thread to the
 /// supervisor so every receive can carry a deadline.
 enum Msg {
     Handshake(Handshake),
-    Record {
-        record: Box<FeederAggregate>,
-        payload_len: u32,
-    },
-    Fin,
-    /// The stream failed to decode.
-    Wire(MpWireError),
-    /// The stream ended at a frame boundary, or reading failed outright.
-    Died(String),
+    Frame(Frame),
+    /// The stream stopped short: malformed bytes, or it closed or failed
+    /// before the fin frame.
+    End(StreamEnd),
 }
 
-/// Reads `buf.len()` bytes or returns how many arrived before EOF.
-fn read_full(reader: &mut dyn Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut have = 0;
-    while have < buf.len() {
-        match reader.read(&mut buf[have..]) {
-            Ok(0) => break,
-            Ok(n) => have += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+impl StreamEnd {
+    /// The supervisor's reading of an end: a stream that stops at a
+    /// message boundary belongs to a worker that died.
+    fn into_worker_error(self, worker: usize) -> WorkerError {
+        match self {
+            StreamEnd::Wire(error) => WorkerError::Wire { worker, error },
+            StreamEnd::Closed { detail, .. } => WorkerError::Died { worker, detail },
         }
     }
-    Ok(have)
 }
 
-/// The reader-thread loop: decode one worker stream into messages.
-fn read_worker_stream(mut reader: Box<dyn Read + Send>, tx: &mpsc::Sender<Msg>) {
+/// The reader-thread loop: deframe one worker stream into messages.
+fn read_worker_stream(reader: Box<dyn Read + Send>, tx: &mpsc::Sender<Msg>) {
+    // The supervisor may have torn the run down; a dead channel just
+    // ends the thread.
     let send = |msg: Msg| {
-        // The supervisor may have torn the run down; a dead channel just
-        // ends the thread.
         let _ = tx.send(msg);
     };
-    let mut header = [0u8; HANDSHAKE_LEN];
-    match read_full(reader.as_mut(), &mut header) {
-        Err(e) => return send(Msg::Died(e.to_string())),
-        Ok(0) => return send(Msg::Died("stream closed before the handshake".into())),
-        Ok(n) if n < HANDSHAKE_LEN => {
-            return send(Msg::Wire(MpWireError::Truncated {
-                needed: HANDSHAKE_LEN,
-                have: n,
-            }))
-        }
-        Ok(_) => {}
-    }
-    match Handshake::decode(&header) {
-        Ok((handshake, _)) => send(Msg::Handshake(handshake)),
-        Err(e) => return send(Msg::Wire(e)),
+    let mut stream = StreamReader::new(reader);
+    match stream.handshake() {
+        Ok(handshake) => send(Msg::Handshake(handshake)),
+        Err(end) => return send(Msg::End(end)),
     }
     loop {
-        let mut prefix = [0u8; 4];
-        match read_full(reader.as_mut(), &mut prefix) {
-            Err(e) => return send(Msg::Died(e.to_string())),
-            Ok(0) => return send(Msg::Died("stream closed before the fin frame".into())),
-            Ok(n) if n < 4 => {
-                return send(Msg::Wire(MpWireError::Truncated { needed: 4, have: n }))
-            }
-            Ok(_) => {}
-        }
-        let len = u32::from_le_bytes(prefix);
-        if len == 0 {
-            // Fin. Anything after it is garbage.
-            let mut probe = [0u8; 1];
-            match read_full(reader.as_mut(), &mut probe) {
-                Ok(0) => send(Msg::Fin),
-                Ok(_) => send(Msg::Wire(MpWireError::TrailingData { extra: 1 })),
-                Err(e) => send(Msg::Died(e.to_string())),
-            }
-            return;
-        }
-        if len > MAX_FRAME_LEN {
-            return send(Msg::Wire(MpWireError::FrameTooLarge { len }));
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_full(reader.as_mut(), &mut payload) {
-            Err(e) => return send(Msg::Died(e.to_string())),
-            Ok(n) if n < payload.len() => {
-                return send(Msg::Wire(MpWireError::Truncated {
-                    needed: payload.len(),
-                    have: n,
-                }))
-            }
-            Ok(_) => {}
-        }
-        match FeederAggregate::decode(&payload) {
-            Ok((record, used)) if used == payload.len() => send(Msg::Record {
-                record: Box::new(record),
-                payload_len: len,
-            }),
-            Ok((_, used)) => {
-                return send(Msg::Wire(MpWireError::TrailingBytes {
-                    extra: payload.len() - used,
-                }))
-            }
-            Err(e) => return send(Msg::Wire(e.into())),
+        match stream.next_frame() {
+            Ok(Frame::Fin) => return send(Msg::Frame(Frame::Fin)),
+            Ok(frame) => send(Msg::Frame(frame)),
+            Err(end) => return send(Msg::End(end)),
         }
     }
 }
@@ -935,9 +974,8 @@ fn read_partition(
     };
     let handshake = match recv("the handshake")? {
         Msg::Handshake(h) => h,
-        Msg::Wire(error) => return Err(WorkerError::Wire { worker, error }),
-        Msg::Died(detail) => return Err(WorkerError::Died { worker, detail }),
-        Msg::Record { .. } | Msg::Fin => unreachable!("reader sends the handshake first"),
+        Msg::End(end) => return Err(end.into_worker_error(worker)),
+        Msg::Frame(_) => unreachable!("reader sends the handshake first"),
     };
     if handshake.version != PROTOCOL_VERSION {
         return Err(WorkerError::Version {
@@ -968,10 +1006,10 @@ fn read_partition(
     let mut records = Vec::with_capacity(task.range.len());
     for expected_feeder in task.range.clone() {
         match recv("a record frame")? {
-            Msg::Record {
+            Msg::Frame(Frame::Record {
                 record,
                 payload_len,
-            } => {
+            }) => {
                 if record.feeder as usize != expected_feeder {
                     return Err(WorkerError::UnexpectedFeeder {
                         worker,
@@ -981,28 +1019,26 @@ fn read_partition(
                 }
                 stats.frames += 1;
                 stats.payload_bytes += u64::from(payload_len);
-                records.push(*record);
+                records.push(record);
             }
-            Msg::Fin => {
+            Msg::Frame(Frame::Fin) => {
                 return Err(WorkerError::Wire {
                     worker,
                     error: MpWireError::Truncated { needed: 4, have: 0 },
                 })
             }
-            Msg::Wire(error) => return Err(WorkerError::Wire { worker, error }),
-            Msg::Died(detail) => return Err(WorkerError::Died { worker, detail }),
+            Msg::End(end) => return Err(end.into_worker_error(worker)),
             Msg::Handshake(_) => unreachable!("reader sends one handshake"),
         }
     }
     match recv("the fin frame")? {
-        Msg::Fin => Ok(records),
-        Msg::Record { record, .. } => Err(WorkerError::UnexpectedFeeder {
+        Msg::Frame(Frame::Fin) => Ok(records),
+        Msg::Frame(Frame::Record { record, .. }) => Err(WorkerError::UnexpectedFeeder {
             worker,
             expected: task.range.end as u32,
             found: record.feeder,
         }),
-        Msg::Wire(error) => Err(WorkerError::Wire { worker, error }),
-        Msg::Died(detail) => Err(WorkerError::Died { worker, detail }),
+        Msg::End(end) => Err(end.into_worker_error(worker)),
         Msg::Handshake(_) => unreachable!("reader sends one handshake"),
     }
 }

@@ -1,16 +1,19 @@
 //! The feeder → substation → city reduction tree and its wire format.
 //!
 //! At city scale a shard never ships per-home traces upward — it folds
-//! each feeder's homes into one [`FeederAggregate`] and streams that as a
-//! self-delimiting byte record (the same fixed-width little-endian idiom
-//! as [`han_device::status::StatusRecord::encode_into`], scaled up to
-//! carry series). The city layer decodes the records, orders them by
-//! feeder id — which is what makes the reduction independent of how
-//! feeders were partitioned across shards — and sums them level by level:
-//! feeders into substations (groups of `substation_fanin`), substations
-//! into the city.
+//! each feeder's homes into one [`FeederAggregate`]. In-process shards
+//! hand those aggregates to the city as values; only a worker process
+//! (see [`super::mp`]) serializes them, as self-delimiting `HANFAGG1`
+//! byte records written and read through the crate's one wire codec.
+//! The city layer orders the aggregates by feeder id — which is what
+//! makes the reduction independent of how feeders were partitioned
+//! across shards or workers — and sums them level by level: feeders into
+//! substations (groups of `substation_fanin`), substations into the city.
 
 use han_metrics::stats::Summary;
+
+use super::mp::MpWireError;
+use crate::wire::{Dec, Enc, WireError};
 
 /// Magic prefix of the feeder-aggregate wire record.
 const MAGIC: &[u8; 8] = b"HANFAGG1";
@@ -67,103 +70,13 @@ pub struct FeederAggregate {
     pub home_digests: Vec<HomeDigest>,
 }
 
-/// Why a feeder-aggregate record failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateWireError {
-    /// The buffer did not start with the `HANFAGG1` magic.
-    BadMagic,
-    /// The buffer ended before the record did.
-    Truncated {
-        /// Bytes the decoder needed next.
-        needed: usize,
-        /// Bytes it had left.
-        have: usize,
-    },
-}
-
-impl std::fmt::Display for AggregateWireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AggregateWireError::BadMagic => {
-                write!(f, "feeder aggregate record does not start with HANFAGG1")
-            }
-            AggregateWireError::Truncated { needed, have } => write!(
-                f,
-                "feeder aggregate record truncated: needed {needed} more byte(s), had {have}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AggregateWireError {}
-
-/// Little-endian cursor over a byte slice; every read is length-checked.
-struct Cursor<'b> {
-    bytes: &'b [u8],
-    pos: usize,
-}
-
-impl<'b> Cursor<'b> {
-    /// Bytes left unread — the bound every wire-claimed element count is
-    /// clamped against before pre-allocating (a corrupted length field
-    /// must fail typed on the next read, not abort on a huge reserve).
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-    fn take(&mut self, n: usize) -> Result<&'b [u8], AggregateWireError> {
-        let have = self.bytes.len() - self.pos;
-        if have < n {
-            return Err(AggregateWireError::Truncated { needed: n, have });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u32(&mut self) -> Result<u32, AggregateWireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-    fn u64(&mut self) -> Result<u64, AggregateWireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-    fn f64(&mut self) -> Result<f64, AggregateWireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
 impl FeederAggregate {
     /// Serializes the record, appending to `out` — same buffer-reuse
     /// contract as [`han_device::status::StatusRecord::encode_into`].
     /// Floats travel as their IEEE-754 bit patterns, so encode → decode
     /// is the identity even for NaN payloads.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.feeder.to_le_bytes());
-        out.extend_from_slice(&self.homes.to_le_bytes());
-        out.extend_from_slice(&self.devices.to_le_bytes());
-        out.extend_from_slice(&self.rounds.to_le_bytes());
-        out.extend_from_slice(&self.deadline_misses.to_le_bytes());
-        out.extend_from_slice(&self.windows_served.to_le_bytes());
-        out.extend_from_slice(&self.divergent_rounds.to_le_bytes());
-        for kwh in [
-            self.energy_uncoordinated_kwh,
-            self.energy_coordinated_kwh,
-            self.sum_home_peaks_uncoordinated,
-            self.sum_home_peaks_coordinated,
-        ] {
-            out.extend_from_slice(&kwh.to_bits().to_le_bytes());
-        }
-        for series in [&self.samples_uncoordinated, &self.samples_coordinated] {
-            out.extend_from_slice(&(series.len() as u32).to_le_bytes());
-            for &kw in series.iter() {
-                out.extend_from_slice(&kw.to_bits().to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.home_digests.len() as u32).to_le_bytes());
-        for d in &self.home_digests {
-            out.extend_from_slice(&d.home.to_le_bytes());
-            out.extend_from_slice(&d.uncoordinated.to_le_bytes());
-            out.extend_from_slice(&d.coordinated.to_le_bytes());
-        }
+        self.write(&mut Enc::new(out));
     }
 
     /// Serializes to a fresh buffer.
@@ -173,67 +86,84 @@ impl FeederAggregate {
         out
     }
 
+    pub(crate) fn write(&self, e: &mut Enc<'_>) {
+        e.raw(MAGIC);
+        e.u32(self.feeder);
+        e.u32(self.homes);
+        e.u32(self.devices);
+        e.u64(self.rounds);
+        e.u64(self.deadline_misses);
+        e.u64(self.windows_served);
+        e.u64(self.divergent_rounds);
+        e.f64(self.energy_uncoordinated_kwh);
+        e.f64(self.energy_coordinated_kwh);
+        e.f64(self.sum_home_peaks_uncoordinated);
+        e.f64(self.sum_home_peaks_coordinated);
+        for series in [&self.samples_uncoordinated, &self.samples_coordinated] {
+            e.u32(series.len() as u32);
+            for &kw in series {
+                e.f64(kw);
+            }
+        }
+        e.u32(self.home_digests.len() as u32);
+        for d in &self.home_digests {
+            e.u64(d.home);
+            e.u64(d.uncoordinated);
+            e.u64(d.coordinated);
+        }
+    }
+
     /// Decodes one record from the front of `bytes`, returning it and
     /// the number of bytes consumed (records are self-delimiting, so a
     /// stream of them decodes by repeated calls).
     ///
     /// # Errors
     ///
-    /// [`AggregateWireError`] on a missing magic or a short buffer.
-    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), AggregateWireError> {
-        let mut c = Cursor { bytes, pos: 0 };
-        if c.take(MAGIC.len())? != MAGIC {
-            return Err(AggregateWireError::BadMagic);
-        }
-        let feeder = c.u32()?;
-        let homes = c.u32()?;
-        let devices = c.u32()?;
-        let rounds = c.u64()?;
-        let deadline_misses = c.u64()?;
-        let windows_served = c.u64()?;
-        let divergent_rounds = c.u64()?;
-        let energy_uncoordinated_kwh = c.f64()?;
-        let energy_coordinated_kwh = c.f64()?;
-        let sum_home_peaks_uncoordinated = c.f64()?;
-        let sum_home_peaks_coordinated = c.f64()?;
-        let series = |c: &mut Cursor<'_>| -> Result<Vec<f64>, AggregateWireError> {
-            let len = c.u32()? as usize;
-            let mut out = Vec::with_capacity(len.min(c.remaining() / 8));
-            for _ in 0..len {
-                out.push(c.f64()?);
-            }
-            Ok(out)
+    /// [`MpWireError::BadRecordMagic`] on a missing magic,
+    /// [`MpWireError::Truncated`] on a short buffer (or a count the
+    /// buffer cannot hold).
+    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), MpWireError> {
+        let mut d = Dec::new(bytes);
+        let record = Self::read(&mut d).map_err(|e| match e {
+            WireError::BadMagic => MpWireError::BadRecordMagic,
+            other => MpWireError::from(other),
+        })?;
+        Ok((record, d.pos()))
+    }
+
+    fn read(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        d.magic(MAGIC)?;
+        let series = |d: &mut Dec<'_>| -> Result<Vec<f64>, WireError> {
+            let n = d.len_u32(8)?;
+            (0..n).map(|_| d.f64()).collect()
         };
-        let samples_uncoordinated = series(&mut c)?;
-        let samples_coordinated = series(&mut c)?;
-        let digests = c.u32()? as usize;
-        let mut home_digests = Vec::with_capacity(digests.min(c.remaining() / 24));
-        for _ in 0..digests {
-            home_digests.push(HomeDigest {
-                home: c.u64()?,
-                uncoordinated: c.u64()?,
-                coordinated: c.u64()?,
-            });
-        }
-        Ok((
-            FeederAggregate {
-                feeder,
-                homes,
-                devices,
-                rounds,
-                deadline_misses,
-                windows_served,
-                divergent_rounds,
-                energy_uncoordinated_kwh,
-                energy_coordinated_kwh,
-                sum_home_peaks_uncoordinated,
-                sum_home_peaks_coordinated,
-                samples_uncoordinated,
-                samples_coordinated,
-                home_digests,
+        Ok(FeederAggregate {
+            feeder: d.u32()?,
+            homes: d.u32()?,
+            devices: d.u32()?,
+            rounds: d.u64()?,
+            deadline_misses: d.u64()?,
+            windows_served: d.u64()?,
+            divergent_rounds: d.u64()?,
+            energy_uncoordinated_kwh: d.f64()?,
+            energy_coordinated_kwh: d.f64()?,
+            sum_home_peaks_uncoordinated: d.f64()?,
+            sum_home_peaks_coordinated: d.f64()?,
+            samples_uncoordinated: series(d)?,
+            samples_coordinated: series(d)?,
+            home_digests: {
+                let n = d.len_u32(24)?;
+                (0..n)
+                    .map(|_| {
+                        Ok(HomeDigest {
+                            home: d.u64()?,
+                            uncoordinated: d.u64()?,
+                            coordinated: d.u64()?,
+                        })
+                    })
+                    .collect::<Result<_, WireError>>()?
             },
-            c.pos,
-        ))
+        })
     }
 }
 
@@ -384,13 +314,13 @@ mod tests {
     fn decode_errors_are_typed() {
         assert_eq!(
             FeederAggregate::decode(b"NOTMAGIC________"),
-            Err(AggregateWireError::BadMagic)
+            Err(MpWireError::BadRecordMagic)
         );
         let bytes = sample_aggregate(0).encode();
         let truncated = &bytes[..bytes.len() - 3];
         assert!(matches!(
             FeederAggregate::decode(truncated),
-            Err(AggregateWireError::Truncated { .. })
+            Err(MpWireError::Truncated { .. })
         ));
     }
 

@@ -59,6 +59,7 @@
 //! [`HanSimulation::set_reference_planning`]:
 //!   crate::simulation::HanSimulation::set_reference_planning
 
+use crate::checkpoint::{ensure, CheckpointError};
 use crate::pool::{ViewPool, ViewPoolStats};
 use crate::state::SystemView;
 use han_device::appliance::DeviceId;
@@ -999,68 +1000,122 @@ impl CommunicationPlane {
         }
     }
 
-    /// Rebuilds a plane from its configuration plus an
-    /// [`export`](CommunicationPlane::export)ed state. The result
-    /// continues bit-identically to the plane that was exported.
-    pub(crate) fn restore(
-        model: CpModel,
-        device_count: usize,
-        seed: u64,
-        export: &CpExport,
-    ) -> Self {
-        let mut cp = CommunicationPlane::new(model, device_count, seed);
-        cp.per_node_rows = export.per_node_rows;
-        match &export.store {
-            StoreExport::Pooled { pool, handles } => {
-                cp.store = ViewStore::Pooled {
-                    pool: ViewPool::restore(device_count, pool),
+    /// Overwrites this freshly built plane's dynamic state with an
+    /// [`export`](CommunicationPlane::export)ed one, after checking that
+    /// the export has the shape this plane's configuration builds (store
+    /// kind and rows, freshness matrix, channel states, packet stores,
+    /// record ids). The result continues bit-identically to the plane
+    /// that was exported.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Inconsistent`] naming the first shape that
+    /// does not match.
+    pub(crate) fn restore(&mut self, export: &CpExport) -> Result<(), CheckpointError> {
+        let n = self.device_count;
+        // Delivery rows follow from the model and the exported flag, not
+        // from this plane: an online run that ingested a CP fault without
+        // a CP in use never fanned out, though a fresh build would.
+        let rows = match (&self.model, &export.store) {
+            (CpModel::Ideal, StoreExport::Pooled { .. }) if !export.per_node_rows => 1,
+            _ => n,
+        };
+        ensure(export.last_refresh.len() == rows * n, || {
+            format!(
+                "{} freshness entries for {rows} rows of {n}",
+                export.last_refresh.len()
+            )
+        })?;
+        ensure(export.ge_bad.len() == self.ge_bad.len(), || {
+            format!(
+                "{} channel states for {} expected",
+                export.ge_bad.len(),
+                self.ge_bad.len()
+            )
+        })?;
+        ensure(
+            export.stats.refreshed_records <= export.stats.expected_records,
+            || "more records refreshed than expected".into(),
+        )?;
+        self.store = match (&export.store, &self.store) {
+            (StoreExport::Pooled { pool, handles }, ViewStore::Pooled { .. }) => {
+                ensure(handles.len() == rows, || {
+                    format!("{} view handles for {rows} delivery rows", handles.len())
+                })?;
+                ViewStore::Pooled {
+                    pool: ViewPool::restore(n, pool, handles)?,
                     handles: handles
                         .iter()
                         .map(|&id| crate::pool::ViewHandle::from_id(id))
                         .collect(),
-                    staging: SystemView::new(device_count),
-                };
-            }
-            StoreExport::PerNode { views } => {
-                cp.store = ViewStore::PerNode {
-                    views: views
-                        .iter()
-                        .map(|records| {
-                            let mut v = SystemView::new(device_count);
-                            for rec in records.iter().flatten() {
-                                v.refresh(*rec);
-                            }
-                            v
-                        })
-                        .collect(),
-                };
-            }
-        }
-        cp.last_refresh = export.last_refresh.clone();
-        cp.rng = DetRng::from_state(export.rng);
-        cp.round_index = export.round_index;
-        cp.stats = export.stats.clone();
-        cp.ge_bad = export.ge_bad.clone();
-        if let Some(packet) = &export.packet {
-            let CpState::Packet {
-                stores,
-                last_seen,
-                sync,
-                ..
-            } = &mut cp.state
-            else {
-                panic!("packet export requires a packet model");
-            };
-            for (store, items) in stores.iter_mut().zip(&packet.items) {
-                store.clear();
-                for (origin, seq, payload) in items {
-                    store.merge(&Item::new(NodeId(*origin), *seq, payload.as_slice()));
+                    staging: SystemView::new(n),
                 }
             }
-            *last_seen = packet.last_seen.clone();
-            sync.restore_staleness(&packet.staleness);
+            (StoreExport::PerNode { views }, ViewStore::PerNode { .. }) => {
+                ensure(views.len() == rows, || {
+                    format!("{} per-node views for {rows} nodes", views.len())
+                })?;
+                ViewStore::PerNode {
+                    views: views
+                        .iter()
+                        .map(|records| SystemView::restore(n, records))
+                        .collect::<Result<_, _>>()?,
+                }
+            }
+            _ => {
+                return Err(CheckpointError::Inconsistent {
+                    reason: "view store kind differs from this configuration's".into(),
+                })
+            }
+        };
+        match (&export.packet, &mut self.state) {
+            (None, CpState::Abstract) => {}
+            (
+                Some(packet),
+                CpState::Packet {
+                    stores,
+                    last_seen,
+                    sync,
+                    ..
+                },
+            ) => {
+                let t = stores.len();
+                ensure(
+                    packet.items.len() == t
+                        && packet.staleness.len() == t
+                        && packet.last_seen.len() == t
+                        && packet.last_seen.iter().all(|row| row.len() == t),
+                    || format!("packet state is not shaped for a {t}-node topology"),
+                )?;
+                for (store, items) in stores.iter_mut().zip(&packet.items) {
+                    store.clear();
+                    for (origin, seq, payload) in items {
+                        // Delivery decodes stored payloads into views:
+                        // each must be its origin device's own record.
+                        let own = StatusRecord::decode(payload)
+                            .map_or(true, |rec| rec.device.0 == *origin);
+                        ensure((*origin as usize) < n && own, || {
+                            format!("packet item from node {origin} outside the fleet")
+                        })?;
+                        store.merge(&Item::new(NodeId(*origin), *seq, payload.as_slice()));
+                    }
+                }
+                last_seen.clone_from(&packet.last_seen);
+                sync.restore_staleness(&packet.staleness);
+            }
+            _ => {
+                return Err(CheckpointError::Inconsistent {
+                    reason: "packet state present without a packet model, or missing".into(),
+                })
+            }
         }
-        cp
+        self.per_node_rows = export.per_node_rows;
+        self.last_refresh.clone_from(&export.last_refresh);
+        self.rng = DetRng::from_state(export.rng);
+        self.round_index = export.round_index;
+        self.stats = export.stats.clone();
+        self.ge_bad.clone_from(&export.ge_bad);
+        Ok(())
     }
 }
 
@@ -1551,7 +1606,8 @@ mod tests {
             for r in 0..40u64 {
                 if split == Some(r) {
                     let export = cp.export();
-                    cp = CommunicationPlane::restore(model.clone(), 5, 11, &export);
+                    cp = CommunicationPlane::new(model.clone(), 5, 11);
+                    cp.restore(&export).expect("consistent export");
                 }
                 cp.round(&statuses(5, r % 6), &[r as u32 + 1; 5]);
             }

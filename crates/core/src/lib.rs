@@ -74,6 +74,7 @@ pub mod pool;
 pub mod schedule;
 pub mod simulation;
 pub mod state;
+mod wire;
 
 pub use algorithm::{
     demand_rate_kw, plan_coordinated, plan_uncoordinated, plan_with_level, CoordinatedPlanner,

@@ -33,15 +33,16 @@
 //! byte-identical report (events ingested *after* that checkpoint are
 //! lost by design, exactly like any crash-recovery log cut).
 
-use crate::checkpoint::{Checkpoint, CheckpointError, Dec, Enc};
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::simulation::{
     run_span, Driver, HanSimulation, Injection, SimulationConfig, SimulationOutcome, Strategy,
 };
+use crate::wire::{Dec, Enc};
 use han_device::request::Request;
 use han_obs::{Counter, Gauge, Hist, Obs, ObsSink};
 use han_sim::time::{SimDuration, SimTime};
 use han_workload::signal::PowerCapProfile;
-use han_workload::telemetry::TelemetryEvent;
+use han_workload::telemetry::{validate_telemetry, TelemetryEvent};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -430,21 +431,15 @@ impl OnlineDriver {
     /// embedded state checkpoint, fingerprinted over the *grown*
     /// request/fault state (see the [module docs](self)).
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.raw(MAGIC);
-        e.len(self.log.len());
-        for event in &self.log {
-            let line = event.to_string();
-            e.len(line.len());
-            e.raw(line.as_bytes());
-        }
         let checkpoint = Checkpoint {
             state: self.driver.export_state(self.driver.fingerprint()),
         };
-        let blob = checkpoint.to_bytes();
-        e.len(blob.len());
-        e.raw(&blob);
-        e.into_bytes()
+        let mut out = Vec::new();
+        let mut e = Enc::new(&mut out);
+        e.raw(MAGIC);
+        e.list(&self.log, |e, event| e.bytes(event.to_string().as_bytes()));
+        e.bytes(&checkpoint.to_bytes());
+        out
     }
 
     /// Writes a snapshot to `path` atomically: the bytes land in a
@@ -477,25 +472,22 @@ impl OnlineDriver {
     /// # Errors
     ///
     /// [`OnlineError::Checkpoint`] on a foreign or corrupted snapshot
-    /// (including a fingerprint mismatch), [`OnlineError::Scenario`] if
-    /// the replayed state fails validation.
+    /// (including a fingerprint mismatch, checked before any state is
+    /// restored), [`OnlineError::Scenario`] if the replayed state fails
+    /// validation.
     pub fn restore(sim: HanSimulation, bytes: &[u8]) -> Result<OnlineDriver, OnlineError> {
-        let mut d = Dec::new(bytes);
-        if d.take(MAGIC.len()).map_err(|_| CheckpointError::BadMagic)? != MAGIC {
-            return Err(CheckpointError::BadMagic.into());
-        }
-        let count = d.len()?;
-        let mut log = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let n = d.len()?;
-            let raw = d.take(n)?;
+        let (lines, blob) = decode_snapshot(bytes)?;
+        let mut log = Vec::with_capacity(lines.len());
+        for raw in lines {
             let line = std::str::from_utf8(raw).map_err(|_| OnlineError::BadCommand {
                 reason: "snapshot log entry is not valid UTF-8".into(),
             })?;
             log.push(TelemetryEvent::parse(line)?);
         }
-        let n = d.len()?;
-        let checkpoint = Checkpoint::from_bytes(d.take(n)?)?;
+        // The log is replayed without the live ingest path's checks, so
+        // it gets the one that keeps every event inside the fleet.
+        validate_telemetry(&log, sim.config().fleet.device_count())?;
+        let checkpoint = Checkpoint::from_bytes(blob)?;
         let next_round = checkpoint.round();
 
         // Rebuild the merged base state the pre-kill process had grown.
@@ -574,8 +566,10 @@ impl OnlineDriver {
         let mut merged = HanSimulation::new(config, requests)?;
         merged.set_faults(faults)?;
         merged.set_staleness_ttl(ttl);
-        let mut driver = Driver::restore(merged, &checkpoint.state);
-        let expected = driver.fingerprint();
+        // The fingerprint is checked before any state is restored: a
+        // snapshot of a differently shaped daemon must fail as a
+        // mismatch, not trip the restore-time shape checks.
+        let expected = merged.fingerprint();
         if expected != checkpoint.state.fingerprint {
             return Err(CheckpointError::ConfigMismatch {
                 expected,
@@ -583,6 +577,7 @@ impl OnlineDriver {
             }
             .into());
         }
+        let mut driver = Driver::restore(merged, &checkpoint.state)?;
 
         // Re-apply the cap the planners had in force (fresh planners
         // restart from the base config cap). Queued first — against the
@@ -622,4 +617,19 @@ impl OnlineDriver {
         })?;
         OnlineDriver::restore(sim, &bytes)
     }
+}
+
+/// Splits a `HANSRV01` snapshot into its raw telemetry-log lines and the
+/// embedded `HANCKPT1` blob.
+fn decode_snapshot(bytes: &[u8]) -> Result<(Vec<&[u8]>, &[u8]), CheckpointError> {
+    let mut d = Dec::new(bytes);
+    d.magic(MAGIC)?;
+    let lines = d.list(8, Dec::bytes)?;
+    let blob = d.bytes()?;
+    if d.remaining() != 0 {
+        return Err(CheckpointError::TrailingBytes {
+            extra: d.remaining(),
+        });
+    }
+    Ok((lines, blob))
 }

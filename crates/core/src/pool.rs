@@ -49,6 +49,7 @@
 //! assert_eq!(pool.peak_views(), 2);
 //! ```
 
+use crate::checkpoint::{ensure, CheckpointError};
 use crate::state::SystemView;
 use han_device::status::StatusRecord;
 use std::collections::HashMap;
@@ -396,32 +397,74 @@ impl ViewPool {
         }
     }
 
-    /// Rebuilds a pool from an [`export`](ViewPool::export). The content
-    /// index is reconstructed from the live slots (filed in ascending slot
-    /// order — bucket order only matters on 64-bit fingerprint collisions,
-    /// where equality checks disambiguate regardless of order).
-    pub(crate) fn restore(device_count: usize, export: &ViewPoolExport) -> Self {
+    /// Rebuilds a pool from an [`export`](ViewPool::export) and the raw
+    /// handle ids that reference it. The content index is reconstructed
+    /// from the live slots (filed in ascending slot order — bucket order
+    /// only matters on 64-bit fingerprint collisions, where equality
+    /// checks disambiguate regardless of order).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Inconsistent`] unless the export is one a pool
+    /// could have been in: every handle names a live slot, each live
+    /// slot's reference count equals the handles naming it and its key
+    /// is its content's fingerprint, free ids are distinct, in range and
+    /// unreferenced, and the live counter matches.
+    pub(crate) fn restore(
+        device_count: usize,
+        export: &ViewPoolExport,
+        handles: &[u32],
+    ) -> Result<Self, CheckpointError> {
+        let slots = export.slots.len();
+        let mut held = vec![0u64; slots];
+        for &h in handles {
+            ensure((h as usize) < slots, || {
+                format!("view handle {h} outside the pool's {slots} slots")
+            })?;
+            held[h as usize] += 1;
+        }
+        let mut parked = vec![false; slots];
+        for &f in &export.free {
+            let free_slot = export.slots.get(f as usize);
+            ensure(
+                free_slot.is_some_and(|s| s.refs == 0) && !parked[f as usize],
+                || format!("free view slot {f} is out of range, referenced or listed twice"),
+            )?;
+            parked[f as usize] = true;
+        }
         let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let entries: Vec<Entry> = export
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(id, slot)| {
-                let mut view = SystemView::new(device_count);
-                if slot.refs > 0 {
-                    for rec in slot.records.iter().flatten() {
-                        view.refresh(*rec);
-                    }
-                    index.entry(slot.key).or_default().push(id as u32);
-                }
-                Entry {
-                    view,
-                    refs: slot.refs,
-                    key: slot.key,
-                }
-            })
-            .collect();
-        ViewPool {
+        let mut entries = Vec::with_capacity(slots);
+        for (id, slot) in export.slots.iter().enumerate() {
+            ensure(u64::from(slot.refs) == held[id], || {
+                format!(
+                    "view slot {id} counts {} references but {} handles name it",
+                    slot.refs, held[id]
+                )
+            })?;
+            let view = if slot.refs > 0 {
+                let view = SystemView::restore(device_count, &slot.records)?;
+                ensure(view.fingerprint() == slot.key, || {
+                    format!("view slot {id} is filed under a key its content does not hash to")
+                })?;
+                index.entry(slot.key).or_default().push(id as u32);
+                view
+            } else {
+                SystemView::new(device_count)
+            };
+            entries.push(Entry {
+                view,
+                refs: slot.refs,
+                key: slot.key,
+            });
+        }
+        let live = entries.iter().filter(|e| e.refs > 0).count();
+        ensure(export.live == live && export.peak >= live, || {
+            format!(
+                "pool counters live={} peak={} for {live} live views",
+                export.live, export.peak
+            )
+        })?;
+        Ok(ViewPool {
             entries,
             free: export.free.clone(),
             index,
@@ -433,7 +476,7 @@ impl ViewPool {
             // publish absorbs the reset).
             forks: 0,
             in_place_edits: 0,
-        }
+        })
     }
 
     /// Current memory counters, with the dense one-view-per-`nodes` layout
@@ -593,7 +636,7 @@ mod tests {
         pool.release(b); // park slot 1
         pool.release(c); // park slot 2 — free list is [1, 2]
         let export = pool.export();
-        let mut restored = ViewPool::restore(2, &export);
+        let mut restored = ViewPool::restore(2, &export, &[a.id(), a.id()]).expect("consistent");
         assert_eq!(restored.live_views(), pool.live_views());
         assert_eq!(restored.peak_views(), pool.peak_views());
         assert_eq!(restored.slot_count(), pool.slot_count());

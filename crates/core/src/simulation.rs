@@ -19,7 +19,7 @@
 use crate::algorithm::{
     demand_rate_kw, plan_with_level, CoordinatedPlanner, Plan, PlanConfig, SchedulingRule,
 };
-use crate::checkpoint::{Checkpoint, CheckpointError, SimState};
+use crate::checkpoint::{ensure, Checkpoint, CheckpointError, SimState};
 use crate::cp::{CommunicationPlane, CpModel, CpStats};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::schedule::Schedule;
@@ -370,7 +370,7 @@ impl HanSimulation {
     /// dynamic state: a checkpoint refuses to resume under a different
     /// configuration. Not cryptographic — it catches mistakes, not
     /// adversaries.
-    fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         run_fingerprint(
             &self.config,
             self.reference_planning,
@@ -418,7 +418,9 @@ impl HanSimulation {
     /// # Errors
     ///
     /// [`CheckpointError::ConfigMismatch`] if the checkpoint was taken
-    /// under a different configuration.
+    /// under a different configuration;
+    /// [`CheckpointError::Inconsistent`] if its state could not have come
+    /// from a run of this configuration.
     pub fn resume(self, checkpoint: &Checkpoint) -> Result<SimulationOutcome, CheckpointError> {
         let expected = self.fingerprint();
         if checkpoint.state.fingerprint != expected {
@@ -431,7 +433,7 @@ impl HanSimulation {
         let end = SimTime::ZERO + self.config.duration;
         let total = self.total_rounds();
         let from = checkpoint.state.next_round;
-        let mut driver = Driver::restore(self, &checkpoint.state);
+        let mut driver = Driver::restore(self, &checkpoint.state)?;
         run_span(&mut driver, period, end, from, total);
         Ok(driver.into_outcome())
     }
@@ -733,13 +735,18 @@ impl Driver {
 
     /// Rebuilds a driver mid-run from a captured state: static structure
     /// from the (fingerprint-checked) configuration, dynamic state from
-    /// the checkpoint.
-    pub(crate) fn restore(sim: HanSimulation, state: &SimState) -> Driver {
-        let model = sim.config.cp.clone();
-        let n = sim.config.fleet.device_count();
-        let seed = sim.config.seed;
+    /// the checkpoint. The state is checked against that structure before
+    /// any of it is installed (see [`check_state`]), so a decoded but
+    /// inconsistent checkpoint fails typed instead of panicking mid-run.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Inconsistent`] naming the first failed check.
+    pub(crate) fn restore(sim: HanSimulation, state: &SimState) -> Result<Driver, CheckpointError> {
+        let total_rounds = sim.total_rounds();
         let mut driver = Driver::new(sim);
-        driver.cp = CommunicationPlane::restore(model, n, seed, &state.cp);
+        check_state(&driver, state, total_rounds)?;
+        driver.cp.restore(&state.cp)?;
         for (di, snap) in driver.dis.iter_mut().zip(&state.dis) {
             di.restore(snap);
         }
@@ -758,7 +765,7 @@ impl Driver {
         driver.recovery_since = state.recovery_since;
         driver.fault_active_last = state.fault_active_last;
         driver.last_miss_total = state.last_miss_total;
-        driver
+        Ok(driver)
     }
 
     /// Closes the run: end-of-horizon aggregation over the device
@@ -950,6 +957,123 @@ impl Driver {
         }
         Ok(())
     }
+}
+
+/// Checks a decoded [`SimState`] against the freshly built driver it is
+/// about to be restored into. Every count, id and instant the round loop
+/// indexes or subtracts with must be one a real run could have produced
+/// by round `state.next_round`; the communication plane checks its own
+/// part in [`CommunicationPlane::restore`].
+fn check_state(fresh: &Driver, state: &SimState, total_rounds: u64) -> Result<(), CheckpointError> {
+    let n = fresh.dis.len();
+    ensure(state.next_round <= total_rounds, || {
+        format!(
+            "next round {} beyond the {total_rounds}-round horizon",
+            state.next_round
+        )
+    })?;
+    // In range now: the horizon's rounds all have representable instants.
+    let next = SimTime::ZERO + fresh.config.round_period * state.next_round;
+    let not_after_next = |t: SimTime, what: &str| {
+        ensure(t <= next, || {
+            format!(
+                "{what} at {}µs, after the next round's instant {}µs",
+                t.as_micros(),
+                next.as_micros()
+            )
+        })
+    };
+    for (what, count, expected) in [
+        ("device interface", state.dis.len(), n),
+        ("last-command", state.last_command.len(), n),
+        ("planner", state.planners.len(), fresh.planners.len()),
+    ] {
+        ensure(count == expected, || {
+            format!("{count} {what} entries where the configuration has {expected}")
+        })?;
+    }
+    // A plane carrying CP faults must deliver per node: fault injection
+    // refuses a shared delivery row.
+    ensure(
+        state.cp.per_node_rows || !(fresh.uses_cp && fresh.faults.has_cp_faults()),
+        || "CP faults are scheduled but delivery rows are shared".into(),
+    )?;
+    ensure(state.next_request <= fresh.requests.len() as u64, || {
+        format!(
+            "request cursor {} past the {}-request trace",
+            state.next_request,
+            fresh.requests.len()
+        )
+    })?;
+    ensure(state.last_load_kw.is_finite(), || {
+        "non-finite last load".into()
+    })?;
+    ensure(
+        state
+            .trace
+            .first()
+            .is_some_and(|&(t, _)| t == SimTime::ZERO),
+        || "the load trace does not start at time zero".into(),
+    )?;
+    for (i, &(t, kw)) in state.trace.iter().enumerate() {
+        ensure(kw.is_finite(), || {
+            format!("non-finite load at trace point {i}")
+        })?;
+        ensure(i == 0 || state.trace[i - 1].0 < t, || {
+            format!("trace point {i} does not follow its predecessor")
+        })?;
+        not_after_next(t, "a trace point")?;
+    }
+    for (i, (snap, di)) in state.dis.iter().zip(&fresh.dis).enumerate() {
+        if let Some(a) = &snap.cycler.active {
+            for t in [
+                Some(a.window_start),
+                Some(a.arrival),
+                a.on_since,
+                a.instance_start,
+            ]
+            .into_iter()
+            .flatten()
+            {
+                not_after_next(t, &format!("device {i}'s duty-cycle state"))?;
+            }
+            // A running segment started inside its still-open window;
+            // closing the window subtracts the segment start from its end.
+            let window_end = a.window_start + di.cycler().constraints().max_dcp();
+            ensure(a.on_since.is_none_or(|s| s <= window_end), || {
+                format!("device {i} switched on after its window closed")
+            })?;
+        }
+        ensure(
+            snap.last_published
+                .is_none_or(|rec| rec.device.index() == i),
+            || format!("device {i}'s last published record names another device"),
+        )?;
+    }
+    let misses: u64 = state
+        .dis
+        .iter()
+        .map(|d| u64::from(d.counters.deadline_misses))
+        .sum();
+    ensure(u64::from(state.last_miss_total) <= misses, || {
+        format!(
+            "{} misses attributed of {misses} counted",
+            state.last_miss_total
+        )
+    })?;
+    for (i, &(level, last)) in state.planners.iter().enumerate() {
+        ensure(level.is_finite(), || {
+            format!("planner {i} has a non-finite level")
+        })?;
+        if let Some(t) = last {
+            not_after_next(t, &format!("planner {i}'s last update"))?;
+        }
+    }
+    ensure(
+        state.recovery_since.is_none_or(|r| r <= state.next_round),
+        || "recovery clock started after the next round".into(),
+    )?;
+    Ok(())
 }
 
 /// Builds node `node`'s TTL-filtered view if any foreign record has aged
@@ -1741,6 +1865,140 @@ mod tests {
             .resume(&ckpt)
             .expect_err("different seed must not resume");
         assert!(matches!(err, CheckpointError::ConfigMismatch { .. }));
+    }
+
+    /// A lossy-CP run of 10 devices (8 active since minute 20)
+    /// checkpointed after 1000 rounds, `corrupt`ed by hand and resumed
+    /// under its own configuration: the restore-time checks must reject
+    /// it as [`CheckpointError::Inconsistent`] with a reason naming
+    /// `what`, before any round could panic on it.
+    fn assert_rejected(what: &str, corrupt: impl FnOnce(&mut SimState)) {
+        let build = || {
+            HanSimulation::new(
+                small_config(
+                    Strategy::coordinated(),
+                    CpModel::LossyRound {
+                        miss_probability: 0.3,
+                    },
+                ),
+                burst(SimTime::from_mins(20), 8),
+            )
+            .unwrap()
+        };
+        let (_, mut checkpoint) = build().run_checkpointed(1000);
+        build()
+            .resume(&checkpoint)
+            .expect("the untouched state resumes");
+        corrupt(&mut checkpoint.state);
+        match build().resume(&checkpoint) {
+            Err(CheckpointError::Inconsistent { reason }) => {
+                assert!(reason.contains(what), "expected '{what}', got '{reason}'");
+            }
+            other => panic!("expected an Inconsistent error naming '{what}', got {other:?}"),
+        }
+    }
+
+    /// The pooled store of a checkpointed lossy run.
+    fn pooled(state: &mut SimState) -> (&mut crate::pool::ViewPoolExport, &mut Vec<u32>) {
+        match &mut state.cp.store {
+            crate::cp::StoreExport::Pooled { pool, handles } => (pool, handles),
+            crate::cp::StoreExport::PerNode { .. } => unreachable!("lossy runs pool their views"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_per_device_counts_that_differ_from_the_fleet() {
+        assert_rejected("device interface", |s| {
+            s.dis.pop();
+        });
+        assert_rejected("planner", |s| s.planners.push((0.0, None)));
+        assert_rejected("last-command", |s| {
+            s.last_command.pop();
+        });
+    }
+
+    #[test]
+    fn restore_rejects_records_of_devices_outside_their_slot() {
+        // The `SystemView::refresh` index (state.rs) a bad id would hit.
+        assert_rejected("names another device", |s| {
+            let di = s
+                .dis
+                .iter_mut()
+                .find(|d| d.last_published.is_some())
+                .unwrap();
+            di.last_published.as_mut().unwrap().device = DeviceId(99);
+        });
+        assert_rejected("record of device 99 in view slot", |s| {
+            let (pool, _) = pooled(s);
+            let slot = pool.slots.iter_mut().find(|slot| slot.refs > 0).unwrap();
+            let rec = slot.records.iter_mut().flatten().next().unwrap();
+            rec.device = DeviceId(99);
+        });
+    }
+
+    #[test]
+    fn restore_rejects_a_trace_out_of_order_non_finite_or_ahead() {
+        // The `LoadTrace::record` assertions (timeseries.rs) it would trip.
+        assert_rejected("does not follow", |s| {
+            s.trace.push((SimTime::from_mins(10), 2.0));
+        });
+        assert_rejected("non-finite load", |s| s.trace[1].1 = f64::NAN);
+        assert_rejected("after the next round", |s| {
+            s.trace.push((SimTime::from_mins(39), 1.0));
+        });
+    }
+
+    #[test]
+    fn restore_rejects_free_pool_ids_out_of_range_or_referenced() {
+        // The free-list pop a bad id would index with (pool.rs).
+        assert_rejected("free view slot", |s| {
+            let (pool, _) = pooled(s);
+            pool.free.push(pool.slots.len() as u32);
+        });
+        assert_rejected("free view slot", |s| {
+            let (pool, handles) = pooled(s);
+            pool.free.push(handles[0]);
+        });
+    }
+
+    #[test]
+    fn restore_rejects_handles_and_refcounts_that_disagree() {
+        // The handle lookups (pool.rs) a dangling handle would index with.
+        assert_rejected("outside the pool", |s| {
+            let (_, handles) = pooled(s);
+            handles[0] = 9_999;
+        });
+        assert_rejected("references but", |s| {
+            let (pool, handles) = pooled(s);
+            pool.slots[handles[0] as usize].refs += 1;
+        });
+    }
+
+    #[test]
+    fn restore_rejects_instants_after_the_next_round() {
+        // The `SimTime` subtraction (sim/time.rs) closing a window whose
+        // segment started in its future would underflow.
+        assert_rejected("duty-cycle state", |s| {
+            let di = s
+                .dis
+                .iter_mut()
+                .find(|d| d.cycler.active.is_some())
+                .unwrap();
+            di.cycler.active.as_mut().unwrap().window_start = SimTime::from_mins(39);
+        });
+        assert_rejected("switched on after its window closed", |s| {
+            let a = s
+                .dis
+                .iter_mut()
+                .find_map(|d| d.cycler.active.as_mut())
+                .unwrap();
+            a.window_start = SimTime::ZERO;
+            a.on_since = Some(SimTime::from_mins(31));
+        });
+        assert_rejected("last update", |s| {
+            s.planners[0].1 = Some(SimTime::from_mins(39));
+        });
+        assert_rejected("beyond the", |s| s.next_round = u64::MAX);
     }
 
     #[test]

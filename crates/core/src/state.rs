@@ -17,6 +17,7 @@
 //! record contents have converged share a single `SystemView` even when
 //! they refreshed those records in different rounds.
 
+use crate::checkpoint::{ensure, CheckpointError};
 use han_device::appliance::DeviceId;
 use han_device::status::StatusRecord;
 
@@ -75,6 +76,35 @@ impl SystemView {
             contribs: vec![0; device_count],
             fingerprint: 0,
         }
+    }
+
+    /// Rebuilds a view from checkpointed slot contents (slot `i` holding
+    /// device `i`'s record, as exported).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Inconsistent`] unless there is one slot per
+    /// device and every record sits in its own device's slot.
+    pub(crate) fn restore(
+        device_count: usize,
+        records: &[Option<StatusRecord>],
+    ) -> Result<Self, CheckpointError> {
+        ensure(records.len() == device_count, || {
+            format!(
+                "a view of {} slots for {device_count} devices",
+                records.len()
+            )
+        })?;
+        let mut view = SystemView::new(device_count);
+        for (slot, rec) in records.iter().enumerate() {
+            if let Some(rec) = rec {
+                ensure(rec.device.index() == slot, || {
+                    format!("record of device {} in view slot {slot}", rec.device.0)
+                })?;
+                view.refresh(*rec);
+            }
+        }
+        Ok(view)
     }
 
     /// Number of device slots in the view.

@@ -111,6 +111,35 @@ fn assert_same(a: &SimulationOutcome, b: &SimulationOutcome, what: &str) {
     );
 }
 
+#[test]
+fn uncoordinated_daemon_with_fault_telemetry_restores_identically() {
+    // With no CP in use, ingesting a CP fault never fans the Ideal plane
+    // out to per-node rows, though a fresh build over the same faults
+    // would: restore must take the row shape from the snapshot.
+    let config = || SimulationConfig {
+        strategy: Strategy::Uncoordinated,
+        ..config(6, 20, 3, None)
+    };
+    let requests = vec![Request::new(DeviceId(1), SimTime::from_secs(90))];
+    let run = |kill_round: Option<u64>| {
+        let mut online = OnlineDriver::new(
+            HanSimulation::new(config(), requests.clone()).expect("valid config"),
+        );
+        online
+            .ingest_script("down:2@1; up:2@9; arrive:4@12")
+            .expect("validated events");
+        if let Some(round) = kill_round {
+            online.advance_to(round);
+            let snapshot = online.snapshot();
+            let base = HanSimulation::new(config(), requests.clone()).expect("valid config");
+            online = OnlineDriver::restore(base, &snapshot).expect("snapshot restores");
+        }
+        online.run_to_end();
+        online.into_outcome()
+    };
+    assert_same(&run(None), &run(Some(200)), "restored vs uninterrupted");
+}
+
 prop_compose! {
     /// A random online scenario: a small paper-class fleet, 20–40
     /// simulated minutes, and one request per entry landing in the

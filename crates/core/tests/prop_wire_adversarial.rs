@@ -1,29 +1,44 @@
-//! Adversarial battery of the two city wire formats: `HANFAGG1` feeder
-//! records and the `HANCITY1` worker stream that frames them.
+//! Adversarial battery of the four byte formats that cross a disk or
+//! process boundary: `HANCKPT1` checkpoints, `HANSRV01` service
+//! snapshots, `HANFAGG1` feeder records and the `HANCITY1` worker stream
+//! that frames them.
 //!
-//! Both decoders sit on a process boundary — the parent supervisor
-//! feeds them bytes written by another process, so "malformed input"
-//! is not a programming error but an expected runtime condition
-//! (killed worker, version skew, corrupted pipe). The contract under
-//! attack here:
+//! Every decoder here reads bytes another process (or an earlier run)
+//! wrote, so "malformed input" is not a programming error but an
+//! expected runtime condition (killed worker, version skew, corrupted
+//! pipe or disk). All four formats share one wire codec, and
+//! `mp::decode_stream` runs the supervisor's own deframer, so this
+//! battery attacks production code. The contract under attack:
 //!
-//! 1. **Truncation at every byte offset** of a valid stream yields a
-//!    typed error (`AggregateWireError` / `MpWireError`) — never a
-//!    panic, never an `Ok` with invented data. Exhaustive, not
-//!    sampled: the loop cuts at every single offset.
-//! 2. **Bit-flip corruption** anywhere in the stream leaves the
-//!    decoder total: it returns `Ok` (the flip hit payload data) or a
-//!    typed error (the flip hit structure) — never a panic, and never
-//!    an unbounded allocation from a corrupted length field.
+//! 1. **Truncation at every byte offset** of a valid stream, record,
+//!    checkpoint or snapshot yields a typed error (`MpWireError`,
+//!    `CheckpointError`, `OnlineError`) — never a panic, never an `Ok`
+//!    with invented data. Exhaustive, not sampled: the loops cut at
+//!    every single offset.
+//! 2. **Bit-flip corruption** anywhere leaves the decoder total: it
+//!    returns `Ok` (the flip hit payload data) or a typed error (the
+//!    flip hit structure) — never a panic, and never an unbounded
+//!    allocation from a corrupted length field. For checkpoints and
+//!    snapshots the flipped bytes are also *resumed*, so the
+//!    restore-time state checks are attacked too.
 //! 3. **Trailing bytes** are never silently swallowed: a record
 //!    decode reports its exact length, extra bytes inside a frame are
 //!    `TrailingBytes`, bytes after the fin frame are `TrailingData`,
 //!    and an oversized length prefix is `FrameTooLarge`.
+//! 4. **Pinned bytes.** Fixed outputs of all three top-level formats
+//!    hash to constants, so a codec refactor cannot move a byte
+//!    unnoticed (a deliberate format change updates them).
 
+use han_core::checkpoint::Checkpoint;
 use han_core::city::mp::{self, Handshake, MpWireError, HANDSHAKE_LEN, MAX_FRAME_LEN};
 use han_core::city::{CitySpec, FeederAggregate};
 use han_core::cp::CpModel;
+use han_core::experiment::build_simulation;
+use han_core::fault::FaultPlan;
+use han_core::online::OnlineDriver;
+use han_core::simulation::{HanSimulation, Strategy};
 use han_sim::time::SimDuration;
+use han_workload::fleet::DeviceClass;
 use han_workload::scenario::Scenario;
 use proptest::prelude::*;
 
@@ -53,6 +68,126 @@ fn reference_stream() -> Vec<u8> {
 fn reference_records() -> Vec<Vec<u8>> {
     let (_, records) = mp::decode_stream(&reference_stream()).expect("valid stream");
     records.iter().map(FeederAggregate::encode).collect()
+}
+
+/// The short lossy-CP home whose checkpoint and snapshot the battery
+/// attacks: 8 paper devices over 20 minutes (601 rounds).
+fn short_sim() -> HanSimulation {
+    let scenario = Scenario::builder("adversarial snapshot home")
+        .class(DeviceClass::paper(8))
+        .poisson(30.0)
+        .duration(SimDuration::from_mins(20))
+        .seed(7)
+        .build()
+        .expect("valid scenario");
+    build_simulation(
+        &scenario,
+        Strategy::coordinated(),
+        CpModel::LossyRound {
+            miss_probability: 0.3,
+        },
+        &FaultPlan::empty(),
+        None,
+    )
+    .expect("valid simulation")
+}
+
+/// A `HANCKPT1` checkpoint taken after 300 rounds of [`short_sim`].
+fn reference_checkpoint() -> Vec<u8> {
+    short_sim().run_checkpointed(300).1.to_bytes()
+}
+
+/// A `HANSRV01` snapshot of [`short_sim`] served for 300 rounds, with a
+/// telemetry log of past and still-future events to replay.
+fn reference_snapshot() -> Vec<u8> {
+    let mut driver = OnlineDriver::new(short_sim());
+    driver
+        .ingest_script("arrive:3@2; cap:6@4; done:3@8; arrive:5@15")
+        .expect("valid telemetry");
+    driver.advance_to(300);
+    driver.snapshot()
+}
+
+/// Restores a snapshot and runs it out; `Ok` or a typed error.
+fn restore_snapshot(bytes: &[u8]) -> Result<u64, String> {
+    let mut driver = OnlineDriver::restore(short_sim(), bytes).map_err(|e| e.to_string())?;
+    driver.run_to_end();
+    Ok(driver.into_outcome().schedule_digest)
+}
+
+/// Decodes a checkpoint and resumes it; `Ok` or a typed error.
+fn resume_checkpoint(bytes: &[u8]) -> Result<u64, String> {
+    let checkpoint = Checkpoint::from_bytes(bytes).map_err(|e| e.to_string())?;
+    let outcome = short_sim().resume(&checkpoint).map_err(|e| e.to_string())?;
+    Ok(outcome.schedule_digest)
+}
+
+/// 64-bit FNV-1a: a dependency-free content hash for the byte pins.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn wire_bytes_are_pinned() {
+    // Taken from the codec before it moved onto the shared wire module;
+    // a deliberate format change (a version bump) updates them.
+    let pins = [
+        ("HANCKPT1 checkpoint", reference_checkpoint(), PIN_HANCKPT1),
+        ("HANSRV01 snapshot", reference_snapshot(), PIN_HANSRV01),
+        ("HANCITY1 stream", reference_stream(), PIN_HANCITY1),
+    ];
+    for (what, bytes, pin) in pins {
+        assert_eq!(
+            fnv1a(&bytes),
+            pin,
+            "{what} ({} bytes) moved: got {:#018x}",
+            bytes.len(),
+            fnv1a(&bytes)
+        );
+    }
+}
+
+#[test]
+fn checkpoint_truncated_at_every_offset_is_a_typed_error() {
+    let bytes = reference_checkpoint();
+    resume_checkpoint(&bytes).expect("the full checkpoint resumes");
+    for cut in 0..bytes.len() {
+        assert!(
+            Checkpoint::from_bytes(&bytes[..cut]).is_err(),
+            "checkpoint cut at {cut}/{} decoded — truncation must fail",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn snapshot_truncated_at_every_offset_is_a_typed_error() {
+    let bytes = reference_snapshot();
+    restore_snapshot(&bytes).expect("the full snapshot restores");
+    for cut in 0..bytes.len() {
+        assert!(
+            OnlineDriver::restore(short_sim(), &bytes[..cut]).is_err(),
+            "snapshot cut at {cut}/{} restored — truncation must fail",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn snapshot_log_events_outside_the_fleet_are_typed() {
+    // One flipped digit moves the still-future arrival to device 9 of an
+    // 8-device fleet: the replayed log must fail typed, not queue an
+    // arrival the round loop would index out of bounds with.
+    let mut bytes = reference_snapshot();
+    let at = bytes
+        .windows(9)
+        .position(|w| w == b"arrive:5@")
+        .expect("the future arrival is logged");
+    bytes[at + 7] = b'9';
+    let err = restore_snapshot(&bytes).expect_err("device 9 is outside the fleet");
+    assert!(err.contains("out of range"), "{err}");
 }
 
 #[test]
@@ -224,6 +359,32 @@ proptest! {
         let _ = mp::decode_stream(&stream);
     }
 
+    /// Property 2 (HANCKPT1): a single flipped bit anywhere in a
+    /// checkpoint never panics through decode plus resume.
+    #[test]
+    fn hanckpt1_survives_any_single_bit_flip(
+        byte in 0usize..100_000,
+        bit in 0u8..8,
+    ) {
+        let mut bytes = reference_checkpoint();
+        let byte = byte % bytes.len();
+        bytes[byte] ^= 1 << bit;
+        let _ = resume_checkpoint(&bytes);
+    }
+
+    /// Property 2 (HANSRV01): a single flipped bit anywhere in a service
+    /// snapshot never panics through restore plus the rest of the run.
+    #[test]
+    fn hansrv01_survives_any_single_bit_flip(
+        byte in 0usize..100_000,
+        bit in 0u8..8,
+    ) {
+        let mut bytes = reference_snapshot();
+        let byte = byte % bytes.len();
+        bytes[byte] ^= 1 << bit;
+        let _ = restore_snapshot(&bytes);
+    }
+
     /// Property 2, compounding: up to 8 random flips at once.
     #[test]
     fn hancity1_survives_multi_bit_corruption(
@@ -238,3 +399,10 @@ proptest! {
         let _ = mp::decode_stream(&stream);
     }
 }
+
+/// FNV-1a of [`reference_checkpoint`] (3,672 bytes).
+const PIN_HANCKPT1: u64 = 0x42ca_e7e0_e0b7_0634;
+/// FNV-1a of [`reference_snapshot`] (3,764 bytes).
+const PIN_HANSRV01: u64 = 0x076c_34fb_2ecf_8b79;
+/// FNV-1a of [`reference_stream`] (1,008 bytes).
+const PIN_HANCITY1: u64 = 0x28ba_1aeb_a578_630e;

@@ -367,18 +367,21 @@ pub fn validate_telemetry(
 /// `s` suffix (seconds) or a `us` suffix (microseconds).
 fn parse_instant(s: &str) -> Result<SimTime, &'static str> {
     let s = s.trim();
-    let (digits, unit): (&str, fn(u64) -> SimTime) = if let Some(d) = s.strip_suffix("us") {
-        (d, SimTime::from_micros)
+    let (digits, micros_per_unit) = if let Some(d) = s.strip_suffix("us") {
+        (d, 1)
     } else if let Some(d) = s.strip_suffix('s') {
-        (d, SimTime::from_secs)
+        (d, 1_000_000)
     } else {
-        (s, SimTime::from_mins)
+        (s, 60_000_000)
     };
     let value: u64 = digits
         .trim()
         .parse()
         .map_err(|_| "time must be a non-negative integer (minutes, or with an s/us suffix)")?;
-    Ok(unit(value))
+    value
+        .checked_mul(micros_per_unit)
+        .map(SimTime::from_micros)
+        .ok_or("time is beyond the representable range")
 }
 
 /// Canonical instant formatting: whole minutes plain, whole seconds with
@@ -505,6 +508,7 @@ mod tests {
             "outage:9-9",
             "nonsense",
             "done:1@2h",
+            "arrive:1@400000000000",
         ] {
             assert!(
                 matches!(

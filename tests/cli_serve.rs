@@ -200,3 +200,39 @@ fn serve_misuse_fails_through_typed_errors() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("beyond the simulated horizon"), "{err}");
 }
+
+#[test]
+fn restore_into_a_different_fleet_is_a_typed_config_mismatch() {
+    // A snapshot of a 26-device daemon restored into a 10-device one:
+    // the fingerprint check runs before any state is rebuilt, so this is
+    // the typed mismatch batch `--restore` reports, not a panic.
+    let dir = std::env::temp_dir().join("hansim-cli-serve-mismatch");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let script = dir.join("telemetry.txt");
+    std::fs::write(&script, TELEMETRY).expect("write telemetry");
+    let snap = dir.join("fleet26.snap");
+    let snap_str = snap.to_str().expect("utf-8 path");
+    let scenario = |devices: &'static str| ["--minutes", "20", "--devices", devices, "--rate", "6"];
+    let out = hansim_cmd()
+        .arg("serve")
+        .args(scenario("26"))
+        .args(["--replay", script.to_str().expect("utf-8 path")])
+        .args(["--checkpoint", snap_str, "--checkpoint-every", "5"])
+        .output()
+        .expect("snapshot run");
+    assert!(out.status.success(), "snapshot run failed: {out:?}");
+
+    let out = hansim_cmd()
+        .arg("serve")
+        .args(scenario("10"))
+        .args(["--restore", snap_str])
+        .output()
+        .expect("restore run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a mismatched restore must fail");
+    assert!(!err.contains("panicked"), "typed error, not a panic: {err}");
+    assert!(
+        err.contains("different configuration"),
+        "names the mismatch: {err}"
+    );
+}
