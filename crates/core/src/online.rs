@@ -13,7 +13,7 @@
 //! | [`driver`] | [`OnlineDriver`]: the round loop as a drivable object, plus `HANSRV01` service snapshots |
 //! | [`ingest`] | telemetry validation and translation into injections, fault events and tariff history |
 //! | [`protocol`] | the `STATUS` / `SCHEDULE` / `FEEDER` / `INJECT` / `ADVANCE` / `CHECKPOINT` / `SHUTDOWN` line protocol |
-//! | [`server`] | the single-threaded serve loop: pacing, auto-checkpoints, one `TcpListener` |
+//! | [`server`] | the serve loop: one driver thread (pacing, auto-checkpoints) and a thread per connection on one `TcpListener` |
 //!
 //! # Determinism contract
 //!

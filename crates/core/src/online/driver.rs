@@ -39,10 +39,11 @@ use crate::simulation::{
 };
 use crate::wire::{Dec, Enc};
 use han_device::request::Request;
-use han_obs::{Counter, Gauge, Hist, Obs, ObsSink};
+use han_obs::{Counter, Gauge, Hist, Obs, ObsSink, Subsystem};
 use han_sim::time::{SimDuration, SimTime};
 use han_workload::signal::PowerCapProfile;
 use han_workload::telemetry::{validate_telemetry, TelemetryEvent};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -226,14 +227,34 @@ impl OnlineDriver {
         } else {
             memo_hits as f64 / invocations as f64
         };
-        format!(
+        let mut suffix = format!(
             " memo_hit_rate={:.3} pool_live={} pool_peak={} cp_delivered={} cp_dropped={}",
             rate,
             r.gauge(Gauge::PoolLiveViews),
             r.gauge(Gauge::PoolPeakViews),
             r.counter(Counter::CpDeliveredRecords),
             r.counter(Counter::CpDroppedRecords),
-        )
+        );
+        // Appended once a save has failed: a healthy daemon's STATUS
+        // keeps its bytes.
+        let failures = r.counter(Counter::OnlineCheckpointFailures);
+        if failures > 0 {
+            let _ = write!(suffix, " checkpoint_failures={failures}");
+        }
+        suffix
+    }
+
+    /// Counts a failed auto-checkpoint and records it in the flight
+    /// ring. The service keeps running; its next cadence tries again.
+    pub(crate) fn record_checkpoint_failure(&self, error: &OnlineError) {
+        let obs = self.driver.obs();
+        obs.add(Counter::OnlineCheckpointFailures, 1);
+        obs.event(
+            self.next_round(),
+            Subsystem::Online,
+            "checkpoint-failed",
+            || format!("error={error}"),
+        );
     }
 
     /// Validates and applies one telemetry event. On success the event

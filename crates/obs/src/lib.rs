@@ -167,6 +167,12 @@ metric_enum! {
         FeederIterations => ("han_feeder_iterations_total", "Feeder coordination iterations executed"),
         /// Telemetry events absorbed by the round loop's inject phase.
         OnlineEventsAbsorbed => ("han_online_events_absorbed_total", "Injected telemetry events absorbed at round boundaries"),
+        /// Auto-checkpoints the daemon failed to write (it keeps running).
+        OnlineCheckpointFailures => ("han_online_checkpoint_failures_total", "Auto-checkpoints that failed to write"),
+        /// Connections the daemon accepted and served.
+        OnlineConnectionsAccepted => ("han_online_connections_accepted_total", "Connections accepted by the daemon"),
+        /// Connections the daemon refused because every client slot was taken.
+        OnlineConnectionsRefused => ("han_online_connections_refused_total", "Connections refused by the daemon (too many clients)"),
         /// Rounds executed across all homes of a city run (city level).
         CityRounds => ("han_city_rounds_total", "Rounds executed across all homes of a city run"),
         /// Rounds executed per shard, summed (must equal the city total).

@@ -128,7 +128,7 @@ use smart_han::core::feeder::{FeederPolicy, FeederReport, FeederSignal};
 use smart_han::core::online::{serve, OnlineDriver, OnlineError, Pace, ServeOptions};
 use smart_han::metrics::report::series_csv;
 use smart_han::metrics::tariff::{Billing, CostBreakdown};
-use smart_han::obs::{Obs, ObsConfig, ObsSink};
+use smart_han::obs::{Counter, Obs, ObsConfig, ObsSink};
 use smart_han::prelude::*;
 use smart_han::workload::signal::PowerCapProfile;
 use std::fmt;
@@ -228,6 +228,33 @@ enum CpChoice {
 }
 
 impl CpChoice {
+    /// Parses `--cp`. Batch, serve and city mode all parse the flag here.
+    fn parse(value: &str) -> Result<CpChoice, CliError> {
+        let invalid = || CliError::Invalid {
+            flag: "--cp",
+            value: value.to_string(),
+            expected: "ideal|lossy:P|ge:PGB,PBG|packet",
+        };
+        let prob = |p: &str| p.parse().map_err(|_| invalid());
+        if value == "ideal" {
+            Ok(CpChoice::Ideal)
+        } else if value == "packet" {
+            Ok(CpChoice::Packet)
+        } else if let Some(p) = value.strip_prefix("lossy:") {
+            Ok(CpChoice::Lossy(prob(p)?))
+        } else if let Some((gb, bg)) = value
+            .strip_prefix("ge:")
+            .and_then(|probs| probs.split_once(','))
+        {
+            Ok(CpChoice::Ge {
+                p_good_to_bad: prob(gb)?,
+                p_bad_to_good: prob(bg)?,
+            })
+        } else {
+            Err(invalid())
+        }
+    }
+
     fn build(&self, seed: u64) -> CpModel {
         match self {
             CpChoice::Ideal => CpModel::Ideal,
@@ -359,30 +386,7 @@ fn parse_args() -> Result<Args, CliError> {
                     }
                 }
             }
-            "--cp" => {
-                let v = value("--cp")?;
-                let invalid = |v: &str| CliError::Invalid {
-                    flag: "--cp",
-                    value: v.to_string(),
-                    expected: "ideal|lossy:P|ge:PGB,PBG|packet",
-                };
-                cp_choice = if v == "ideal" {
-                    CpChoice::Ideal
-                } else if v == "packet" {
-                    CpChoice::Packet
-                } else if let Some(p) = v.strip_prefix("lossy:") {
-                    let p: f64 = p.parse().map_err(|_| invalid(&v))?;
-                    CpChoice::Lossy(p)
-                } else if let Some(probs) = v.strip_prefix("ge:") {
-                    let (gb, bg) = probs.split_once(',').ok_or_else(|| invalid(&v))?;
-                    CpChoice::Ge {
-                        p_good_to_bad: gb.parse().map_err(|_| invalid(&v))?,
-                        p_bad_to_good: bg.parse().map_err(|_| invalid(&v))?,
-                    }
-                } else {
-                    return Err(invalid(&v));
-                };
-            }
+            "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
             "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
             "--homes" => args.homes = parse_num(&value("--homes")?, "--homes")?,
@@ -977,24 +981,7 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
                     }
                 }
             }
-            "--cp" => {
-                let v = value("--cp")?;
-                cp_choice = if v == "ideal" {
-                    CpChoice::Ideal
-                } else if let Some(p) = v.strip_prefix("lossy:") {
-                    CpChoice::Lossy(p.parse().map_err(|_| CliError::Invalid {
-                        flag: "--cp",
-                        value: v.clone(),
-                        expected: "ideal|lossy:P",
-                    })?)
-                } else {
-                    return Err(CliError::Invalid {
-                        flag: "--cp",
-                        value: v,
-                        expected: "ideal|lossy:P (serve mode)",
-                    });
-                };
-            }
+            "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
             "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
             "--faults" => {
@@ -1096,10 +1083,11 @@ fn run_serve() -> Result<(), CliError> {
     };
     // The daemon always carries a sink: METRICS and DUMP answer over the
     // socket, and a `--flight` path arms the fault-triggered auto-dump.
-    driver.attach_observability(Arc::new(ObsSink::new(ObsConfig {
+    let sink = Arc::new(ObsSink::new(ObsConfig {
         flight_auto_dump: args.flight.as_ref().map(PathBuf::from),
         ..ObsConfig::default()
-    })));
+    }));
+    driver.attach_observability(sink.clone());
 
     let replay = match &args.replay {
         Some(path) => {
@@ -1132,7 +1120,14 @@ fn run_serve() -> Result<(), CliError> {
     if let Some(addr) = &args.listen {
         eprintln!("hansim serve: listening on {addr}");
     }
-    match serve(driver, &options)? {
+    let outcome = serve(driver, &options)?;
+    // Failed auto-checkpoints do not stop the run; replay mode has no
+    // STATUS to show them, so report them on the way out.
+    let failures = sink.registry().counter(Counter::OnlineCheckpointFailures);
+    if failures > 0 {
+        eprintln!("hansim serve: {failures} auto-checkpoint(s) failed to write");
+    }
+    match outcome {
         Some(outcome) => println!("{}", serve_report(outcome, args.minutes)),
         None => eprintln!("hansim serve: shut down mid-window (state in last checkpoint)"),
     }
@@ -1210,29 +1205,7 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
                 }
             }
             "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
-            "--cp" => {
-                let v = value("--cp")?;
-                let invalid = |v: &str| CliError::Invalid {
-                    flag: "--cp",
-                    value: v.to_string(),
-                    expected: "ideal|lossy:P|ge:PGB,PBG|packet",
-                };
-                cp_choice = if v == "ideal" {
-                    CpChoice::Ideal
-                } else if v == "packet" {
-                    CpChoice::Packet
-                } else if let Some(p) = v.strip_prefix("lossy:") {
-                    CpChoice::Lossy(p.parse().map_err(|_| invalid(&v))?)
-                } else if let Some(probs) = v.strip_prefix("ge:") {
-                    let (gb, bg) = probs.split_once(',').ok_or_else(|| invalid(&v))?;
-                    CpChoice::Ge {
-                        p_good_to_bad: gb.parse().map_err(|_| invalid(&v))?,
-                        p_bad_to_good: bg.parse().map_err(|_| invalid(&v))?,
-                    }
-                } else {
-                    return Err(invalid(&v));
-                };
-            }
+            "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
             "--faults" => {
                 let v = value("--faults")?;
                 args.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
