@@ -33,8 +33,8 @@
 //! * **online service**: the same workload streamed through the daemon's
 //!   [`OnlineDriver`] arrival by arrival — digest equality with the
 //!   batch loop asserted, throughput parity gated, raw ingest events/s,
-//!   the latency of the first round after a cap injection (the
-//!   memo-invalidating incremental re-plan, gated below the 2 s round
+//!   the latency of the first round after a cap injection (the round
+//!   that first plans under the new cap, gated below the 2 s round
 //!   period), and the `HANSRV01` snapshot size,
 //! * **observability**: the `han-obs` instrumentation's cost with no
 //!   sink attached (must be invisible) and with the full registry +
@@ -471,7 +471,7 @@ fn main() -> Result<(), ScenarioError> {
     // shared-row fast path (per-node delivery rows fan out lazily at the
     // first fault event), so streaming must cost next to nothing. Also
     // measured: raw ingest throughput and the latency of the first round
-    // after a cap injection (the memo-invalidating incremental re-plan).
+    // after a cap injection (the first round planned under the new cap).
     let online_config = SimulationConfig {
         fleet: FleetSpec::paper(),
         duration: SimDuration::from_mins(minutes),
@@ -524,7 +524,7 @@ fn main() -> Result<(), ScenarioError> {
     });
     let online_parity = online_batch_s / online_s;
     // Parity gate: committed full runs show the streamed service at
-    // ~1× the batch loop (same shared-row plane, same plan memo); the
+    // ~1× the batch loop (same shared-row plane, same grouped planning); the
     // floor tolerates shared-runner noise while a structural regression
     // on the ingest or injection path still fails CI.
     assert!(
@@ -548,8 +548,8 @@ fn main() -> Result<(), ScenarioError> {
     let ingest_s = ingest_samples[ingest_samples.len() / 2].max(f64::MIN_POSITIVE);
     let ingest_events_per_sec = telemetry_count as f64 / ingest_s;
     // Re-plan latency: from mid-window, inject a cap change absorbing at
-    // the very next round and time that round alone — it pays the memo
-    // invalidation plus one full incremental re-plan.
+    // the very next round and time that round alone — it absorbs the
+    // change and plans under the new cap.
     let mut replan_driver =
         OnlineDriver::new(HanSimulation::new(online_config.clone(), Vec::new())?);
     for ev in &online_events {

@@ -94,11 +94,10 @@ pub struct PlanConfig {
     /// Optional grid-side admission cap (the per-home face of a
     /// feeder-level signal). When set, the served level of the
     /// [`SchedulingRule::LevelCappedQueue`] rule is clipped to the cap in
-    /// force at planning time, and the plan's validity horizon ends at the
-    /// next cap boundary. `None` (the default) and an
+    /// force at planning time. `None` (the default) and an
     /// [unlimited](PowerCapProfile::unlimited) profile are bit-identical:
-    /// the level is untouched and no boundary exists. Forcing is
-    /// cap-oblivious, so obligations are met under any signal.
+    /// the level is untouched. Forcing is cap-oblivious, so obligations
+    /// are met under any signal.
     pub admission_cap: Option<PowerCapProfile>,
 }
 
@@ -239,8 +238,8 @@ pub fn plan_coordinated(view: &SystemView, now: SimTime, config: &PlanConfig) ->
 ///
 /// This is the pure planning kernel shared by [`plan_coordinated`] (which
 /// uses the raw demand rate as the level), by [`CoordinatedPlanner::plan`]
-/// (which uses its slew-limited level), and by the simulation's memoized
-/// grouped execution plane and its naive reference path — keeping one
+/// (which uses its slew-limited level), and by the simulation's grouped
+/// execution plane and its naive reference path — keeping one
 /// definition of the algorithm for all of them. The level only affects the
 /// [`SchedulingRule::LevelCappedQueue`] rule; placement rules ignore it.
 pub fn plan_with_level(
@@ -249,39 +248,13 @@ pub fn plan_with_level(
     config: &PlanConfig,
     level_kw: f64,
 ) -> Plan {
-    plan_with_level_detailed(view, now, config, level_kw).plan
-}
-
-/// A computed plan plus the instant through which it remains valid for an
-/// unchanged `(view, level)` — the basis of the planner's early-out.
-struct PlannedRound {
-    plan: Plan,
-    /// The plan is guaranteed identical (modulo admitted starts, which
-    /// track `now`) for any `now' ∈ [now, valid_until]`; `None` means the
-    /// rule's time-dependence is too intricate to bound (placement rules)
-    /// and the plan must not be reused.
-    valid_until: Option<SimTime>,
-}
-
-fn plan_with_level_detailed(
-    view: &SystemView,
-    now: SimTime,
-    config: &PlanConfig,
-    level_kw: f64,
-) -> PlannedRound {
     let pending = collect_pending(view, now);
     match config.rule {
         SchedulingRule::LevelCappedQueue { headroom_kw } => {
             plan_level_capped(&pending, now, config, headroom_kw, level_kw)
         }
         SchedulingRule::BalancedPlacement | SchedulingRule::Earliest | SchedulingRule::Latest => {
-            PlannedRound {
-                plan: plan_by_placement(&pending, now, config),
-                // Placement grids are anchored at `now` (candidates are
-                // `now + k·owed`), so the output shifts with every round:
-                // never reuse.
-                valid_until: None,
-            }
+            plan_by_placement(&pending, now, config)
         }
     }
 }
@@ -327,25 +300,11 @@ pub struct CoordinatedPlanner {
     config: PlanConfig,
     level_kw: f64,
     last_update: Option<SimTime>,
-    /// Last computed plan, keyed by `(view fingerprint, level bits)`.
-    cache: Option<CachedPlan>,
-    cache_hits: u64,
-    /// Every [`plan_at_level`](CoordinatedPlanner::plan_at_level) call,
-    /// memo hit or miss. Observability-only: published to the metrics
-    /// registry at span boundaries, never read by planning itself, and
-    /// deliberately absent from checkpoints.
+    /// Every [`plan_at_level`](CoordinatedPlanner::plan_at_level) call.
+    /// Observability-only: published to the metrics registry at span
+    /// boundaries, never read by planning itself, and deliberately
+    /// absent from checkpoints.
     invocations: u64,
-    /// Cap changes absorbed without dropping the memo (the change lands
-    /// strictly past the memo's validity horizon). Observability-only.
-    horizon_early_outs: u64,
-}
-
-/// The planner's memo of its previous round.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    key: (u64, u64),
-    plan: Plan,
-    valid_until: SimTime,
 }
 
 impl CoordinatedPlanner {
@@ -355,10 +314,7 @@ impl CoordinatedPlanner {
             config,
             level_kw: 0.0,
             last_update: None,
-            cache: None,
-            cache_hits: 0,
             invocations: 0,
-            horizon_early_outs: 0,
         }
     }
 
@@ -372,39 +328,23 @@ impl CoordinatedPlanner {
         self.level_kw
     }
 
-    /// How many rounds were answered from the plan memo (early-out).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Every [`plan_at_level`](CoordinatedPlanner::plan_at_level) call,
-    /// memo hit or miss. `cache_hits() <= invocations()` always.
+    /// Every [`plan_at_level`](CoordinatedPlanner::plan_at_level) call.
     pub fn invocations(&self) -> u64 {
         self.invocations
     }
 
-    /// Cap changes that left the plan memo intact because the change
-    /// lands strictly beyond the memo's validity horizon.
-    pub fn horizon_early_outs(&self) -> u64 {
-        self.horizon_early_outs
-    }
-
     /// The level tracker's persistent state `(level_kw, last_update)`, for
-    /// checkpointing. The plan memo is deliberately *not* part of the
-    /// state: reissuing a memoized plan and recomputing it are proven
-    /// identical, so a restored planner that recomputes its first round is
-    /// bit-compatible with one that would have hit the memo.
+    /// checkpointing. Together with the configuration it is the whole
+    /// planning state: no plan is kept from one round to the next.
     pub fn persisted_level(&self) -> (f64, Option<SimTime>) {
         (self.level_kw, self.last_update)
     }
 
     /// Restores the level tracker captured by
-    /// [`persisted_level`](CoordinatedPlanner::persisted_level) and drops
-    /// the plan memo (it will repopulate on the next plan).
+    /// [`persisted_level`](CoordinatedPlanner::persisted_level).
     pub fn restore_level(&mut self, level_kw: f64, last_update: Option<SimTime>) {
         self.level_kw = level_kw;
         self.last_update = last_update;
-        self.cache = None;
     }
 
     /// Advances the slew-limited level tracker to `now` given the demand
@@ -425,24 +365,10 @@ impl CoordinatedPlanner {
         self.level_kw
     }
 
-    /// Replaces the admission cap in force from `at` onward — the online
-    /// ingest path's incremental re-planning hook.
-    ///
-    /// Invalidation is *horizon-crossing*, not unconditional: the plan memo
-    /// is dropped only when its validity horizon reaches `at` (it could
-    /// otherwise answer a round that should already see the new cap). A
-    /// memo that expires strictly before `at` can never be consulted at or
-    /// after the change, so it survives and keeps earning early-outs until
-    /// it ages out naturally.
-    pub fn set_admission_cap(&mut self, cap: Option<PowerCapProfile>, at: SimTime) {
+    /// Replaces the admission cap in force — the online ingest path's
+    /// cap-change hook. The next plan reads the new cap.
+    pub fn set_admission_cap(&mut self, cap: Option<PowerCapProfile>) {
         self.config.admission_cap = cap;
-        if let Some(cached) = &self.cache {
-            if cached.valid_until >= at {
-                self.cache = None;
-            } else {
-                self.horizon_early_outs += 1;
-            }
-        }
     }
 
     /// Computes this round's plan and updates the level tracker.
@@ -453,46 +379,10 @@ impl CoordinatedPlanner {
 
     /// Computes this round's plan assuming
     /// [`advance_level`](CoordinatedPlanner::advance_level) already ran.
-    ///
-    /// Early-out: when the `(view fingerprint, level)` key matches the
-    /// previous round's and `now` is still inside that plan's validity
-    /// horizon (no pending device has crossed the forcing threshold in
-    /// the meantime), the memoized plan is reused — only the starts of
-    /// admitted devices, which by construction equal `now`, are refreshed.
     pub fn plan_at_level(&mut self, view: &SystemView, now: SimTime) -> Plan {
         self.invocations += 1;
-        let key = (view.fingerprint(), self.level_kw.to_bits());
-        if let Some(cached) = &self.cache {
-            if cached.key == key && now <= cached.valid_until {
-                self.cache_hits += 1;
-                return reissue_plan(&cached.plan, now);
-            }
-        }
-        let planned = plan_with_level_detailed(view, now, &self.config, self.level_kw);
-        if let Some(valid_until) = planned.valid_until {
-            self.cache = Some(CachedPlan {
-                key,
-                plan: planned.plan.clone(),
-                valid_until,
-            });
-        } else {
-            self.cache = None;
-        }
-        planned.plan
+        plan_with_level(view, now, &self.config, self.level_kw)
     }
-}
-
-/// Reissues a memoized plan at a later instant: scheduled-ON devices are
-/// (re)started at `now`; queued devices keep their committed latest
-/// starts, which are time-invariant inside the validity horizon.
-fn reissue_plan(plan: &Plan, now: SimTime) -> Plan {
-    let mut reissued = plan.clone();
-    for (device, start) in &mut reissued.starts {
-        if reissued.schedule.is_on(*device) {
-            *start = now;
-        }
-    }
-    reissued
 }
 
 /// The paper's scheme: EDF admission capped at
@@ -503,7 +393,7 @@ fn plan_level_capped(
     config: &PlanConfig,
     headroom_kw: f64,
     rate_kw: f64,
-) -> PlannedRound {
+) -> Plan {
     let guard = config.laxity_guard.as_micros() as i64;
     // Outstanding work (kW·µs) and the level it needs on average.
     let work_kw_us: f64 = pending
@@ -513,44 +403,20 @@ fn plan_level_capped(
     let horizon_us = config.smoothing_horizon.as_micros().max(1) as f64;
     let mut level_kw = (work_kw_us / horizon_us).max(rate_kw).ceil() + headroom_kw;
     // Grid-side signal: the admission level never exceeds the cap in force.
-    // The cap is piecewise constant, so the plan computed here can only be
-    // reused until the next cap boundary — fold that into the validity
-    // horizon below. An unlimited profile clips nothing and has no
-    // boundary, keeping the uncapped behavior bit-identical.
-    let mut cap_boundary = SimTime::MAX;
+    // An unlimited profile clips nothing, keeping the uncapped behavior
+    // bit-identical.
     if let Some(cap) = &config.admission_cap {
         level_kw = level_kw.min(cap.cap_at(now));
-        if let Some(boundary) = cap.next_change_after(now) {
-            // Valid through the last instant *before* the boundary.
-            cap_boundary = SimTime::from_micros(boundary.as_micros().saturating_sub(1));
-        }
     }
 
     // Safety sets first: running instances continue; endangered
     // obligations are forced regardless of the cap.
-    //
-    // For a fixed (pending, level), `now` enters this rule only through
-    // the forcing test `laxity(now) < guard`: a currently unforced device
-    // becomes forced strictly after `deadline − owed − guard`. The minimum
-    // of that instant over unforced devices bounds how long this round's
-    // output stays valid — which is what lets an unchanged view reuse the
-    // plan without recomputing.
     let mut on_set: Vec<DeviceId> = Vec::new();
     let mut admitted_kw = 0.0;
-    let mut valid_until = cap_boundary;
     for p in pending {
         if p.on || p.laxity_micros(now) < guard {
             on_set.push(p.device);
             admitted_kw += p.power_kw;
-        } else {
-            // laxity ≥ guard ⟹ deadline − owed − guard ≥ now: no underflow.
-            let forces_at = SimTime::from_micros(
-                p.deadline
-                    .as_micros()
-                    .saturating_sub(p.owed.as_micros())
-                    .saturating_sub(guard.unsigned_abs()),
-            );
-            valid_until = valid_until.min(forces_at);
         }
     }
 
@@ -573,12 +439,9 @@ fn plan_level_capped(
     }
     starts.sort_by_key(|&(d, _)| d);
 
-    PlannedRound {
-        plan: Plan {
-            schedule: Schedule::from_on_set(on_set),
-            starts,
-        },
-        valid_until: Some(valid_until),
+    Plan {
+        schedule: Schedule::from_on_set(on_set),
+        starts,
     }
 }
 
@@ -973,59 +836,30 @@ mod tests {
     }
 
     #[test]
-    fn planner_early_out_reuses_identical_plans() {
-        // A view that does not change round to round, with the level
-        // converged (demand 0 after the devices finish): the memo must
-        // answer without recomputation and with identical output.
-        let mut cached = CoordinatedPlanner::new(PlanConfig::default());
-        let v = view_of((0..4).map(|i| rec(i, false, 15, 300, 0)), 4);
-        let first = cached.plan(&v, t(0));
-        assert_eq!(cached.cache_hits(), 0);
-        // Same view, no time for the level to move (slew × 0 s = 0): hit.
-        let again = cached.plan(&v, t(0));
-        assert_eq!(cached.cache_hits(), 1);
-        assert_eq!(first, again, "memoized plan must be byte-identical");
-        // Check against a fresh planner with the same level history.
-        let mut fresh = CoordinatedPlanner::new(PlanConfig::default());
-        fresh.plan(&v, t(0));
-        let recomputed = fresh.plan(&v, t(0));
-        assert_eq!(again, recomputed);
-    }
-
-    #[test]
-    fn cap_change_invalidates_only_crossed_horizons() {
-        // Steady view, frozen level: the memo answers repeatedly.
+    fn cap_change_takes_effect_on_the_next_plan() {
+        // Steady view, frozen level (0 kW): the water level
+        // ceil(4 × 15 / 30) = 2 admits two.
         let mut planner = CoordinatedPlanner::new(PlanConfig {
             level_slew_kw_per_hour: 0.0,
             ..PlanConfig::default()
         });
         let v = view_of((0..4).map(|i| rec(i, false, 15, 300, 0)), 4);
-        planner.plan(&v, t(0));
-        planner.plan(&v, t(1));
-        assert_eq!(planner.cache_hits(), 1, "steady state hits the memo");
-        // A cap change effective far beyond the memo's horizon leaves it
-        // alone: the memo can never answer a round at or after the change.
-        planner.set_admission_cap(Some(PowerCapProfile::constant(50.0).unwrap()), t(10_000));
-        planner.plan(&v, t(2));
-        assert_eq!(planner.cache_hits(), 2, "uncrossed horizon keeps earning");
-        // A cap change inside the horizon drops the memo: the next plan
-        // recomputes under the new cap.
-        planner.set_admission_cap(Some(PowerCapProfile::constant(1.0).unwrap()), t(3));
+        assert_eq!(planner.plan(&v, t(0)).schedule.on_count(), 2);
+        // A cap above the level clips nothing.
+        planner.set_admission_cap(Some(PowerCapProfile::constant(50.0).unwrap()));
+        assert_eq!(planner.plan(&v, t(2)).schedule.on_count(), 2);
+        // A cap below it governs the very next plan.
+        planner.set_admission_cap(Some(PowerCapProfile::constant(1.0).unwrap()));
         let p = planner.plan(&v, t(3));
-        assert_eq!(
-            planner.cache_hits(),
-            2,
-            "crossed horizon forces a recompute"
-        );
         assert_eq!(p.schedule.on_count(), 1, "the new 1 kW cap admits one");
     }
 
     #[test]
-    fn planner_early_out_respects_validity_horizon() {
-        // One queued device approaches its forcing threshold; the memo
-        // must expire before the plan output changes.
+    fn queued_device_is_forced_when_its_laxity_crosses_the_guard() {
+        // One queued device approaches its forcing threshold while the
+        // view stays the same.
         let mut planner = CoordinatedPlanner::new(PlanConfig {
-            // Freeze the level so the memo key stays constant over time.
+            // Freeze the level so only the clock moves.
             level_slew_kw_per_hour: 0.0,
             ..PlanConfig::default()
         });
@@ -1035,8 +869,8 @@ mod tests {
         let v = view_of(records, 2);
         let p0 = planner.plan(&v, t(0));
         assert_eq!(p0.schedule.on_count(), 1, "level admits one");
-        // Re-plan each minute with the *same* view: cache may answer while
-        // valid, but the forced switch-on at laxity < guard must appear.
+        // Re-plan each minute with the *same* view: the forced switch-on
+        // at laxity < guard must appear.
         let mut first_forced_at = None;
         for minute in 1..=16 {
             let p = planner.plan(&v, t(minute));
@@ -1050,7 +884,6 @@ mod tests {
             Some(16),
             "queued device must be forced exactly when its laxity crosses the guard"
         );
-        assert!(planner.cache_hits() > 0, "the steady prefix must hit");
     }
 
     #[test]
@@ -1108,13 +941,12 @@ mod tests {
     }
 
     #[test]
-    fn cap_boundary_expires_the_plan_memo() {
-        // The cap rises at minute 10; the memoized plan from minute 0 must
-        // not be reused past the boundary even though the view and the
-        // level are unchanged.
+    fn cap_step_takes_effect_at_its_boundary() {
+        // The cap rises at minute 10; the plan follows it even though the
+        // view and the level are unchanged.
         let cap = PowerCapProfile::from_steps(vec![(t(0), 1.0), (t(10), 5.0)]).unwrap();
         let mut planner = CoordinatedPlanner::new(PlanConfig {
-            level_slew_kw_per_hour: 0.0, // freeze the level: memo key constant
+            level_slew_kw_per_hour: 0.0, // freeze the level
             admission_cap: Some(cap),
             ..PlanConfig::default()
         });

@@ -165,8 +165,7 @@ pub fn run_strategy_faulted(
     faults: &FaultPlan,
     staleness_ttl: Option<u32>,
 ) -> Result<StrategyResult, ScenarioError> {
-    let mut sim = build_simulation(scenario, strategy, cp, faults, staleness_ttl)?;
-    sim.set_reference_planning(false);
+    let sim = build_simulation(scenario, strategy, cp, faults, staleness_ttl)?;
     Ok(summarize_outcome(sim.run(), scenario.duration))
 }
 

@@ -24,8 +24,8 @@
 //! events are queued against the round that *absorbs* them (the first
 //! round at or after their effective instant) and drain in a dedicated
 //! phase before that round's fault application and request delivery;
-//! re-planning stays incremental because an injection only invalidates
-//! memoized plans whose validity horizon it crosses. The property tests
+//! the planners keep no plan between rounds, so the next round plans on
+//! whatever an injection changed. The property tests
 //! in `crates/core/tests/prop_online.rs` pin all of this, including
 //! kill/restore equality for the service snapshot format.
 //!

@@ -10,12 +10,12 @@
 //! containing it from round zero would have used (see
 //! [`super::ingest`]).
 //!
-//! Re-planning after an injection is *incremental*: the coordinated
-//! planners keep their memoized plans, and an injected cap change only
-//! invalidates memos whose validity horizon it crosses
-//! ([`CoordinatedPlanner::set_admission_cap`](crate::algorithm::CoordinatedPlanner::set_admission_cap));
-//! arrivals and completions change the published view, which misses the
-//! memo key on its own. Nothing is recomputed wholesale.
+//! Re-planning after an injection needs no bookkeeping: the coordinated
+//! planners keep no plan from one round to the next, so an injected cap
+//! change
+//! ([`CoordinatedPlanner::set_admission_cap`](crate::algorithm::CoordinatedPlanner::set_admission_cap))
+//! reaches the next round's plans the way an arrival or a completion
+//! does, through the state that round plans on.
 //!
 //! # Service snapshots (`HANSRV01`)
 //!
@@ -220,16 +220,8 @@ impl OnlineDriver {
         };
         self.driver.publish_obs();
         let r = sink.registry();
-        let invocations = r.counter(Counter::PlannerInvocations);
-        let memo_hits = r.counter(Counter::PlannerMemoHits);
-        let rate = if invocations == 0 {
-            0.0
-        } else {
-            memo_hits as f64 / invocations as f64
-        };
         let mut suffix = format!(
-            " memo_hit_rate={:.3} pool_live={} pool_peak={} cp_delivered={} cp_dropped={}",
-            rate,
+            " pool_live={} pool_peak={} cp_delivered={} cp_dropped={}",
             r.gauge(Gauge::PoolLiveViews),
             r.gauge(Gauge::PoolPeakViews),
             r.counter(Counter::CpDeliveredRecords),

@@ -130,10 +130,9 @@ pub(crate) fn absorbing_round(at: SimTime, period: SimDuration) -> u64 {
 
 /// Merges a cap change at `at` into the profile currently in force:
 /// every step before `at` is kept, one new step at `at` carries the new
-/// cap (`None` = unconstrained, encoded as `f64::INFINITY`). Handing the
-/// *merged* profile to the planners keeps memoized plans that survive
-/// the horizon-crossing invalidation correct — they were computed under
-/// the pre-`at` prefix, which the merged profile preserves bit for bit.
+/// cap (`None` = unconstrained, encoded as `f64::INFINITY`). The merged
+/// profile is the one a batch run of the same events plans under from
+/// round zero, and the one a service snapshot records.
 pub(crate) fn merge_cap(
     current: Option<&PowerCapProfile>,
     at: SimTime,

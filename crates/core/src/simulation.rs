@@ -317,13 +317,13 @@ impl HanSimulation {
     /// Forces the naive reference formulation end to end: the
     /// communication plane keeps one privately mutated view per node (no
     /// content-addressed pooling), and every Device Interface runs the
-    /// full planner on its own view every round, with no view grouping
-    /// and no plan memoization — exactly the paper's literal formulation.
+    /// full planner on its own view every round, with no view grouping —
+    /// exactly the paper's literal formulation.
     ///
     /// This is the differential-testing and benchmarking oracle for the
-    /// default fast path (pooled copy-on-write views + memoized grouped
-    /// planning), which must produce byte-identical schedules. It is not
-    /// part of the supported API surface.
+    /// default fast path (pooled copy-on-write views + grouped planning,
+    /// once per distinct view), which must produce byte-identical
+    /// schedules. It is not part of the supported API surface.
     #[doc(hidden)]
     pub fn set_reference_planning(&mut self, on: bool) -> &mut Self {
         self.reference_planning = on;
@@ -581,8 +581,7 @@ pub(crate) enum Injection {
     Completion(DeviceId),
     /// Swap the admission-cap profile on every planner. The caller passes
     /// the *merged* profile (old cap before the change instant, new cap
-    /// after), so memoized plans that survive the horizon-crossing
-    /// invalidation stay correct.
+    /// after): the profile a batch run of the same events plans under.
     CapChange(Option<PowerCapProfile>),
 }
 
@@ -808,17 +807,8 @@ impl Driver {
             return;
         }
         let obs = &self.obs;
-        let mut invocations = 0u64;
-        let mut memo_hits = 0u64;
-        let mut early_outs = 0u64;
-        for p in &self.planners {
-            invocations += p.invocations();
-            memo_hits += p.cache_hits();
-            early_outs += p.horizon_early_outs();
-        }
+        let invocations = self.planners.iter().map(|p| p.invocations()).sum();
         obs.publish(Counter::PlannerInvocations, invocations);
-        obs.publish(Counter::PlannerMemoHits, memo_hits);
-        obs.publish(Counter::PlannerHorizonEarlyOuts, early_outs);
         if self.uses_cp {
             let stats = self.cp.stats();
             obs.publish(Counter::CpAttemptedRecords, stats.expected_records);
@@ -1156,7 +1146,7 @@ impl Driver {
                             format!("profile={}", if cap.is_some() { "set" } else { "cleared" })
                         });
                     for planner in &mut self.planners {
-                        planner.set_admission_cap(cap.clone(), now);
+                        planner.set_admission_cap(cap.clone());
                     }
                 }
             }

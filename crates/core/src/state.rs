@@ -142,8 +142,7 @@ impl SystemView {
     /// the planner is a pure function of the records — compute identical
     /// schedules. The [`ViewPool`](crate::pool::ViewPool) uses the
     /// fingerprint as its content-address key (with a full equality check
-    /// on collision), and the planner's memo uses it to recognize an
-    /// unchanged view across rounds.
+    /// on collision).
     ///
     /// Staleness is invisible here by design: the scheduling algorithm is
     /// age-blind (how *old* a record is influences plans only through the

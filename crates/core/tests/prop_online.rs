@@ -12,12 +12,13 @@
 //! 2. **Kill/restore ≡ uninterrupted** — snapshotting the service at a
 //!    random round (`HANSRV01` bytes), rebuilding from the base
 //!    scenario and the snapshot, and running the rest of the window is
-//!    bit-identical to never having stopped.
+//!    bit-identical to never having stopped, on the ideal, lossy and
+//!    packet-level CPs.
 //! 3. **Cap injection ≡ merged-profile batch** — injecting a cap change
-//!    mid-run equals batch-running under the merged step profile; the
-//!    change only invalidates memoized plans whose validity horizon it
-//!    crosses, so the equality also pins the incremental re-planning
-//!    path.
+//!    mid-run equals batch-running under the merged step profile, on
+//!    the same three CPs. The planners keep no plan between rounds, so
+//!    the change must reach every planner before the next round plans,
+//!    including planners that hold different views under loss.
 //!
 //! Case counts scale with the build profile: the debug run (tier-1
 //! `cargo test`) keeps a quick battery, the dedicated release CI job
@@ -27,7 +28,9 @@ use han_core::algorithm::PlanConfig;
 use han_core::cp::CpModel;
 use han_core::fault::FaultPlan;
 use han_core::online::OnlineDriver;
-use han_core::simulation::{HanSimulation, SimulationConfig, SimulationOutcome, Strategy};
+use han_core::simulation::{
+    HanSimulation, SimulationConfig, SimulationOutcome, Strategy as SimStrategy,
+};
 use han_device::appliance::DeviceId;
 use han_device::request::Request;
 use han_sim::time::{SimDuration, SimTime};
@@ -42,21 +45,30 @@ const CASES: u32 = if cfg!(debug_assertions) { 4 } else { 16 };
 
 const PERIOD_US: u64 = 2_000_000;
 
+/// Window of the ideal and lossy cases, minutes.
+const MINUTES: std::ops::Range<u64> = 20..40;
+
+/// Window of the packet cases, minutes: the packet CP floods the whole
+/// 26-node deployment every round, which costs about 50 times a lossy
+/// round and 500 times an ideal one.
+const PACKET_MINUTES: std::ops::Range<u64> = 3..6;
+
 fn config(
     devices: usize,
     minutes: u64,
     seed: u64,
     cap: Option<PowerCapProfile>,
+    cp: CpModel,
 ) -> SimulationConfig {
     SimulationConfig {
         fleet: FleetSpec::new(vec![DeviceClass::paper(devices)]).expect("non-empty fleet"),
         duration: SimDuration::from_mins(minutes),
         round_period: SimDuration::from_secs(2),
-        strategy: Strategy::Coordinated(PlanConfig {
+        strategy: SimStrategy::Coordinated(PlanConfig {
             admission_cap: cap,
             ..PlanConfig::default()
         }),
-        cp: CpModel::Ideal,
+        cp,
         seed,
     }
 }
@@ -117,8 +129,8 @@ fn uncoordinated_daemon_with_fault_telemetry_restores_identically() {
     // out to per-node rows, though a fresh build over the same faults
     // would: restore must take the row shape from the snapshot.
     let config = || SimulationConfig {
-        strategy: Strategy::Uncoordinated,
-        ..config(6, 20, 3, None)
+        strategy: SimStrategy::Uncoordinated,
+        ..config(6, 20, 3, None, CpModel::Ideal)
     };
     let requests = vec![Request::new(DeviceId(1), SimTime::from_secs(90))];
     let run = |kill_round: Option<u64>| {
@@ -141,12 +153,12 @@ fn uncoordinated_daemon_with_fault_telemetry_restores_identically() {
 }
 
 prop_compose! {
-    /// A random online scenario: a small paper-class fleet, 20–40
-    /// simulated minutes, and one request per entry landing in the
-    /// first two-thirds of the window.
-    fn arb_scenario()(
+    /// A random online scenario: a small paper-class fleet, a window
+    /// drawn from `window` (minutes), and one request per entry landing
+    /// in the first two-thirds of the window.
+    fn arb_scenario(window: std::ops::Range<u64>)(
         devices in 3usize..10,
-        minutes in 20u64..40,
+        minutes in window.clone(),
         seed in 0u64..1_000,
         specs in prop::collection::vec((0u32..10, 30u64..1_500), 1..8),
     ) -> (usize, u64, u64, Vec<Request>) {
@@ -159,6 +171,22 @@ prop_compose! {
             .collect();
         (devices, minutes, seed, requests)
     }
+}
+
+/// `arb_scenario` on a random CP: the ideal plane, whole-round loss, or
+/// the packet-level MiniCast deployment (channel seeded by the scenario
+/// seed, as `hansim --cp packet` does), the last on a short window.
+fn arb_cp_scenario() -> impl Strategy<Value = (CpModel, (usize, u64, u64, Vec<Request>))> {
+    prop_oneof![
+        arb_scenario(MINUTES).prop_map(|s| (CpModel::Ideal, s)),
+        (0.05f64..0.5, arb_scenario(MINUTES)).prop_map(|(p, s)| (
+            CpModel::LossyRound {
+                miss_probability: p
+            },
+            s
+        )),
+        arb_scenario(PACKET_MINUTES).prop_map(|s| (CpModel::paper_packet(s.2), s)),
+    ]
 }
 
 fn arrivals(requests: &[Request]) -> Vec<TelemetryEvent> {
@@ -178,10 +206,11 @@ proptest! {
     /// Streaming a workload online reproduces the batch run bit for
     /// bit.
     #[test]
-    fn streamed_arrivals_match_batch(scenario in arb_scenario()) {
+    fn streamed_arrivals_match_batch(scenario in arb_scenario(MINUTES)) {
         let (devices, minutes, seed, requests) = scenario;
-        let batch = run_batch(config(devices, minutes, seed, None), requests.clone());
-        let streamed = run_streamed(config(devices, minutes, seed, None), &arrivals(&requests));
+        let config = || config(devices, minutes, seed, None, CpModel::Ideal);
+        let batch = run_batch(config(), requests.clone());
+        let streamed = run_streamed(config(), &arrivals(&requests));
         assert_same(&batch, &streamed, "streamed vs batch");
     }
 
@@ -190,17 +219,15 @@ proptest! {
     /// streamed run.
     #[test]
     fn kill_restore_resume_is_bit_identical(
-        scenario in arb_scenario(),
+        scenario in arb_cp_scenario(),
         kill_frac in 0.05f64..0.95,
     ) {
-        let (devices, minutes, seed, requests) = scenario;
+        let (cp, (devices, minutes, seed, requests)) = scenario;
+        let config = || config(devices, minutes, seed, None, cp.clone());
         let events = arrivals(&requests);
-        let uninterrupted = run_streamed(config(devices, minutes, seed, None), &events);
+        let uninterrupted = run_streamed(config(), &events);
 
-        let sim = HanSimulation::new(
-            config(devices, minutes, seed, None),
-            Vec::new(),
-        ).expect("valid config");
+        let sim = HanSimulation::new(config(), Vec::new()).expect("valid config");
         let mut online = OnlineDriver::new(sim);
         // Everything the killed process had ingested survives in its
         // snapshot log; ingest all up front so the kill loses nothing.
@@ -212,10 +239,7 @@ proptest! {
         let snapshot = online.snapshot();
         drop(online); // the kill
 
-        let base = HanSimulation::new(
-            config(devices, minutes, seed, None),
-            Vec::new(),
-        ).expect("valid config");
+        let base = HanSimulation::new(config(), Vec::new()).expect("valid config");
         let mut restored = OnlineDriver::restore(base, &snapshot).expect("snapshot restores");
         prop_assert_eq!(restored.next_round(), kill_round.min(restored.total_rounds()));
         restored.run_to_end();
@@ -228,7 +252,7 @@ proptest! {
     /// the moment the first fault event arrives.
     #[test]
     fn churn_injection_equals_batch_fault_plan(
-        scenario in arb_scenario(),
+        scenario in arb_scenario(MINUTES),
         node in 0usize..10,
         down_min in 2u64..10,
         down_len in 1u64..8,
@@ -241,7 +265,7 @@ proptest! {
         let mut sorted = requests.clone();
         sorted.sort_by_key(|r| (r.arrival, r.device));
         let mut sim = HanSimulation::new(
-            config(devices, minutes, seed, None),
+            config(devices, minutes, seed, None, CpModel::Ideal),
             sorted,
         ).expect("valid config");
         sim.set_faults(FaultPlan::parse(&spec).expect("valid plan"))
@@ -251,25 +275,25 @@ proptest! {
         let mut events = arrivals(&requests);
         events.extend(TelemetryEvent::parse_script(&spec).expect("valid telemetry"));
         let streamed = run_streamed(
-            config(devices, minutes, seed, None),
+            config(devices, minutes, seed, None, CpModel::Ideal),
             &events,
         );
         assert_same(&batch, &streamed, "churn vs batch fault plan");
     }
 
     /// Injecting a cap change online equals batch-running under the
-    /// merged step profile (memoized plans survive up to the change
-    /// horizon and no further).
+    /// merged step profile: the change reaches every planner, whatever
+    /// view it holds, from its absorbing round on, and no earlier.
     #[test]
     fn cap_injection_equals_merged_profile_batch(
-        scenario in arb_scenario(),
+        scenario in arb_cp_scenario(),
         base_cap_deci in 15u64..60,
         new_cap_deci in prop::option::of(10u64..50),
-        change_min in 2u64..15,
+        change_frac in 0.1f64..0.75,
     ) {
-        let (devices, minutes, seed, requests) = scenario;
+        let (cp, (devices, minutes, seed, requests)) = scenario;
         let base_kw = base_cap_deci as f64 / 10.0;
-        let change_at = SimTime::from_mins(change_min);
+        let change_at = SimTime::from_secs((minutes as f64 * 60.0 * change_frac) as u64);
         let new_kw = new_cap_deci.map(|d| d as f64 / 10.0);
         let merged = PowerCapProfile::from_steps(vec![
             (SimTime::ZERO, base_kw),
@@ -277,7 +301,7 @@ proptest! {
         ]).expect("valid profile");
 
         let batch = run_batch(
-            config(devices, minutes, seed, Some(merged)),
+            config(devices, minutes, seed, Some(merged), cp.clone()),
             requests.clone(),
         );
 
@@ -289,6 +313,7 @@ proptest! {
                 minutes,
                 seed,
                 Some(PowerCapProfile::constant(base_kw).expect("valid cap")),
+                cp,
             ),
             &events,
         );

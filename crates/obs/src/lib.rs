@@ -69,7 +69,7 @@ use std::time::Instant;
 /// The simulation layer a metric or flight event originates from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Subsystem {
-    /// The coordinated planner (memoized grouped planning).
+    /// The coordinated planner (one plan per distinct view and level).
     Planner,
     /// The content-addressed, pooled view store.
     Pool,
@@ -141,12 +141,12 @@ metric_enum! {
     /// running total — while incremental sources add deltas; either way
     /// the exposed series is monotonic within a process.
     Counter {
-        /// Planner invocations: every `plan_at_level` call (memo hit or miss).
-        PlannerInvocations => ("han_planner_invocations_total", "Planner invocations (memo hits and misses)"),
-        /// Plan-memo hits inside the planner's validity horizon.
-        PlannerMemoHits => ("han_planner_memo_hits_total", "Plan-memo hits inside the validity horizon"),
-        /// Cap changes that left the memo intact (horizon not crossed).
-        PlannerHorizonEarlyOuts => ("han_planner_horizon_early_outs_total", "Cap changes absorbed without invalidating the plan memo"),
+        /// Planner invocations: every `plan_at_level` call.
+        PlannerInvocations => ("han_planner_invocations_total", "Planner invocations"),
+        /// Retired: the planner keeps no plan memo, so nothing publishes
+        /// this and it always reads 0. It stays only while the repo
+        /// benchmark still reads it.
+        PlannerMemoHits => ("han_planner_memo_hits_total", "Retired: always 0 (the planner keeps no plan memo)"),
         /// View-pool entries created (a view forked off shared content).
         PoolForks => ("han_pool_forks_total", "View-pool entries created (view forks)"),
         /// Sole-owner in-place view edits (the copy-free CoW half).
@@ -392,15 +392,15 @@ mod tests {
         let sink = Arc::new(ObsSink::new(ObsConfig::default()));
         let obs = Obs::new(sink.clone());
         assert!(obs.enabled());
-        obs.add(Counter::PlannerMemoHits, 2);
-        obs.add(Counter::PlannerMemoHits, 3);
+        obs.add(Counter::OnlineEventsAbsorbed, 2);
+        obs.add(Counter::OnlineEventsAbsorbed, 3);
         obs.publish(Counter::PlannerInvocations, 7);
         obs.gauge(Gauge::PoolLiveViews, 4);
         obs.gauge_max(Gauge::PoolPeakViews, 9);
         obs.gauge_max(Gauge::PoolPeakViews, 5);
         obs.observe(Hist::AbsorbedPerBoundary, 3);
         let r = sink.registry();
-        assert_eq!(r.counter(Counter::PlannerMemoHits), 5);
+        assert_eq!(r.counter(Counter::OnlineEventsAbsorbed), 5);
         assert_eq!(r.counter(Counter::PlannerInvocations), 7);
         assert_eq!(r.gauge(Gauge::PoolLiveViews), 4);
         assert_eq!(r.gauge(Gauge::PoolPeakViews), 9);

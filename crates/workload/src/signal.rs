@@ -38,8 +38,7 @@ use han_sim::time::{SimDuration, SimTime};
 ///     (SimTime::from_hours(21), 6.0),
 /// ])?;
 /// assert_eq!(cap.cap_at(SimTime::from_hours(18)), 3.0);
-/// assert_eq!(cap.next_change_after(SimTime::from_hours(18)),
-///            Some(SimTime::from_hours(21)));
+/// assert_eq!(cap.cap_at(SimTime::from_hours(21)), 6.0);
 /// # Ok::<(), han_workload::fleet::ScenarioError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -134,17 +133,6 @@ impl PowerCapProfile {
         }
     }
 
-    /// The first instant strictly after `t` at which the cap changes, or
-    /// `None` if the cap is constant from `t` on. This bounds how long a
-    /// plan computed at `t` may be reused unchanged.
-    pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        let idx = match self.steps.binary_search_by(|(at, _)| at.cmp(&t)) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        self.steps.get(idx).map(|&(at, _)| at)
-    }
-
     /// Whether the profile never constrains anything (infinite everywhere).
     pub fn is_unlimited(&self) -> bool {
         self.steps.iter().all(|&(_, kw)| kw == f64::INFINITY)
@@ -177,7 +165,6 @@ mod tests {
         let p = PowerCapProfile::constant(4.5).unwrap();
         assert_eq!(p.cap_at(SimTime::ZERO), 4.5);
         assert_eq!(p.cap_at(t(1000)), 4.5);
-        assert_eq!(p.next_change_after(SimTime::ZERO), None);
         assert_eq!(p.min_cap_kw(), 4.5);
         assert!(!p.is_unlimited());
     }
@@ -187,7 +174,6 @@ mod tests {
         let p = PowerCapProfile::unlimited();
         assert!(p.is_unlimited());
         assert_eq!(p.cap_at(t(42)), f64::INFINITY);
-        assert_eq!(p.next_change_after(t(42)), None);
     }
 
     #[test]
@@ -197,10 +183,8 @@ mod tests {
         assert_eq!(p.cap_at(t(29)), 6.0);
         assert_eq!(p.cap_at(t(30)), 2.0, "steps are left-closed");
         assert_eq!(p.cap_at(t(59)), 2.0);
+        assert_eq!(p.cap_at(t(60)), 6.0);
         assert_eq!(p.cap_at(t(61)), 6.0);
-        assert_eq!(p.next_change_after(SimTime::ZERO), Some(t(30)));
-        assert_eq!(p.next_change_after(t(30)), Some(t(60)), "strictly after");
-        assert_eq!(p.next_change_after(t(60)), None);
         assert_eq!(p.min_cap_kw(), 2.0);
     }
 
@@ -215,7 +199,11 @@ mod tests {
         assert_eq!(p.cap_at(t(1)), 5.0);
         assert_eq!(p.cap_at(t(4)), 3.0);
         assert_eq!(p.cap_at(t(100)), 5.0, "last sample holds forever");
-        assert_eq!(p.next_change_after(t(1)), Some(t(2)));
+        assert_eq!(
+            p.cap_at(t(2)),
+            3.0,
+            "a merged run starts at its first sample"
+        );
     }
 
     #[test]

@@ -96,7 +96,8 @@
 //! identical for every valid `--shards` value, and per-home results are
 //! digest-identical to the same homes run through the neighborhood
 //! path. Scenario flags (--rate, --workload, --minutes, --devices, --cp,
-//! --faults, --seed) apply as above. City-specific flags:
+//! --faults, --seed) apply as above, except that --minutes defaults to
+//! 120 here. City-specific flags:
 //!
 //!   --feeders <N>                  feeders in the city (default: 4)
 //!   --homes-per-feeder <M>         homes on each feeder (default: 4)
@@ -121,9 +122,7 @@
 
 use smart_han::core::city::mp::{self, MpOptions, WorkerConnection, WorkerError};
 use smart_han::core::city::{City, CityReport, CitySpec};
-use smart_han::core::experiment::{
-    build_simulation, run_strategy_faulted, summarize_outcome, SAMPLE_INTERVAL,
-};
+use smart_han::core::experiment::{build_simulation, summarize_outcome, SAMPLE_INTERVAL};
 use smart_han::core::feeder::{FeederPolicy, FeederReport, FeederSignal};
 use smart_han::core::online::{serve, OnlineDriver, OnlineError, Pace, ServeOptions};
 use smart_han::metrics::report::series_csv;
@@ -391,14 +390,7 @@ fn parse_args() -> Result<Args, CliError> {
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
             "--homes" => args.homes = parse_num(&value("--homes")?, "--homes")?,
             "--feeder" => args.feeder = Some(parse_feeder(&value("--feeder")?)?),
-            "--faults" => {
-                let v = value("--faults")?;
-                args.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
-                    flag: "--faults",
-                    value: v,
-                    expected: "e.g. \"down:3@10; up:3@40; outage:60-65; sigloss:80-90\"",
-                })?;
-            }
+            "--faults" => args.faults = parse_faults(value("--faults")?)?,
             "--stale-ttl" => {
                 args.stale_ttl = Some(parse_num(&value("--stale-ttl")?, "--stale-ttl")?)
             }
@@ -438,6 +430,15 @@ fn parse_rate(value: &str) -> Result<f64, CliError> {
             expected: "low|moderate|high|N",
         }),
     }
+}
+
+/// Parses a `--faults` spec: every mode accepts the same grammar.
+fn parse_faults(spec: String) -> Result<FaultPlan, CliError> {
+    FaultPlan::parse(&spec).map_err(|_| CliError::Invalid {
+        flag: "--faults",
+        value: spec,
+        expected: "e.g. \"down:3@10; up:3@40; outage:60-65; sigloss:80-90\"",
+    })
 }
 
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &'static str) -> Result<T, CliError> {
@@ -531,15 +532,6 @@ fn run_one(
     strategy: Strategy,
     sink: Option<&Arc<ObsSink>>,
 ) -> Result<StrategyResult, CliError> {
-    if args.checkpoint.is_none() && args.restore.is_none() && sink.is_none() {
-        return Ok(run_strategy_faulted(
-            scenario,
-            strategy,
-            args.cp.clone(),
-            &args.faults,
-            args.stale_ttl,
-        )?);
-    }
     let mut sim = build_simulation(
         scenario,
         strategy,
@@ -550,13 +542,6 @@ fn run_one(
     if let Some(sink) = sink {
         sim.set_observer(Obs::new(sink.clone()));
     }
-    if args.checkpoint.is_none() && args.restore.is_none() {
-        // The observed plain run: the same configuration
-        // `run_strategy_faulted` builds, with the sink attached before
-        // the first round.
-        sim.set_reference_planning(false);
-        return Ok(summarize_outcome(sim.run(), scenario.duration));
-    }
     let outcome = if let Some(path) = &args.restore {
         let bytes = std::fs::read(path).map_err(|error| CliError::Io {
             path: path.clone(),
@@ -564,17 +549,18 @@ fn run_one(
         })?;
         let checkpoint = Checkpoint::from_bytes(&bytes).map_err(CliError::Checkpoint)?;
         sim.resume(&checkpoint).map_err(CliError::Checkpoint)?
-    } else {
+    } else if let Some(path) = &args.checkpoint {
         // Snapshot at the midpoint of the timeline (rounds are 2 s, so
         // `minutes * 30 / 2` rounds in), then keep running: the printed
         // report is the full-run report, the file is the restart point.
         let (outcome, checkpoint) = sim.run_checkpointed(args.minutes * 15);
-        let path = args.checkpoint.as_deref().expect("checked above");
         std::fs::write(path, checkpoint.to_bytes()).map_err(|error| CliError::Io {
-            path: path.to_string(),
+            path: path.clone(),
             error,
         })?;
         outcome
+    } else {
+        sim.run()
     };
     Ok(summarize_outcome(outcome, scenario.duration))
 }
@@ -629,10 +615,7 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
             ("coordinated", Strategy::coordinated()),
         ]
     } else {
-        vec![(
-            Box::leak(args.strategy.clone().into_boxed_str()),
-            strategy_by_name(&args.strategy),
-        )]
+        vec![(args.strategy.as_str(), strategy_by_name(&args.strategy))]
     };
 
     let sink = obs_sink(args);
@@ -984,14 +967,7 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
             "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
             "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
             "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--faults" => {
-                let v = value("--faults")?;
-                args.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
-                    flag: "--faults",
-                    value: v,
-                    expected: "e.g. \"down:3@10; up:3@40; outage:60-65\"",
-                })?;
-            }
+            "--faults" => args.faults = parse_faults(value("--faults")?)?,
             "--stale-ttl" => {
                 args.stale_ttl = Some(parse_num(&value("--stale-ttl")?, "--stale-ttl")?)
             }
@@ -1206,14 +1182,7 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
             }
             "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
             "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
-            "--faults" => {
-                let v = value("--faults")?;
-                args.faults = FaultPlan::parse(&v).map_err(|_| CliError::Invalid {
-                    flag: "--faults",
-                    value: v,
-                    expected: "e.g. \"down:3@10; up:3@40; outage:60-65\"",
-                })?;
-            }
+            "--faults" => args.faults = parse_faults(value("--faults")?)?,
             "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
             "--substation-fanin" => {
                 args.substation_fanin =
@@ -1556,9 +1525,9 @@ fn fail(error: &CliError) -> ExitCode {
          hansim serve [scenario flags] [--listen ADDR] [--replay FILE] \
          [--checkpoint PATH] [--checkpoint-every MIN] [--restore PATH] \
          [--pace-us N] [--manual] [--flight FILE]\n       \
-         hansim city [scenario flags] [--feeders N] [--homes-per-feeder M] \
-         [--shards K] [--substation-fanin N] [--workers N] [--mp-restart] \
-         [--mp-deadline-ms N] [--csv]"
+         hansim city [scenario flags; --minutes defaults to 120] [--feeders N] \
+         [--homes-per-feeder M] [--shards K] [--substation-fanin N] [--workers N] \
+         [--mp-restart] [--mp-deadline-ms N] [--csv]"
     );
     ExitCode::FAILURE
 }

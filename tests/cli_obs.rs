@@ -132,7 +132,6 @@ fn metrics_and_dump_answer_over_the_socket() {
     let status = roundtrip(&mut client, "STATUS");
     assert!(status.starts_with("OK round=0/601 "), "status: {status}");
     for field in [
-        " memo_hit_rate=",
         " pool_live=",
         " pool_peak=",
         " cp_delivered=",
