@@ -45,16 +45,15 @@
 //! the plane keeps a single shared handle — O(n) record refreshes per
 //! round instead of O(n²) — and the pool holds exactly one entry.
 //!
-//! # Round decomposition
+//! # One round
 //!
-//! One CP round is the phase sequence [`CommunicationPlane::begin_round`]
-//! (publish) → [`CommunicationPlane::flood_phase`] × `flood_phases()`
-//! (packet-mode MiniCast floods; zero phases under the abstract models) →
-//! [`CommunicationPlane::deliver_row`] × `delivery_rows()` (per-node
-//! record refreshes) → [`CommunicationPlane::finish_round`] (statistics).
-//! [`CommunicationPlane::round`] *is* that sequence; the simulation's
-//! round loop calls the same phases with its execution plane in between,
-//! so both run the same code in the same order, RNG draw for RNG draw.
+//! [`CommunicationPlane::round`] is the whole synchronous exchange the
+//! paper's MiniCast round performs: every live node publishes its status
+//! (under a packet CP it merges its own item into its store), the floods
+//! run (packet CP only; the abstract models deliver instantly), each view
+//! row receives its delivery in row order — which is the lossy models'
+//! RNG order — and the round's statistics close. Nothing observes the
+//! plane mid-round, so the execution plane only ever sees whole rounds.
 //!
 //! [`HanSimulation::set_reference_planning`]:
 //!   crate::simulation::HanSimulation::set_reference_planning
@@ -296,13 +295,6 @@ pub struct CommunicationPlane {
     last_refresh: Vec<u64>,
     /// Reusable per-node delivery buffer for the current round.
     delivery: Vec<StatusRecord>,
-    /// Statuses published this round, stashed by [`Self::begin_round`] for
-    /// the delivery phases (reused buffer).
-    pending: Vec<StatusRecord>,
-    /// Sequence numbers published this round, alongside `pending`.
-    pending_seqs: Vec<u32>,
-    /// `(node, origin)` refreshes delivered in the round in flight.
-    round_refreshed: u64,
     rng: DetRng,
     stats: CpStats,
     round_index: u64,
@@ -419,9 +411,6 @@ impl CommunicationPlane {
             device_count,
             last_refresh: vec![NEVER; rows * device_count],
             delivery: Vec::with_capacity(device_count),
-            pending: Vec::with_capacity(device_count),
-            pending_seqs: Vec::with_capacity(device_count),
-            round_refreshed: 0,
             rng: DetRng::for_stream(seed, "communication-plane"),
             stats,
             round_index: 0,
@@ -474,8 +463,8 @@ impl CommunicationPlane {
 
     /// Installs this round's fault exposure: `down[i] = true` suppresses
     /// node `i`'s publish *and* receive this round; `outage` suppresses
-    /// everyone's. Call before [`Self::begin_round`]; the flags stay in
-    /// force until the next call. With everything false this is exactly
+    /// everyone's. Call before [`Self::round`]; the flags stay in force
+    /// until the next call. With everything false this is exactly
     /// the fault-free plane.
     ///
     /// # Panics
@@ -587,34 +576,14 @@ impl CommunicationPlane {
     }
 
     /// Executes one CP round: every node publishes `statuses[i]` (version
-    /// `seqs[i]`) and receives updates per the model.
-    ///
-    /// This is exactly the decomposed phase sequence (see the
-    /// [module docs](self#round-decomposition)).
+    /// `seqs[i]`), the packet CP runs its MiniCast floods, every view row
+    /// receives its delivery per the model, in row order, and the round's
+    /// statistics close (see the [module docs](self#one-round)).
     ///
     /// # Panics
     ///
     /// Panics if `statuses` / `seqs` lengths differ from the device count.
     pub fn round(&mut self, statuses: &[StatusRecord], seqs: &[u32]) {
-        self.begin_round(statuses, seqs);
-        for k in 0..self.flood_phases() {
-            self.flood_phase(k);
-        }
-        for row in 0..self.delivery_rows() {
-            self.deliver_row(row);
-        }
-        self.finish_round();
-    }
-
-    /// Phase 1 of one CP round: every node publishes `statuses[i]`
-    /// (version `seqs[i]`). Under a packet CP each node merges its fresh
-    /// item into its own store; the abstract models stash the slice for
-    /// the delivery phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `statuses` / `seqs` lengths differ from the device count.
-    pub fn begin_round(&mut self, statuses: &[StatusRecord], seqs: &[u32]) {
         let n = self.device_count;
         assert_eq!(statuses.len(), n, "one status per device");
         assert_eq!(seqs.len(), n, "one sequence number per device");
@@ -628,314 +597,68 @@ impl CommunicationPlane {
                 .all(|(i, r)| r.device.index() == i),
             "statuses must be ordered by device id"
         );
-        self.pending.clear();
-        self.pending.extend_from_slice(statuses);
-        self.pending_seqs.clear();
-        self.pending_seqs.extend_from_slice(seqs);
-        self.round_refreshed = 0;
-        match (&self.model, &mut self.state) {
-            // Statistics count node-level refreshes — every node hears
-            // every record — independent of how many rows the store
-            // physically holds (one shared row pooled, n rows in the
-            // reference layout). Under fault injection the rows are
-            // per-node and refreshes are counted at delivery instead.
-            (CpModel::Ideal, _) if !self.per_node_rows => {
-                self.round_refreshed = (n * n) as u64;
-            }
-            (CpModel::Ideal, _) => {}
-            (
-                CpModel::Packet { .. },
-                CpState::Packet {
-                    stores, encode_buf, ..
-                },
-            ) => {
-                // Publish: each node merges its own fresh item. A down
-                // node (or everyone, during an outage) does not publish —
-                // its stored item keeps its old sequence number, so
-                // survivors treat it as stale rather than fresh.
-                for (i, (rec, &seq)) in statuses.iter().zip(seqs).enumerate() {
-                    if self.outage || self.down[i] {
-                        continue;
-                    }
-                    encode_buf.clear();
-                    rec.encode_into(encode_buf);
-                    stores[i].merge(&Item::new(NodeId(i as u32), seq, encode_buf.as_slice()));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Number of per-flood steps in the current round: `topology + 1`
-    /// MiniCast phases (sync beacon + one data flood per topology node)
-    /// under a packet CP, zero under the abstract models (their delivery
-    /// is instantaneous).
-    pub fn flood_phases(&self) -> usize {
-        match &self.state {
-            CpState::Packet { rssi, .. } => rssi.len() + 1,
-            CpState::Abstract => 0,
-        }
-    }
-
-    /// Executes flood step `k` of the round in flight: `k = 0` is the
-    /// sync-beacon flood, `k = 1..=topology` is the data flood initiated
-    /// by node `(round + k − 1) mod topology`. The final step also folds
-    /// the round's dissemination report and clock-sync outcome into the
-    /// statistics. Call with `k` in `0..flood_phases()`, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model has no flood phases or `k` is out of range.
-    pub fn flood_phase(&mut self, k: usize) {
-        let CpState::Packet {
+        let round = self.round_index;
+        if let CpState::Packet {
             st,
             rssi,
             stores,
             sync,
             scratch,
+            encode_buf,
             ..
         } = &mut self.state
-        else {
-            panic!("flood phases exist only under a packet CP");
-        };
-        let topology = rssi.len();
-        assert!(k <= topology, "flood phase {k} of {}", topology + 1);
-        let round = self.round_index;
-        if k == 0 {
-            minicast::sync_phase(rssi, NodeId(0), st, round, &mut self.rng, scratch);
-        } else {
-            minicast::data_phase(rssi, stores, st, round, k - 1, &mut self.rng, scratch);
-        }
-        if k == topology {
-            let report = minicast::finish_round_report(stores, st, round, scratch);
+        {
+            // Publish: each node merges its own fresh item. A down node
+            // (or everyone, during an outage) does not publish — its
+            // stored item keeps its old sequence number, so survivors
+            // treat it as stale rather than fresh.
+            for (i, (rec, &seq)) in statuses.iter().zip(seqs).enumerate() {
+                if self.outage || self.down[i] {
+                    continue;
+                }
+                encode_buf.clear();
+                rec.encode_into(encode_buf);
+                stores[i].merge(&Item::new(NodeId(i as u32), seq, encode_buf.as_slice()));
+            }
+            let report = minicast::run_round_with(
+                rssi,
+                stores,
+                NodeId(0),
+                st,
+                round,
+                &mut self.rng,
+                scratch,
+            );
             self.stats
                 .dissemination
                 .as_mut()
                 .expect("packet mode pre-seeds dissemination stats")
                 .record(&report);
             // The tracker covers every topology node (relay-only nodes
-            // drift too), so it gets the full sync vector — not just
-            // the first `n` device slots.
+            // drift too), so it gets the full sync vector — not just the
+            // first `n` device slots.
             sync.record_round(&report.synced);
             let worst = sync.worst_boundary_error();
             let entry = self.stats.worst_sync_error.get_or_insert(SimDuration::ZERO);
             *entry = (*entry).max(worst);
         }
-    }
-
-    /// Number of per-row delivery steps in the current round — one per
-    /// node under the lossy and packet models, a single shared row under
-    /// [`CpModel::Ideal`] (pooled store; the reference store always keeps
-    /// one row per node).
-    pub fn delivery_rows(&self) -> usize {
-        self.store.rows()
-    }
-
-    /// Applies the round's delivery to view row `row` — the per-node
-    /// record refresh. Call with `row` in `0..delivery_rows()`, in order:
-    /// the lossy models draw their loss coin(s) here, so row order *is*
-    /// the RNG order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or no round is in flight.
-    pub fn deliver_row(&mut self, row: usize) {
-        let n = self.device_count;
-        assert!(row < self.store.rows(), "delivery row out of range");
-        assert_eq!(self.pending.len(), n, "no round in flight");
-        let round = self.round_index;
-        // Fault exposure for this round: a down (or blacked-out) node
-        // receives nothing but its own record, and a down origin's record
-        // is not delivered to anyone (it never published). With no fault
-        // plan both flags are permanently false and every path below is
-        // byte-for-byte the fault-free plane, including its RNG draws.
-        let outage = self.outage;
-        match (&self.model, &mut self.state) {
-            (CpModel::Ideal, _) if !self.per_node_rows => {
-                // One delivery of everything to the single shared row:
-                // perfect dissemination ⇒ identical views. (Refresh
-                // statistics were counted at publish.)
-                self.delivery.clear();
-                self.delivery.extend_from_slice(&self.pending);
-                self.last_refresh[row * n..(row + 1) * n].fill(round);
-                self.store.apply(row, &self.delivery);
-            }
-            (CpModel::Ideal, _) => {
-                // Per-node rows (fault injection, or the reference store
-                // under it): perfect delivery of whatever was published.
-                let node = row;
-                self.delivery.clear();
-                if outage || self.down[node] {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
-                } else {
-                    for origin in 0..n {
-                        if origin == node || !self.down[origin] {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
-                        }
-                    }
-                }
-                self.store.apply(node, &self.delivery);
-            }
-            (CpModel::LossyRound { miss_probability }, _) => {
-                let node = row;
-                self.delivery.clear();
-                if outage || self.down[node] {
-                    // Faulted: no loss coin — the node is not listening.
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
-                } else if self.rng.gen_bool(*miss_probability) {
-                    // Missed the round entirely; own record still local.
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
-                } else {
-                    for origin in 0..n {
-                        if origin == node || !self.down[origin] {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
-                        }
-                    }
-                }
-                self.store.apply(node, &self.delivery);
-            }
-            (CpModel::LossyRecord { miss_probability }, _) => {
-                let p = *miss_probability;
-                let node = row;
-                self.delivery.clear();
-                if outage || self.down[node] {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
-                } else {
-                    for origin in 0..n {
-                        if origin != node && self.down[origin] {
-                            // A silent origin transmits nothing: no coin.
-                            continue;
-                        }
-                        if origin == node || !self.rng.gen_bool(p) {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
-                        }
-                    }
-                }
-                self.store.apply(node, &self.delivery);
-            }
-            (
-                CpModel::GilbertElliott {
-                    p_good_to_bad,
-                    p_bad_to_good,
-                    loss_good,
-                    loss_bad,
-                },
-                _,
-            ) => {
-                let node = row;
-                // The channel is physics: its state advances (and both
-                // coins are drawn) every round, including rounds in which
-                // the node itself is down — so the burst process is
-                // independent of the fault plan.
-                let flip = self.rng.gen_bool(if self.ge_bad[node] {
-                    *p_bad_to_good
-                } else {
-                    *p_good_to_bad
-                });
-                if flip {
-                    self.ge_bad[node] = !self.ge_bad[node];
-                }
-                let missed = self.rng.gen_bool(if self.ge_bad[node] {
-                    *loss_bad
-                } else {
-                    *loss_good
-                });
-                self.delivery.clear();
-                if outage || self.down[node] || missed {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
-                } else {
-                    for origin in 0..n {
-                        if origin == node || !self.down[origin] {
-                            self.delivery.push(self.pending[origin]);
-                            self.last_refresh[node * n + origin] = round;
-                            self.round_refreshed += 1;
-                        }
-                    }
-                }
-                self.store.apply(node, &self.delivery);
-            }
-            (
-                CpModel::Packet { .. },
-                CpState::Packet {
-                    stores, last_seen, ..
-                },
-            ) => {
-                // Deliver: decode stored items into views. A record counts
-                // as *fresh* only when the stored version matches the
-                // publisher's current sequence number; holding an older
-                // version installs the newer-than-before content but the
-                // pair still counts as stale for statistics. A faulted
-                // receiver skips decoding entirely (its store still
-                // accumulates flood traffic, which it drains on revival);
-                // a down *origin* never published this round, so its item
-                // keeps its old sequence and fails the freshness test at
-                // every survivor without any special casing here.
-                let node = row;
-                self.delivery.clear();
-                if outage || self.down[node] {
-                    self.delivery.push(self.pending[node]);
-                    self.last_refresh[node * n + node] = round;
-                    self.round_refreshed += 1;
-                } else {
-                    // `origin` indexes three parallel structures (seqs, the
-                    // last-seen matrix, the refresh matrix); an iterator
-                    // over any one of them would obscure the other two.
-                    #[allow(clippy::needless_range_loop)]
-                    for origin in 0..n {
-                        let Some(item) = stores[node].get(NodeId(origin as u32)) else {
-                            continue;
-                        };
-                        let is_current = item.seq == self.pending_seqs[origin];
-                        let newly = last_seen[node][origin] != Some(item.seq);
-                        if !(is_current || newly) {
-                            continue;
-                        }
-                        if let Ok(rec) = StatusRecord::decode(&item.payload) {
-                            self.delivery.push(rec);
-                            last_seen[node][origin] = Some(item.seq);
-                            self.last_refresh[node * n + origin] = round;
-                            if is_current {
-                                self.round_refreshed += 1;
-                            }
-                        }
-                    }
-                }
-                self.store.apply(node, &self.delivery);
-            }
-            _ => unreachable!("model/state mismatch"),
-        }
-    }
-
-    /// Closes the round in flight: folds the refresh counters and the
-    /// view-pool snapshot into the statistics and advances the round
-    /// index. The published statuses are dropped, so a stray
-    /// [`Self::deliver_row`] after this point panics instead of silently
-    /// re-applying the closed round's records.
-    pub fn finish_round(&mut self) {
-        let n = self.device_count;
-        self.pending.clear();
-        self.pending_seqs.clear();
+        let shared_row =
+            matches!(self.model, CpModel::Ideal) && !self.per_node_rows && self.store.rows() == 1;
+        let refreshed = if shared_row {
+            // Perfect dissemination ⇒ identical views: one delivery of
+            // everything to the single shared row. Statistics count
+            // node-level refreshes — every node hears every record.
+            self.last_refresh.fill(round);
+            self.store.apply(0, statuses);
+            (n * n) as u64
+        } else {
+            (0..n).map(|node| self.deliver(node, statuses, seqs)).sum()
+        };
         self.round_index += 1;
         self.stats.rounds += 1;
-        self.stats.refreshed_records += self.round_refreshed;
+        self.stats.refreshed_records += refreshed;
         self.stats.expected_records += (n * n) as u64;
-        if self.round_refreshed == (n * n) as u64 {
+        if refreshed == (n * n) as u64 {
             self.stats.full_rounds += 1;
         }
         if let ViewStore::Pooled { pool, .. } = &self.store {
@@ -943,14 +666,116 @@ impl CommunicationPlane {
         }
     }
 
+    /// Applies this round's delivery to node `node`'s view row and returns
+    /// how many of its `(node, origin)` records were refreshed with the
+    /// publisher's current version. Nodes go in order: the lossy models
+    /// draw their coins here, so node order *is* the RNG order.
+    ///
+    /// A faulted node (down, or everyone during an outage) hears nothing
+    /// but its own record, and a down origin's record reaches no one (it
+    /// never published). With no fault plan both flags stay false and
+    /// every draw below is the fault-free plane's.
+    fn deliver(&mut self, node: usize, statuses: &[StatusRecord], seqs: &[u32]) -> u64 {
+        let n = self.device_count;
+        let round = self.round_index;
+        let faulted = self.outage || self.down[node];
+        // Whole-round coins: a missed round leaves only the own record.
+        let missed = match &self.model {
+            // A faulted node is not listening: no coin.
+            CpModel::LossyRound { miss_probability } => {
+                !faulted && self.rng.gen_bool(*miss_probability)
+            }
+            // The channel is physics: its state advances (and both coins
+            // are drawn) every round, including rounds in which the node
+            // itself is down — so the burst process is independent of the
+            // fault plan.
+            CpModel::GilbertElliott {
+                p_good_to_bad,
+                p_bad_to_good,
+                loss_good,
+                loss_bad,
+            } => {
+                let bad = &mut self.ge_bad[node];
+                if self
+                    .rng
+                    .gen_bool(if *bad { *p_bad_to_good } else { *p_good_to_bad })
+                {
+                    *bad = !*bad;
+                }
+                self.rng.gen_bool(if *bad { *loss_bad } else { *loss_good })
+            }
+            _ => false,
+        };
+        self.delivery.clear();
+        let mut refreshed = 0;
+        if faulted || missed {
+            // A device needs no network to know itself.
+            self.delivery.push(statuses[node]);
+            self.last_refresh[node * n + node] = round;
+            refreshed = 1;
+        } else if let CpState::Packet {
+            stores, last_seen, ..
+        } = &mut self.state
+        {
+            // Decode stored items into the view. A record counts as
+            // *fresh* only when the stored version matches the
+            // publisher's current sequence number; holding an older
+            // version installs the newer-than-before content but the pair
+            // still counts as stale for statistics. A down origin never
+            // published this round, so its item keeps its old sequence
+            // and fails the freshness test without any special casing
+            // here. (A faulted receiver's store still accumulates flood
+            // traffic, which it drains on revival.)
+            //
+            // `origin` indexes three parallel structures (seqs, the
+            // last-seen matrix, the refresh matrix); an iterator over any
+            // one of them would obscure the other two.
+            #[allow(clippy::needless_range_loop)]
+            for origin in 0..n {
+                let Some(item) = stores[node].get(NodeId(origin as u32)) else {
+                    continue;
+                };
+                let is_current = item.seq == seqs[origin];
+                let newly = last_seen[node][origin] != Some(item.seq);
+                if !(is_current || newly) {
+                    continue;
+                }
+                if let Ok(rec) = StatusRecord::decode(&item.payload) {
+                    self.delivery.push(rec);
+                    last_seen[node][origin] = Some(item.seq);
+                    self.last_refresh[node * n + origin] = round;
+                    refreshed += u64::from(is_current);
+                }
+            }
+        } else {
+            // Every live origin is heard. Under `LossyRecord` each live
+            // foreign record also draws its own coin; a silent origin
+            // transmits nothing, so it draws none.
+            let record_loss = match &self.model {
+                CpModel::LossyRecord { miss_probability } => Some(*miss_probability),
+                _ => None,
+            };
+            for (origin, rec) in statuses.iter().enumerate() {
+                let heard = origin == node
+                    || (!self.down[origin] && !record_loss.is_some_and(|p| self.rng.gen_bool(p)));
+                if heard {
+                    self.delivery.push(*rec);
+                    self.last_refresh[node * n + origin] = round;
+                    refreshed += 1;
+                }
+            }
+        }
+        self.store.apply(node, &self.delivery);
+        refreshed
+    }
+
     /// Captures the plane's full between-rounds state for a checkpoint.
-    /// Only round boundaries are checkpointable: the published-statuses
-    /// buffers are empty there by construction, and the per-round fault
-    /// flags are re-derived from the fault plan on resume. Everything
-    /// reconstructible from the configuration (topology RSSI, crystal
-    /// drifts, ST parameters) is deliberately absent.
+    /// A round runs in one call, so the plane is always between rounds;
+    /// the per-round fault flags are re-derived from the fault plan on
+    /// resume. Everything reconstructible from the configuration
+    /// (topology RSSI, crystal drifts, ST parameters) is deliberately
+    /// absent.
     pub(crate) fn export(&self) -> CpExport {
-        assert!(self.pending.is_empty(), "checkpoint only between rounds");
         let n = self.device_count;
         let store = match &self.store {
             ViewStore::Pooled { pool, handles, .. } => StoreExport::Pooled {

@@ -16,9 +16,7 @@
 //! uncoordinated baseline it compares against, and a classical centralized
 //! scheduler (an ablation beyond the paper).
 
-use crate::algorithm::{
-    demand_rate_kw, plan_with_level, CoordinatedPlanner, Plan, PlanConfig, SchedulingRule,
-};
+use crate::algorithm::{demand_rate_kw, CoordinatedPlanner, Plan, PlanConfig, SchedulingRule};
 use crate::checkpoint::{ensure, Checkpoint, CheckpointError, SimState};
 use crate::cp::{CommunicationPlane, CpModel, CpStats};
 use crate::fault::{FaultEvent, FaultPlan};
@@ -1219,7 +1217,7 @@ impl Driver {
             di.advance(now);
         }
 
-        // 3. Communication plane: publish every node's status record.
+        // 3. Every node's status record for this round's publish.
         self.scratch.statuses.clear();
         self.scratch
             .statuses
@@ -1228,34 +1226,17 @@ impl Driver {
         self.scratch
             .seqs
             .extend(self.dis.iter().map(DeviceInterface::seq));
-        if self.uses_cp {
-            self.cp
-                .begin_round(&self.scratch.statuses, &self.scratch.seqs);
-        }
     }
 
-    /// The round's MiniCast floods (packet CP), then every view row's
-    /// delivery, in order: row order is the lossy models' RNG order.
+    /// One whole CP round: publish, MiniCast floods (packet CP), every
+    /// view row's delivery in RNG order, then the round's statistics.
     fn comms(&mut self) {
-        if !self.uses_cp {
-            return;
-        }
-        for k in 0..self.cp.flood_phases() {
-            self.cp.flood_phase(k);
-        }
-        for row in 0..self.cp.delivery_rows() {
-            self.cp.deliver_row(row);
+        if self.uses_cp {
+            self.cp.round(&self.scratch.statuses, &self.scratch.seqs);
         }
     }
 
     fn plan(&mut self, now: SimTime) {
-        // The CP round closes here — after the last delivery, before any
-        // planner reads a view or an age — exactly where the synchronous
-        // `CommunicationPlane::round` used to return.
-        if self.uses_cp {
-            self.cp.finish_round();
-        }
-
         // 4. Execution plane: per-device decisions.
         let n = self.dis.len();
         let ttl = self.staleness_ttl;
@@ -1281,10 +1262,7 @@ impl Driver {
                         // a staleness divergence as a planning bug.
                         let filtered = ttl.and_then(|t| ttl_filtered_view(cp, i, n, t));
                         let view = filtered.as_ref().unwrap_or_else(|| cp.view(i));
-                        let level = planner.advance_level(demand_rate_kw(view), now);
-                        scratch
-                            .plans
-                            .push(plan_with_level(view, now, plan_cfg, level));
+                        scratch.plans.push(planner.plan(view, now));
                         scratch.node_plan.push(i);
                     }
                 } else {
@@ -1312,10 +1290,7 @@ impl Driver {
                         // view no longer matches its pool handle).
                         if let Some(t) = ttl {
                             if let Some(view) = ttl_filtered_view(cp, i, n, t) {
-                                let level = planner.advance_level(demand_rate_kw(&view), now);
-                                scratch
-                                    .plans
-                                    .push(plan_with_level(&view, now, plan_cfg, level));
+                                scratch.plans.push(planner.plan(&view, now));
                                 scratch.node_plan.push(scratch.plans.len() - 1);
                                 continue;
                             }

@@ -89,7 +89,14 @@ fn absorbing_round(at: SimTime) -> u64 {
 /// Streams `events` into a fresh online driver, injecting each one just
 /// before its absorbing round executes, then runs the window out.
 fn run_streamed(config: SimulationConfig, events: &[TelemetryEvent]) -> SimulationOutcome {
-    let sim = HanSimulation::new(config, Vec::new()).expect("valid config");
+    stream_into(
+        HanSimulation::new(config, Vec::new()).expect("valid config"),
+        events,
+    )
+}
+
+/// [`run_streamed`] into an already configured simulation.
+fn stream_into(sim: HanSimulation, events: &[TelemetryEvent]) -> SimulationOutcome {
     let mut online = OnlineDriver::new(sim);
     let mut ordered: Vec<&TelemetryEvent> = events.iter().collect();
     // Stable by absorbing round: ingest order between equal rounds is
@@ -307,16 +314,69 @@ proptest! {
 
         let mut events = arrivals(&requests);
         events.push(TelemetryEvent::CapChange { at: change_at, cap_kw: new_kw });
-        let streamed = run_streamed(
-            config(
-                devices,
-                minutes,
-                seed,
-                Some(PowerCapProfile::constant(base_kw).expect("valid cap")),
-                cp,
-            ),
-            &events,
+        let base = || config(
+            devices,
+            minutes,
+            seed,
+            Some(PowerCapProfile::constant(base_kw).expect("valid cap")),
+            cp.clone(),
         );
+        let streamed = run_streamed(base(), &events);
         assert_same(&batch, &streamed, "cap injection vs merged batch");
+        // The naive reference plane plans through the same planners, so
+        // the injected cap must reach it too.
+        let mut reference = HanSimulation::new(base(), Vec::new()).expect("valid config");
+        reference.set_reference_planning(true);
+        let streamed_reference = stream_into(reference, &events);
+        assert_same(&batch, &streamed_reference, "cap injection on the reference plane");
+    }
+}
+
+/// A node whose view holds a dead peer's aged record plans on a
+/// TTL-filtered copy of its view. An injected cap must reach that path
+/// too: ten devices, node 0 down from minute 1 to 40 with a one-round
+/// TTL, a 6 kW cap at 0 tightened to 1 kW at minute 2, and one arrival
+/// every 110 s from 150 s.
+#[test]
+fn cap_injection_reaches_ttl_filtered_planners() {
+    const SCRIPT_CAPS: &str = "cap:6@0; cap:1@2";
+    let faults = "down:0@1; up:0@40";
+    let requests: Vec<Request> = (0..20u64)
+        .map(|k| Request::new(DeviceId((k % 10) as u32), SimTime::from_secs(150 + 110 * k)))
+        .collect();
+    let merged =
+        PowerCapProfile::from_steps(vec![(SimTime::ZERO, 6.0), (SimTime::from_mins(2), 1.0)])
+            .expect("valid profile");
+    let build = |cap: Option<PowerCapProfile>, cp: &CpModel, requests: Vec<Request>| {
+        let mut sim =
+            HanSimulation::new(config(10, 60, 5, cap, cp.clone()), requests).expect("valid config");
+        sim.set_faults(FaultPlan::parse(faults).expect("valid plan"))
+            .expect("plan fits the fleet");
+        sim.set_staleness_ttl(Some(1));
+        sim
+    };
+    for (cp, digest) in [
+        (CpModel::Ideal, 0x09a4_7fc2_ddcf_a316_u64),
+        (
+            CpModel::LossyRound {
+                miss_probability: 0.4,
+            },
+            0xe52e_bc22_1521_8be1,
+        ),
+    ] {
+        let batch = build(Some(merged.clone()), &cp, requests.clone()).run();
+        let mut events = TelemetryEvent::parse_script(SCRIPT_CAPS).expect("valid telemetry");
+        events.extend(arrivals(&requests));
+        let streamed = stream_into(build(None, &cp, Vec::new()), &events);
+        assert_same(
+            &batch,
+            &streamed,
+            &format!("{cp:?}: streamed caps vs merged batch"),
+        );
+        assert_eq!(
+            streamed.schedule_digest, digest,
+            "{cp:?}: {:016x}",
+            streamed.schedule_digest
+        );
     }
 }

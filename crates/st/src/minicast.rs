@@ -80,11 +80,11 @@ impl RoundReport {
 
 /// Reusable working memory for [`run_round_with`].
 ///
-/// The aggregate/origins buffers are rebuilt once per *phase* (n + 1
-/// times per round), so reusing them is the real win; the per-node tally
+/// The aggregate/origins buffers are rebuilt once per data phase (n times
+/// per round), so reusing them is the real win; the per-node tally
 /// vectors are handed off into the returned [`RoundReport`] (whose
 /// per-node vectors are the function's product and necessarily fresh)
-/// and regrown on the next reset. Item clones into the aggregate are
+/// and regrown on the next round. Item clones into the aggregate are
 /// cheap: payloads are refcounted [`Bytes`], so "cloning" an item copies
 /// a pointer, never the payload.
 ///
@@ -96,10 +96,6 @@ pub struct RoundScratch {
     tx_count: Vec<u32>,
     listen_slots: Vec<u32>,
     tx_air: Vec<SimDuration>,
-    /// Sync-beacon outcome of the round in flight (set by [`sync_phase`]).
-    synced: Vec<bool>,
-    /// Flood phases executed so far in the round in flight.
-    phases: usize,
 }
 
 impl RoundScratch {
@@ -112,8 +108,6 @@ impl RoundScratch {
         self.listen_slots.resize(n, 0);
         self.tx_air.clear();
         self.tx_air.resize(n, SimDuration::ZERO);
-        self.synced.clear();
-        self.phases = 0;
     }
 }
 
@@ -225,12 +219,6 @@ pub fn run_round(
 /// [`run_round`] with caller-owned [`RoundScratch`], so a long-running
 /// communication plane reuses its working buffers round after round
 /// instead of reallocating them.
-///
-/// Internally one round is the phase sequence `sync_phase` → `n ×
-/// data_phase` → `finish_round_report`; callers that need the flood
-/// steps individually (the packet communication plane runs one per
-/// flood phase) drive those functions directly and get bit-identical
-/// behavior, because this *is* that sequence.
 #[allow(clippy::too_many_arguments)]
 pub fn run_round_with(
     rssi: &[Vec<Dbm>],
@@ -241,33 +229,12 @@ pub fn run_round_with(
     rng: &mut DetRng,
     scratch: &mut RoundScratch,
 ) -> RoundReport {
-    let n = rssi.len();
-    sync_phase(rssi, initiator, config, round_index, rng, scratch);
-    for k in 0..n {
-        data_phase(rssi, stores, config, round_index, k, rng, scratch);
-    }
-    finish_round_report(stores, config, round_index, scratch)
-}
-
-/// Phase 0 of one MiniCast round: the sync-beacon flood from `initiator`.
-///
-/// Resets `scratch` for a fresh round and records which nodes heard the
-/// beacon (consumed by [`finish_round_report`]). Must be called exactly
-/// once per round, before any [`data_phase`].
-///
-/// # Panics
-///
-/// Panics if `config` fails validation.
-pub fn sync_phase(
-    rssi: &[Vec<Dbm>],
-    initiator: NodeId,
-    config: &StConfig,
-    round_index: u64,
-    rng: &mut DetRng,
-    scratch: &mut RoundScratch,
-) {
     config.validate().expect("invalid ST configuration");
-    scratch.reset(rssi.len());
+    let n = rssi.len();
+    assert_eq!(stores.len(), n, "one item store per node required");
+    scratch.reset(n);
+
+    // Phase 0: the sync beacon.
     let beacon_payload = 8;
     let sync_out = glossy::flood(
         rssi,
@@ -278,75 +245,46 @@ pub fn sync_phase(
         rng,
     );
     absorb(&sync_out, scratch, beacon_payload);
-    scratch.synced.extend_from_slice(&sync_out.received);
-    scratch.phases = 1;
-}
 
-/// Data phase `k` (0-based) of one MiniCast round: the Glossy flood
-/// initiated by node `(round_index + k) mod n` carrying its aggregate,
-/// merged into every receiver's store. Call with `k` in `0..n`, in
-/// order, after [`sync_phase`].
-///
-/// # Panics
-///
-/// Panics if `stores.len()` does not match the RSSI matrix dimension.
-pub fn data_phase(
-    rssi: &[Vec<Dbm>],
-    stores: &mut [ItemStore],
-    config: &StConfig,
-    round_index: u64,
-    k: usize,
-    rng: &mut DetRng,
-    scratch: &mut RoundScratch,
-) {
-    let n = rssi.len();
-    assert_eq!(stores.len(), n, "one item store per node required");
-    let origin = NodeId(((round_index as usize + k) % n) as u32);
-    build_aggregate_into(
-        &stores[origin.index()],
-        origin,
-        round_index.wrapping_add(k as u64),
-        config.max_packet_payload,
-        &mut scratch.aggregate,
-        &mut scratch.origins,
-    );
-    scratch.phases += 1;
-    if scratch.aggregate.is_empty() {
-        // Nothing to send: the phase stays silent, everyone listens.
-        for (i, ls) in scratch.listen_slots.iter_mut().enumerate() {
-            if i != origin.index() {
-                *ls += config.flood_slots as u32;
+    // Data phase k: the flood initiated by node (round + k) mod n carries
+    // its aggregate, merged into every receiver's store.
+    for k in 0..n {
+        let origin = NodeId(((round_index as usize + k) % n) as u32);
+        build_aggregate_into(
+            &stores[origin.index()],
+            origin,
+            round_index.wrapping_add(k as u64),
+            config.max_packet_payload,
+            &mut scratch.aggregate,
+            &mut scratch.origins,
+        );
+        if scratch.aggregate.is_empty() {
+            // Nothing to send: the phase stays silent, everyone listens.
+            for (i, ls) in scratch.listen_slots.iter_mut().enumerate() {
+                if i != origin.index() {
+                    *ls += config.flood_slots as u32;
+                }
+            }
+            continue;
+        }
+        let payload = aggregate_payload_bytes(&scratch.aggregate);
+        let content = aggregate_content_key(&scratch.aggregate, round_index, k);
+        let out = glossy::flood(
+            rssi,
+            origin,
+            content,
+            phy::frame_bytes(payload).expect("aggregate fits"),
+            config,
+            rng,
+        );
+        absorb(&out, scratch, payload);
+        for (node, store) in stores.iter_mut().enumerate() {
+            if out.received[node] && node != origin.index() {
+                store.merge_all(scratch.aggregate.iter());
             }
         }
-        return;
     }
-    let payload = aggregate_payload_bytes(&scratch.aggregate);
-    let content = aggregate_content_key(&scratch.aggregate, round_index, k);
-    let out = glossy::flood(
-        rssi,
-        origin,
-        content,
-        phy::frame_bytes(payload).expect("aggregate fits"),
-        config,
-        rng,
-    );
-    absorb(&out, scratch, payload);
-    for (node, store) in stores.iter_mut().enumerate() {
-        if out.received[node] && node != origin.index() {
-            store.merge_all(scratch.aggregate.iter());
-        }
-    }
-}
 
-/// Assembles the [`RoundReport`] after [`sync_phase`] and all data
-/// phases of one round have run, consuming the tallies in `scratch`.
-pub fn finish_round_report(
-    stores: &[ItemStore],
-    config: &StConfig,
-    round_index: u64,
-    scratch: &mut RoundScratch,
-) -> RoundReport {
-    let n = stores.len();
     // Coverage and reliability against the set of origins that published.
     let published = (0..n)
         .filter(|&i| stores[i].get(NodeId(i as u32)).is_some())
@@ -373,11 +311,11 @@ pub fn finish_round_report(
         published,
         reliability,
         all_to_all,
-        synced: std::mem::take(&mut scratch.synced),
+        synced: sync_out.received,
         tx_count: std::mem::take(&mut scratch.tx_count),
         listen_slots: std::mem::take(&mut scratch.listen_slots),
         radio_on,
-        phases: scratch.phases,
+        phases: n + 1,
     }
 }
 

@@ -227,7 +227,7 @@ enum CpChoice {
 }
 
 impl CpChoice {
-    /// Parses `--cp`. Batch, serve and city mode all parse the flag here.
+    /// Parses `--cp`.
     fn parse(value: &str) -> Result<CpChoice, CliError> {
         let invalid = || CliError::Invalid {
             flag: "--cp",
@@ -274,20 +274,135 @@ impl CpChoice {
     }
 }
 
-struct Args {
+/// The scenario flags every mode shares: `--rate`, `--workload`,
+/// `--cp`, `--minutes`, `--devices`, `--faults` and `--seed`.
+struct ScenarioArgs {
     rate: f64,
-    workload: String,
-    strategy: String,
-    cp: CpModel,
+    /// `--workload daily`: the time-of-day household profile, which
+    /// ignores `--rate`.
+    daily: bool,
+    cp: CpChoice,
     minutes: u64,
     devices: usize,
+    faults: FaultPlan,
+    seed: u64,
+}
+
+impl ScenarioArgs {
+    /// The defaults, over a window of `minutes` (each mode has its own).
+    fn new(minutes: u64) -> Self {
+        ScenarioArgs {
+            rate: 30.0,
+            daily: false,
+            cp: CpChoice::Ideal,
+            minutes,
+            devices: 26,
+            faults: FaultPlan::empty(),
+            seed: 0,
+        }
+    }
+
+    /// The scenario the flags describe, named `"{mode} {rate}/h"`:
+    /// neighborhood home names print the prefix.
+    fn scenario(&self, mode: &str) -> Result<Scenario, ScenarioError> {
+        let workload = if self.daily {
+            Workload::Daily(DailyProfile::typical_household())
+        } else {
+            Workload::Poisson {
+                rate_per_hour: self.rate,
+            }
+        };
+        Scenario::builder(format!("{mode} {}/h", self.rate))
+            .class(DeviceClass::paper(self.devices))
+            .workload(workload)
+            .duration(SimDuration::from_mins(self.minutes))
+            .seed(self.seed)
+            .build()
+    }
+
+    /// The communication plane, its packet channel seeded by `--seed`.
+    fn cp(&self) -> CpModel {
+        self.cp.build(self.seed)
+    }
+}
+
+/// Reads the next command-line argument as the value of a flag.
+type Value<'a> = dyn FnMut(&'static str) -> Result<String, CliError> + 'a;
+
+/// The one flag loop of every mode: the shared scenario flags go into
+/// `scenario`, `--help` asks for usage, and every other flag goes to the
+/// mode's `own`, which returns `Ok(false)` for a flag it does not know.
+fn parse_flags(
+    argv: impl IntoIterator<Item = String>,
+    scenario: &mut ScenarioArgs,
+    mut own: impl FnMut(&str, &mut Value) -> Result<bool, CliError>,
+) -> Result<(), CliError> {
+    let mut it = argv.into_iter();
+    while let Some(flag) = it.next() {
+        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
+        match flag.as_str() {
+            "--rate" => scenario.rate = parse_rate(&value("--rate")?)?,
+            "--workload" => {
+                scenario.daily = match value("--workload")?.as_str() {
+                    "poisson" => false,
+                    "daily" => true,
+                    other => {
+                        return Err(CliError::Invalid {
+                            flag: "--workload",
+                            value: other.to_string(),
+                            expected: "poisson|daily",
+                        })
+                    }
+                }
+            }
+            "--cp" => scenario.cp = CpChoice::parse(&value("--cp")?)?,
+            "--minutes" => scenario.minutes = num(&mut value, "--minutes")?,
+            "--devices" => scenario.devices = num(&mut value, "--devices")?,
+            "--faults" => scenario.faults = parse_faults(value("--faults")?)?,
+            "--seed" => scenario.seed = num(&mut value, "--seed")?,
+            "--help" | "-h" => return Err(CliError::Usage),
+            other => {
+                if !own(other, &mut value)? {
+                    return Err(CliError::UnknownFlag {
+                        flag: other.to_string(),
+                    });
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Reads the next argument as `flag`'s numeric value.
+fn num<T: std::str::FromStr>(value: &mut Value, flag: &'static str) -> Result<T, CliError> {
+    parse_num(&value(flag)?, flag)
+}
+
+/// Checks a `--strategy` value against the names a mode accepts.
+fn parse_strategy(
+    value: String,
+    accepted: &[&str],
+    expected: &'static str,
+) -> Result<String, CliError> {
+    if accepted.contains(&value.as_str()) {
+        Ok(value)
+    } else {
+        Err(CliError::Invalid {
+            flag: "--strategy",
+            value,
+            expected,
+        })
+    }
+}
+
+struct Args {
+    scenario: ScenarioArgs,
+    strategy: String,
     homes: usize,
     feeder: Option<FeederSignal>,
-    faults: FaultPlan,
     stale_ttl: Option<u32>,
     checkpoint: Option<String>,
     restore: Option<String>,
-    seed: u64,
     csv: bool,
     metrics_out: Option<String>,
     trace: Option<String>,
@@ -332,93 +447,51 @@ fn parse_feeder(value: &str) -> Result<FeederSignal, CliError> {
 
 fn parse_args() -> Result<Args, CliError> {
     let mut args = Args {
-        rate: 30.0,
-        workload: "poisson".into(),
+        scenario: ScenarioArgs::new(350),
         strategy: "compare".into(),
-        cp: CpModel::Ideal,
-        minutes: 350,
-        devices: 26,
         homes: 1,
         feeder: None,
-        faults: FaultPlan::empty(),
         stale_ttl: None,
         checkpoint: None,
         restore: None,
-        seed: 0,
         csv: false,
         metrics_out: None,
         trace: None,
         flight: None,
         feeder_trace: None,
     };
-    let mut cp_choice = CpChoice::Ideal;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
-        match flag.as_str() {
-            "--rate" => args.rate = parse_rate(&value("--rate")?)?,
-            "--workload" => {
-                let v = value("--workload")?;
-                match v.as_str() {
-                    "poisson" | "daily" => args.workload = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--workload",
-                            value: other.to_string(),
-                            expected: "poisson|daily",
-                        })
-                    }
+    parse_flags(
+        std::env::args().skip(1),
+        &mut args.scenario,
+        |flag, value| {
+            match flag {
+                "--strategy" => {
+                    args.strategy = parse_strategy(
+                        value("--strategy")?,
+                        &["coordinated", "uncoordinated", "centralized", "compare"],
+                        "coordinated|uncoordinated|centralized|compare",
+                    )?
                 }
+                "--homes" => args.homes = num(value, "--homes")?,
+                "--feeder" => args.feeder = Some(parse_feeder(&value("--feeder")?)?),
+                "--stale-ttl" => args.stale_ttl = Some(num(value, "--stale-ttl")?),
+                "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
+                "--restore" => args.restore = Some(value("--restore")?),
+                "--csv" => args.csv = true,
+                "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
+                "--trace" => args.trace = Some(value("--trace")?),
+                "--flight" => args.flight = Some(value("--flight")?),
+                "--feeder-trace" => args.feeder_trace = Some(value("--feeder-trace")?),
+                _ => return Ok(false),
             }
-            "--strategy" => {
-                let v = value("--strategy")?;
-                match v.as_str() {
-                    "coordinated" | "uncoordinated" | "centralized" | "compare" => {
-                        args.strategy = v;
-                    }
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--strategy",
-                            value: other.to_string(),
-                            expected: "coordinated|uncoordinated|centralized|compare",
-                        })
-                    }
-                }
-            }
-            "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
-            "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
-            "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--homes" => args.homes = parse_num(&value("--homes")?, "--homes")?,
-            "--feeder" => args.feeder = Some(parse_feeder(&value("--feeder")?)?),
-            "--faults" => args.faults = parse_faults(value("--faults")?)?,
-            "--stale-ttl" => {
-                args.stale_ttl = Some(parse_num(&value("--stale-ttl")?, "--stale-ttl")?)
-            }
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
-            "--restore" => args.restore = Some(value("--restore")?),
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--csv" => args.csv = true,
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
-            "--trace" => args.trace = Some(value("--trace")?),
-            "--flight" => args.flight = Some(value("--flight")?),
-            "--feeder-trace" => args.feeder_trace = Some(value("--feeder-trace")?),
-            "--help" | "-h" => return Err(CliError::Usage),
-            other => {
-                return Err(CliError::UnknownFlag {
-                    flag: other.to_string(),
-                })
-            }
-        }
-    }
-    // Built last so the packet model's channel seed honors `--seed`
-    // regardless of flag order.
-    args.cp = cp_choice.build(args.seed);
+            Ok(true)
+        },
+    )?;
     Ok(args)
 }
 
 /// Parses `--rate`: a paper regime by name (its rate from
-/// [`ArrivalRate::per_hour`]) or a number of requests per hour. Batch,
-/// serve and city mode all parse the flag here.
+/// [`ArrivalRate::per_hour`]) or a number of requests per hour.
 fn parse_rate(value: &str) -> Result<f64, CliError> {
     match value {
         "low" => Ok(ArrivalRate::Low.per_hour()),
@@ -432,7 +505,7 @@ fn parse_rate(value: &str) -> Result<f64, CliError> {
     }
 }
 
-/// Parses a `--faults` spec: every mode accepts the same grammar.
+/// Parses a `--faults` spec.
 fn parse_faults(spec: String) -> Result<FaultPlan, CliError> {
     FaultPlan::parse(&spec).map_err(|_| CliError::Invalid {
         flag: "--faults",
@@ -460,21 +533,6 @@ fn strategy_by_name(name: &str) -> Strategy {
         },
         other => unreachable!("validated earlier: {other}"),
     }
-}
-
-fn build_scenario(args: &Args) -> Result<Scenario, ScenarioError> {
-    let workload = match args.workload.as_str() {
-        "daily" => Workload::Daily(DailyProfile::typical_household()),
-        _ => Workload::Poisson {
-            rate_per_hour: args.rate,
-        },
-    };
-    Scenario::builder(format!("cli {}/h", args.rate))
-        .class(DeviceClass::paper(args.devices))
-        .workload(workload)
-        .duration(SimDuration::from_mins(args.minutes))
-        .seed(args.seed)
-        .build()
 }
 
 fn cost_line(cost: &CostBreakdown) -> String {
@@ -535,8 +593,8 @@ fn run_one(
     let mut sim = build_simulation(
         scenario,
         strategy,
-        args.cp.clone(),
-        &args.faults,
+        args.scenario.cp(),
+        &args.scenario.faults,
         args.stale_ttl,
     )?;
     if let Some(sink) = sink {
@@ -553,7 +611,7 @@ fn run_one(
         // Snapshot at the midpoint of the timeline (rounds are 2 s, so
         // `minutes * 30 / 2` rounds in), then keep running: the printed
         // report is the full-run report, the file is the restart point.
-        let (outcome, checkpoint) = sim.run_checkpointed(args.minutes * 15);
+        let (outcome, checkpoint) = sim.run_checkpointed(args.scenario.minutes * 15);
         std::fs::write(path, checkpoint.to_bytes()).map_err(|error| CliError::Io {
             path: path.clone(),
             error,
@@ -638,13 +696,15 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let workload_desc = match args.workload.as_str() {
-        "daily" => "time-of-day household".to_string(),
-        _ => format!("{}/h", args.rate),
+    let flags = &args.scenario;
+    let workload_desc = if flags.daily {
+        "time-of-day household".to_string()
+    } else {
+        format!("{}/h", flags.rate)
     };
     println!(
         "{} devices x 1 kW, {workload_desc} requests, {} min, seed {} (sampled every {})",
-        args.devices, args.minutes, args.seed, SAMPLE_INTERVAL
+        flags.devices, flags.minutes, flags.seed, SAMPLE_INTERVAL
     );
     let billing = Billing::typical_residential();
     let end = SimTime::ZERO + scenario.duration;
@@ -661,12 +721,12 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         );
         let cost = billing.cost(&r.outcome.trace, SimTime::ZERO, end);
         println!("         bill: {}", cost_line(&cost));
-        if !args.faults.is_empty() {
+        if !flags.faults.is_empty() {
             let res = &r.outcome.resilience;
             println!(
                 "         resilience: availability {:.4} | node-down rounds {} | \
                  outage rounds {} | misses while down/during outage {}/{}",
-                res.availability(r.outcome.cp.rounds, args.devices),
+                res.availability(r.outcome.cp.rounds, flags.devices),
                 res.down_node_rounds,
                 res.outage_rounds,
                 res.misses_while_down,
@@ -796,17 +856,18 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
             }
         }
     }
+    let flags = &args.scenario;
     let mut hood = Neighborhood::uniform(
         format!("cli street x{}", args.homes),
         scenario,
-        args.cp.clone(),
+        flags.cp(),
         args.homes,
     )?;
-    if !args.faults.is_empty() {
+    if !flags.faults.is_empty() {
         // Every home suffers the same scripted timeline (homes fail
         // independently inside their own HANs).
         for home in &mut hood.homes {
-            home.faults = args.faults.clone();
+            home.faults = flags.faults.clone();
         }
     }
     let report = hood.run()?;
@@ -847,10 +908,10 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         "{}: {} homes x {} devices, {} min, seeds {}..{}",
         hood.name,
         args.homes,
-        args.devices,
-        args.minutes,
-        args.seed,
-        args.seed + args.homes as u64 - 1,
+        flags.devices,
+        flags.minutes,
+        flags.seed,
+        flags.seed + args.homes as u64 - 1,
     );
     let billing = Billing::typical_residential();
     println!(
@@ -893,15 +954,9 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
 /// Serve-mode arguments: the single-home scenario flags plus the
 /// daemon-specific ones.
 struct ServeArgs {
-    rate: f64,
-    workload: String,
+    scenario: ScenarioArgs,
     strategy: String,
-    cp: CpModel,
-    minutes: u64,
-    devices: usize,
-    faults: FaultPlan,
     stale_ttl: Option<u32>,
-    seed: u64,
     listen: Option<String>,
     replay: Option<String>,
     checkpoint: Option<String>,
@@ -914,15 +969,9 @@ struct ServeArgs {
 
 fn parse_serve_args() -> Result<ServeArgs, CliError> {
     let mut args = ServeArgs {
-        rate: 30.0,
-        workload: "poisson".into(),
+        scenario: ScenarioArgs::new(350),
         strategy: "coordinated".into(),
-        cp: CpModel::Ideal,
-        minutes: 350,
-        devices: 26,
-        faults: FaultPlan::empty(),
         stale_ttl: None,
-        seed: 0,
         listen: None,
         replay: None,
         checkpoint: None,
@@ -932,68 +981,34 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
         manual: false,
         flight: None,
     };
-    let mut cp_choice = CpChoice::Ideal;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
-        match flag.as_str() {
-            "--rate" => args.rate = parse_rate(&value("--rate")?)?,
-            "--workload" => {
-                let v = value("--workload")?;
-                match v.as_str() {
-                    "poisson" | "daily" => args.workload = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--workload",
-                            value: other.to_string(),
-                            expected: "poisson|daily",
-                        })
-                    }
+    parse_flags(
+        std::env::args().skip(2),
+        &mut args.scenario,
+        |flag, value| {
+            match flag {
+                "--strategy" => {
+                    args.strategy = parse_strategy(
+                        value("--strategy")?,
+                        &["coordinated", "uncoordinated", "centralized"],
+                        "a single strategy (serve holds one simulation's state)",
+                    )?
                 }
-            }
-            "--strategy" => {
-                let v = value("--strategy")?;
-                match v.as_str() {
-                    "coordinated" | "uncoordinated" | "centralized" => args.strategy = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--strategy",
-                            value: other.to_string(),
-                            expected: "a single strategy (serve holds one simulation's state)",
-                        })
-                    }
+                "--stale-ttl" => args.stale_ttl = Some(num(value, "--stale-ttl")?),
+                "--listen" => args.listen = Some(value("--listen")?),
+                "--replay" => args.replay = Some(value("--replay")?),
+                "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
+                "--checkpoint-every" => {
+                    args.checkpoint_every_min = Some(num(value, "--checkpoint-every")?)
                 }
+                "--restore" => args.restore = Some(value("--restore")?),
+                "--pace-us" => args.pace_us = Some(num(value, "--pace-us")?),
+                "--manual" => args.manual = true,
+                "--flight" => args.flight = Some(value("--flight")?),
+                _ => return Ok(false),
             }
-            "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
-            "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
-            "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--faults" => args.faults = parse_faults(value("--faults")?)?,
-            "--stale-ttl" => {
-                args.stale_ttl = Some(parse_num(&value("--stale-ttl")?, "--stale-ttl")?)
-            }
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--listen" => args.listen = Some(value("--listen")?),
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
-            "--checkpoint-every" => {
-                args.checkpoint_every_min = Some(parse_num(
-                    &value("--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?)
-            }
-            "--restore" => args.restore = Some(value("--restore")?),
-            "--pace-us" => args.pace_us = Some(parse_num(&value("--pace-us")?, "--pace-us")?),
-            "--manual" => args.manual = true,
-            "--flight" => args.flight = Some(value("--flight")?),
-            "--help" | "-h" => return Err(CliError::Usage),
-            other => {
-                return Err(CliError::UnknownFlag {
-                    flag: other.to_string(),
-                })
-            }
-        }
-    }
-    args.cp = cp_choice.build(args.seed);
+            Ok(true)
+        },
+    )?;
     Ok(args)
 }
 
@@ -1034,22 +1049,11 @@ fn run_serve() -> Result<(), CliError> {
             expected: "--checkpoint PATH to name the snapshot file",
         });
     }
-    let scenario = Scenario::builder(format!("serve {}/h", args.rate))
-        .class(DeviceClass::paper(args.devices))
-        .workload(match args.workload.as_str() {
-            "daily" => Workload::Daily(DailyProfile::typical_household()),
-            _ => Workload::Poisson {
-                rate_per_hour: args.rate,
-            },
-        })
-        .duration(SimDuration::from_mins(args.minutes))
-        .seed(args.seed)
-        .build()?;
     let sim = build_simulation(
-        &scenario,
+        &args.scenario.scenario("serve")?,
         strategy_by_name(&args.strategy),
-        args.cp.clone(),
-        &args.faults,
+        args.scenario.cp(),
+        &args.scenario.faults,
         args.stale_ttl,
     )?;
 
@@ -1104,7 +1108,7 @@ fn run_serve() -> Result<(), CliError> {
         eprintln!("hansim serve: {failures} auto-checkpoint(s) failed to write");
     }
     match outcome {
-        Some(outcome) => println!("{}", serve_report(outcome, args.minutes)),
+        Some(outcome) => println!("{}", serve_report(outcome, args.scenario.minutes)),
         None => eprintln!("hansim serve: shut down mid-window (state in last checkpoint)"),
     }
     Ok(())
@@ -1112,16 +1116,10 @@ fn run_serve() -> Result<(), CliError> {
 
 /// City-mode arguments (`hansim city …`).
 struct CityArgs {
+    scenario: ScenarioArgs,
     feeders: usize,
     homes_per_feeder: usize,
     shards: usize,
-    devices: usize,
-    rate: f64,
-    workload: String,
-    minutes: u64,
-    cp: CpModel,
-    faults: FaultPlan,
-    seed: u64,
     substation_fanin: usize,
     csv: bool,
     /// `Some(n)`: run the city as `n` worker processes (`hansim
@@ -1131,78 +1129,38 @@ struct CityArgs {
     mp_deadline_ms: u64,
 }
 
-/// Parses city-mode flags from `it` — the tail of argv after the
-/// subcommand. Taking the iterator (rather than reading `env::args`
+/// Parses city-mode flags from `argv` — the tail of argv after the
+/// subcommand. Taking the arguments (rather than reading `env::args`
 /// here) lets the hidden `city-worker` entry point reuse the exact
 /// parser on its own argv tail, so parent and worker derive the spec
 /// from the *same* grammar and the handshake fingerprints can only
 /// diverge on real version skew.
-fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, CliError> {
+fn parse_city_args(argv: impl IntoIterator<Item = String>) -> Result<CityArgs, CliError> {
     let mut args = CityArgs {
+        scenario: ScenarioArgs::new(120),
         feeders: 4,
         homes_per_feeder: 4,
         shards: 0,
-        devices: 26,
-        rate: 30.0,
-        workload: "poisson".into(),
-        minutes: 120,
-        cp: CpModel::Ideal,
-        faults: FaultPlan::empty(),
-        seed: 0,
         substation_fanin: 0,
         csv: false,
         workers: None,
         mp_restart: false,
         mp_deadline_ms: 30_000,
     };
-    let mut cp_choice = CpChoice::Ideal;
-    while let Some(flag) = it.next() {
-        let mut value = |name: &'static str| it.next().ok_or(CliError::MissingValue { flag: name });
-        match flag.as_str() {
-            "--feeders" => args.feeders = parse_num(&value("--feeders")?, "--feeders")?,
-            "--homes-per-feeder" => {
-                args.homes_per_feeder =
-                    parse_num(&value("--homes-per-feeder")?, "--homes-per-feeder")?
-            }
-            "--shards" => args.shards = parse_num(&value("--shards")?, "--shards")?,
-            "--devices" => args.devices = parse_num(&value("--devices")?, "--devices")?,
-            "--rate" => args.rate = parse_rate(&value("--rate")?)?,
-            "--workload" => {
-                let v = value("--workload")?;
-                match v.as_str() {
-                    "poisson" | "daily" => args.workload = v,
-                    other => {
-                        return Err(CliError::Invalid {
-                            flag: "--workload",
-                            value: other.to_string(),
-                            expected: "poisson|daily",
-                        })
-                    }
-                }
-            }
-            "--minutes" => args.minutes = parse_num(&value("--minutes")?, "--minutes")?,
-            "--cp" => cp_choice = CpChoice::parse(&value("--cp")?)?,
-            "--faults" => args.faults = parse_faults(value("--faults")?)?,
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--substation-fanin" => {
-                args.substation_fanin =
-                    parse_num(&value("--substation-fanin")?, "--substation-fanin")?
-            }
+    parse_flags(argv, &mut args.scenario, |flag, value| {
+        match flag {
+            "--feeders" => args.feeders = num(value, "--feeders")?,
+            "--homes-per-feeder" => args.homes_per_feeder = num(value, "--homes-per-feeder")?,
+            "--shards" => args.shards = num(value, "--shards")?,
+            "--substation-fanin" => args.substation_fanin = num(value, "--substation-fanin")?,
             "--csv" => args.csv = true,
-            "--workers" => args.workers = Some(parse_num(&value("--workers")?, "--workers")?),
+            "--workers" => args.workers = Some(num(value, "--workers")?),
             "--mp-restart" => args.mp_restart = true,
-            "--mp-deadline-ms" => {
-                args.mp_deadline_ms = parse_num(&value("--mp-deadline-ms")?, "--mp-deadline-ms")?
-            }
-            "--help" | "-h" => return Err(CliError::Usage),
-            other => {
-                return Err(CliError::UnknownFlag {
-                    flag: other.to_string(),
-                })
-            }
+            "--mp-deadline-ms" => args.mp_deadline_ms = num(value, "--mp-deadline-ms")?,
+            _ => return Ok(false),
         }
-    }
-    args.cp = cp_choice.build(args.seed);
+        Ok(true)
+    })?;
     Ok(args)
 }
 
@@ -1211,28 +1169,18 @@ fn parse_city_args(mut it: impl Iterator<Item = String>) -> Result<CityArgs, Cli
 /// both sides derive the spec through this one function, which is what
 /// makes the handshake fingerprint a real equivalence check.
 fn city_spec(args: &CityArgs) -> Result<CitySpec, CliError> {
-    let template = Scenario::builder(format!("city {}/h", args.rate))
-        .class(DeviceClass::paper(args.devices))
-        .workload(match args.workload.as_str() {
-            "daily" => Workload::Daily(DailyProfile::typical_household()),
-            _ => Workload::Poisson {
-                rate_per_hour: args.rate,
-            },
-        })
-        .duration(SimDuration::from_mins(args.minutes))
-        .seed(args.seed)
-        .build()?;
+    let flags = &args.scenario;
     Ok(CitySpec::uniform(
         format!("cli city {}x{}", args.feeders, args.homes_per_feeder),
-        &template,
-        args.cp.clone(),
+        &flags.scenario("city")?,
+        flags.cp(),
         args.feeders,
         args.homes_per_feeder,
     )
-    .with_seed(args.seed)
+    .with_seed(flags.seed)
     .with_shards(args.shards)
     .with_substation_fanin(args.substation_fanin)
-    .with_faults(args.faults.clone()))
+    .with_faults(flags.faults.clone()))
 }
 
 /// Spawns `hansim city-worker <index> <count> <city flags…>` children
@@ -1401,10 +1349,10 @@ fn print_city_report(report: &CityReport, args: &CityArgs) {
         report.name,
         report.feeders.len(),
         args.homes_per_feeder,
-        args.devices,
+        args.scenario.devices,
         report.devices,
-        args.minutes,
-        args.seed,
+        args.scenario.minutes,
+        args.scenario.seed,
     );
     println!(
         "\n{:<8} {:>6} {:>9} {:>9} {:>8} {:>12}",
@@ -1464,19 +1412,9 @@ fn print_city_report(report: &CityReport, args: &CityArgs) {
 }
 
 fn main() -> ExitCode {
-    match std::env::args().nth(1).as_deref() {
-        Some("serve") => {
-            return match run_serve() {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            };
-        }
-        Some("city") => {
-            return match run_city() {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            };
-        }
+    let outcome = match std::env::args().nth(1).as_deref() {
+        Some("serve") => run_serve(),
+        Some("city") => run_city(),
         // The hidden worker half of `city --workers N`. Failures go to
         // stderr with a bare exit — the parent's typed error is the
         // user-facing diagnostic, not this.
@@ -1489,24 +1427,23 @@ fn main() -> ExitCode {
                 }
             };
         }
-        _ => {}
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let scenario = match build_scenario(&args) {
-        Ok(s) => s,
-        Err(e) => return fail(&CliError::Scenario(e)),
-    };
-    let outcome = if args.homes > 1 || args.feeder.is_some() {
-        run_neighborhood(&args, &scenario)
-    } else {
-        run_single_home(&args, &scenario)
+        _ => run_batch(),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(&e),
+    }
+}
+
+/// Batch mode: one home, or a neighborhood of `--homes N` (with or
+/// without a `--feeder` signal).
+fn run_batch() -> Result<(), CliError> {
+    let args = parse_args()?;
+    let scenario = args.scenario.scenario("cli")?;
+    match args.homes {
+        0 => Err(ScenarioError::EmptyNeighborhood.into()),
+        1 if args.feeder.is_none() => run_single_home(&args, &scenario),
+        _ => run_neighborhood(&args, &scenario),
     }
 }
 
