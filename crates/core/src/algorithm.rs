@@ -116,7 +116,7 @@ impl Default for PlanConfig {
 
 /// The planner's full output: the ON-set for this round plus the start
 /// assignment of every outstanding instance (committed and newly placed).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Plan {
     /// Devices whose element should be ON this round.
     pub schedule: Schedule,
@@ -134,6 +134,26 @@ impl Plan {
             .ok()
             .map(|i| self.starts[i].1)
     }
+}
+
+/// Reusable working memory of the planning kernel ([`plan_into`]). A
+/// caller that keeps one across rounds, together with the [`Plan`]s it
+/// plans into, plans without allocating once the buffers have grown to
+/// the fleet's size.
+#[derive(Debug, Default)]
+pub(crate) struct PlanScratch {
+    /// Outstanding instances, in device order.
+    pending: Vec<Pending>,
+    /// Level-capped queue: instances waiting for admission.
+    queue: Vec<Pending>,
+    /// Placement: committed and newly placed spans.
+    spans: Vec<(u64, u64, f64)>,
+    /// Placement: instances still to place.
+    unplaced: Vec<Pending>,
+    /// Placement: one instance's candidate starts.
+    candidates: Vec<SimTime>,
+    /// The ON set under construction.
+    on_set: Vec<DeviceId>,
 }
 
 /// One outstanding instance extracted from the view.
@@ -209,11 +229,12 @@ fn concurrency_at(c: u64, spans: &[(u64, u64, f64)]) -> f64 {
         .sum()
 }
 
-/// Candidate starts for a new instance: the grid `now + k·owed` clipped to
-/// the feasible range, plus the latest feasible start.
-fn candidate_starts(p: &Pending, now: SimTime) -> Vec<SimTime> {
+/// Writes the candidate starts for a new instance into `out`: the grid
+/// `now + k·owed` clipped to the feasible range, plus the latest feasible
+/// start.
+fn candidate_starts(p: &Pending, now: SimTime, out: &mut Vec<SimTime>) {
     let latest = p.latest_start(now);
-    let mut out = Vec::new();
+    out.clear();
     let step = p.owed.as_micros().max(1);
     let mut t = now.as_micros();
     while t < latest.as_micros() {
@@ -222,7 +243,6 @@ fn candidate_starts(p: &Pending, now: SimTime) -> Vec<SimTime> {
     }
     out.push(latest);
     out.dedup();
-    out
 }
 
 /// Computes the coordinated plan from a system view.
@@ -236,25 +256,49 @@ pub fn plan_coordinated(view: &SystemView, now: SimTime, config: &PlanConfig) ->
 
 /// Computes the plan at an explicit served level (kW).
 ///
-/// This is the pure planning kernel shared by [`plan_coordinated`] (which
-/// uses the raw demand rate as the level), by [`CoordinatedPlanner::plan`]
-/// (which uses its slew-limited level), and by the simulation's grouped
-/// execution plane and its naive reference path — keeping one
-/// definition of the algorithm for all of them. The level only affects the
-/// [`SchedulingRule::LevelCappedQueue`] rule; placement rules ignore it.
+/// The entry point to the pure planning kernel shared by
+/// [`plan_coordinated`] (which uses the raw demand rate as the level), by
+/// [`CoordinatedPlanner::plan`] (which uses its slew-limited level), and
+/// by the simulation's grouped execution plane and its naive reference
+/// path — keeping one definition of the algorithm for all of them. The
+/// level only affects the [`SchedulingRule::LevelCappedQueue`] rule;
+/// placement rules ignore it.
 pub fn plan_with_level(
     view: &SystemView,
     now: SimTime,
     config: &PlanConfig,
     level_kw: f64,
 ) -> Plan {
-    let pending = collect_pending(view, now);
+    let mut plan = Plan::default();
+    plan_into(
+        view,
+        now,
+        config,
+        level_kw,
+        &mut PlanScratch::default(),
+        &mut plan,
+    );
+    plan
+}
+
+/// The planning kernel: writes the plan [`plan_with_level`] returns into
+/// `out`, reusing the buffers of `out` and `scratch`. Whatever `out` held
+/// before is replaced.
+pub(crate) fn plan_into(
+    view: &SystemView,
+    now: SimTime,
+    config: &PlanConfig,
+    level_kw: f64,
+    scratch: &mut PlanScratch,
+    out: &mut Plan,
+) {
+    collect_pending(view, now, &mut scratch.pending);
     match config.rule {
         SchedulingRule::LevelCappedQueue { headroom_kw } => {
-            plan_level_capped(&pending, now, config, headroom_kw, level_kw)
+            plan_level_capped(now, config, headroom_kw, level_kw, scratch, out)
         }
         SchedulingRule::BalancedPlacement | SchedulingRule::Earliest | SchedulingRule::Latest => {
-            plan_by_placement(&pending, now, config)
+            plan_by_placement(now, config, scratch, out)
         }
     }
 }
@@ -274,13 +318,12 @@ pub fn demand_rate_kw(view: &SystemView) -> f64 {
         .sum()
 }
 
-fn collect_pending(view: &SystemView, now: SimTime) -> Vec<Pending> {
-    let mut pending: Vec<Pending> = view
-        .iter()
-        .filter_map(|rec| Pending::from_record(rec, now))
-        .collect();
-    pending.sort_by_key(|p| p.device);
-    pending
+/// Writes the view's outstanding instances into `out`, in device order.
+fn collect_pending(view: &SystemView, now: SimTime, out: &mut Vec<Pending>) {
+    out.clear();
+    out.extend(view.iter().filter_map(|rec| Pending::from_record(rec, now)));
+    // Device ids are unique, so the unstable sort has one result.
+    out.sort_unstable_by_key(|p| p.device);
 }
 
 /// The per-node planner: the scheduling rule plus the slew-limited level
@@ -328,7 +371,8 @@ impl CoordinatedPlanner {
         self.level_kw
     }
 
-    /// Every [`plan_at_level`](CoordinatedPlanner::plan_at_level) call.
+    /// Plans computed so far: every call of the planning kernel, through
+    /// [`plan`](CoordinatedPlanner::plan) or the grouped execution plane.
     pub fn invocations(&self) -> u64 {
         self.invocations
     }
@@ -374,26 +418,42 @@ impl CoordinatedPlanner {
     /// Computes this round's plan and updates the level tracker.
     pub fn plan(&mut self, view: &SystemView, now: SimTime) -> Plan {
         self.advance_level(demand_rate_kw(view), now);
-        self.plan_at_level(view, now)
+        let mut plan = Plan::default();
+        self.plan_at_level(view, now, &mut PlanScratch::default(), &mut plan);
+        plan
     }
 
-    /// Computes this round's plan assuming
+    /// Writes this round's plan into `out`, reusing its buffers and
+    /// `scratch`'s (see [`plan_into`]), assuming
     /// [`advance_level`](CoordinatedPlanner::advance_level) already ran.
-    pub fn plan_at_level(&mut self, view: &SystemView, now: SimTime) -> Plan {
+    pub(crate) fn plan_at_level(
+        &mut self,
+        view: &SystemView,
+        now: SimTime,
+        scratch: &mut PlanScratch,
+        out: &mut Plan,
+    ) {
         self.invocations += 1;
-        plan_with_level(view, now, &self.config, self.level_kw)
+        plan_into(view, now, &self.config, self.level_kw, scratch, out);
     }
 }
 
 /// The paper's scheme: EDF admission capped at
 /// `⌈max(water level, demand rate)⌉ + headroom`.
 fn plan_level_capped(
-    pending: &[Pending],
     now: SimTime,
     config: &PlanConfig,
     headroom_kw: f64,
     rate_kw: f64,
-) -> Plan {
+    scratch: &mut PlanScratch,
+    out: &mut Plan,
+) {
+    let PlanScratch {
+        pending,
+        queue,
+        on_set,
+        ..
+    } = scratch;
     let guard = config.laxity_guard.as_micros() as i64;
     // Outstanding work (kW·µs) and the level it needs on average.
     let work_kw_us: f64 = pending
@@ -410,24 +470,27 @@ fn plan_level_capped(
     }
 
     // Safety sets first: running instances continue; endangered
-    // obligations are forced regardless of the cap.
-    let mut on_set: Vec<DeviceId> = Vec::new();
+    // obligations are forced regardless of the cap. Everything else
+    // queues.
+    on_set.clear();
+    queue.clear();
     let mut admitted_kw = 0.0;
-    for p in pending {
+    for p in pending.iter() {
         if p.on || p.laxity_micros(now) < guard {
             on_set.push(p.device);
             admitted_kw += p.power_kw;
+        } else {
+            queue.push(*p);
         }
     }
 
     // Admission one by one, earliest deadline first, up to the level.
-    let mut queue: Vec<&Pending> = pending
-        .iter()
-        .filter(|p| !on_set.contains(&p.device))
-        .collect();
-    queue.sort_by_key(|p| (p.deadline, p.arrival, p.device));
-    let mut starts: Vec<(DeviceId, SimTime)> = on_set.iter().map(|&d| (d, now)).collect();
-    for p in queue {
+    // Device ids break every tie, so the unstable sorts have one result.
+    queue.sort_unstable_by_key(|p| (p.deadline, p.arrival, p.device));
+    let starts = &mut out.starts;
+    starts.clear();
+    starts.extend(on_set.iter().map(|&d| (d, now)));
+    for p in queue.iter() {
         if admitted_kw + p.power_kw <= level_kw + 1e-9 {
             admitted_kw += p.power_kw;
             on_set.push(p.device);
@@ -437,23 +500,28 @@ fn plan_level_capped(
             starts.push((p.device, p.latest_start(now)));
         }
     }
-    starts.sort_by_key(|&(d, _)| d);
-
-    Plan {
-        schedule: Schedule::from_on_set(on_set),
-        starts,
-    }
+    starts.sort_unstable_by_key(|&(d, _)| d);
+    out.schedule.refill(on_set.iter().copied());
 }
 
 /// Placement-based variants (ablations): assign each instance an explicit
 /// start on its feasibility grid.
-fn plan_by_placement(pending: &[Pending], now: SimTime, config: &PlanConfig) -> Plan {
+fn plan_by_placement(now: SimTime, config: &PlanConfig, scratch: &mut PlanScratch, out: &mut Plan) {
+    let PlanScratch {
+        pending,
+        spans,
+        unplaced,
+        candidates,
+        on_set,
+        ..
+    } = scratch;
     // Committed spans: running devices and devices with a published
     // placement.
-    let mut spans: Vec<(u64, u64, f64)> = Vec::new();
-    let mut starts: Vec<(DeviceId, SimTime)> = Vec::new();
-    let mut unplaced: Vec<&Pending> = Vec::new();
-    for p in pending {
+    spans.clear();
+    unplaced.clear();
+    let starts = &mut out.starts;
+    starts.clear();
+    for p in pending.iter() {
         if p.on {
             let span = p.span(now, now);
             spans.push(span);
@@ -463,24 +531,24 @@ fn plan_by_placement(pending: &[Pending], now: SimTime, config: &PlanConfig) -> 
             spans.push(p.span(start, now));
             starts.push((p.device, start));
         } else {
-            unplaced.push(p);
+            unplaced.push(*p);
         }
     }
 
     // Place new instances one by one, in arrival order, each seeing the
     // placements made before it.
-    unplaced.sort_by_key(|p| (p.arrival, p.device));
-    for p in unplaced {
-        let candidates = candidate_starts(p, now);
+    unplaced.sort_unstable_by_key(|p| (p.arrival, p.device));
+    for p in unplaced.iter() {
+        candidate_starts(p, now, candidates);
         let chosen = match config.rule {
             SchedulingRule::Earliest => candidates[0],
             SchedulingRule::Latest => *candidates.last().expect("at least one candidate"),
             SchedulingRule::BalancedPlacement => {
                 let mut best = candidates[0];
                 let mut best_cost = f64::INFINITY;
-                for &c in &candidates {
+                for &c in candidates.iter() {
                     let (s, _, _) = p.span(c, now);
-                    let cost = concurrency_at(s, &spans);
+                    let cost = concurrency_at(s, spans);
                     if cost + 1e-9 < best_cost {
                         best_cost = cost;
                         best = c;
@@ -493,12 +561,12 @@ fn plan_by_placement(pending: &[Pending], now: SimTime, config: &PlanConfig) -> 
         spans.push(p.span(chosen, now));
         starts.push((p.device, chosen));
     }
-    starts.sort_by_key(|&(d, _)| d);
+    starts.sort_unstable_by_key(|&(d, _)| d);
 
     // ON-set: running or due instances, plus the forced safety net.
     let guard = config.laxity_guard.as_micros() as i64;
-    let mut on_set: Vec<DeviceId> = Vec::new();
-    for p in pending {
+    on_set.clear();
+    for p in pending.iter() {
         let start = starts
             .binary_search_by_key(&p.device, |&(d, _)| d)
             .map(|i| starts[i].1)
@@ -507,11 +575,7 @@ fn plan_by_placement(pending: &[Pending], now: SimTime, config: &PlanConfig) -> 
             on_set.push(p.device);
         }
     }
-
-    Plan {
-        schedule: Schedule::from_on_set(on_set),
-        starts,
-    }
+    out.schedule.refill(on_set.iter().copied());
 }
 
 /// The uncoordinated baseline ("w/o coordination"): every active device
@@ -891,9 +955,58 @@ mod tests {
         let v = view_of((0..6).map(|i| rec(i, false, 15, 40, 0)), 6);
         let mut planner = CoordinatedPlanner::new(PlanConfig::default());
         planner.advance_level(demand_rate_kw(&v), t(3));
-        let from_planner = planner.plan_at_level(&v, t(3));
+        let mut from_planner = Plan::default();
+        planner.plan_at_level(&v, t(3), &mut PlanScratch::default(), &mut from_planner);
         let from_pure = plan_with_level(&v, t(3), &PlanConfig::default(), planner.level_kw());
         assert_eq!(from_planner, from_pure);
+    }
+
+    #[test]
+    fn recycled_buffers_plan_like_fresh_ones() {
+        // One plan and one scratch set, reused across views of different
+        // sizes, an empty view, a capped config and every placement rule:
+        // nothing left over from the previous call may leak into the next.
+        let busy = view_of(
+            [
+                rec(0, true, 7, 30, 0),
+                rec(1, false, 15, 40, 2),
+                placed(rec(2, false, 10, 45, 1), 20),
+                rec(3, false, 15, 15, 0),
+                rec(5, false, 15, 60, 5),
+            ],
+            8,
+        );
+        let crowd = view_of(
+            (0..8).map(|i| rec(i, false, 15, 30 + i as u64, i as u64)),
+            8,
+        );
+        let empty = SystemView::new(8);
+        let with_rule = |rule| PlanConfig {
+            rule,
+            ..PlanConfig::default()
+        };
+        let capped = PlanConfig {
+            admission_cap: Some(PowerCapProfile::constant(2.0).unwrap()),
+            ..PlanConfig::default()
+        };
+        let cases = [
+            (&crowd, PlanConfig::default(), 3.0),
+            (&busy, PlanConfig::default(), 1.0),
+            (&empty, PlanConfig::default(), 0.0),
+            (&crowd, capped, 5.0),
+            (&busy, with_rule(SchedulingRule::BalancedPlacement), 0.0),
+            (&crowd, with_rule(SchedulingRule::BalancedPlacement), 0.0),
+            (&busy, with_rule(SchedulingRule::Earliest), 0.0),
+            (&crowd, with_rule(SchedulingRule::Latest), 0.0),
+            (&empty, with_rule(SchedulingRule::Latest), 0.0),
+            (&busy, PlanConfig::default(), 2.0),
+        ];
+        let mut scratch = PlanScratch::default();
+        let mut plan = Plan::default();
+        for (i, (view, cfg, level)) in cases.iter().enumerate() {
+            plan_into(view, t(3), cfg, *level, &mut scratch, &mut plan);
+            assert_eq!(plan, plan_with_level(view, t(3), cfg, *level), "case {i}");
+        }
     }
 
     #[test]
@@ -967,14 +1080,16 @@ mod tests {
     fn candidate_grid_shape() {
         // owed 10, window [now=0, deadline=45): grid {0, 10, 20, 30, 35}.
         let p = Pending::from_record(&rec(0, false, 10, 45, 0), t(0)).unwrap();
-        let c = candidate_starts(&p, t(0));
+        let mut c = Vec::new();
+        candidate_starts(&p, t(0), &mut c);
         assert_eq!(
             c,
             vec![t(0), t(10), t(20), t(30), t(35)],
             "grid plus latest start"
         );
-        // Overdue: single candidate `now`.
+        // Overdue: single candidate `now`, replacing the previous grid.
         let p = Pending::from_record(&rec(0, false, 10, 5, 0), t(10)).unwrap();
-        assert_eq!(candidate_starts(&p, t(10)), vec![t(10)]);
+        candidate_starts(&p, t(10), &mut c);
+        assert_eq!(c, vec![t(10)]);
     }
 }

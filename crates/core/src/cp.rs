@@ -45,6 +45,35 @@
 //! the plane keeps a single shared handle — O(n) record refreshes per
 //! round instead of O(n²) — and the pool holds exactly one entry.
 //!
+//! A round costs what changed, in two ways:
+//!
+//! * **One shared transition.** In a round with no down node and no
+//!   outage, every pooled row that hears the round under
+//!   [`CpModel::Ideal`] (per-node rows), [`CpModel::LossyRound`] or
+//!   [`CpModel::GilbertElliott`] hears every record, so each of them
+//!   ends holding exactly this round's statuses. Only the first such row
+//!   applies its delivery; every later one stamps and counts its
+//!   refreshes as usual, then retains the first row's handle and
+//!   releases its own. That leaves the pool exactly as applying would —
+//!   reference counts, free-list order, live and peak counts — because
+//!   applying would have deduplicated onto the same entry.
+//! * **Versioned delivery.** Every row that still applies skips each
+//!   record whose version equals the one that row last installed, kept
+//!   in a `rows × n` matrix beside the refresh stamps. A version is the
+//!   publisher's sequence number plus its source: a record installed
+//!   straight from the published status never passes for the same
+//!   sequence number decoded from a packet item, whose wire format
+//!   rounds times to whole seconds. The matrix starts "unknown" (equal
+//!   to no version) and is reset, not exported, whenever the rows are
+//!   rebuilt, so a restored plane re-applies each record once and
+//!   checkpoint bytes do not change.
+//!
+//! Skipping touches only copies and comparisons: every RNG draw, refresh
+//! stamp and refresh count happens in the same order as before. The
+//! per-node reference store takes neither shortcut — it receives every
+//! heard record — so the differential tests check both against an
+//! oracle that does not share them.
+//!
 //! # One round
 //!
 //! [`CommunicationPlane::round`] is the whole synchronous exchange the
@@ -59,7 +88,7 @@
 //!   crate::simulation::HanSimulation::set_reference_planning
 
 use crate::checkpoint::{ensure, CheckpointError};
-use crate::pool::{ViewPool, ViewPoolStats};
+use crate::pool::{ViewHandle, ViewPool, ViewPoolStats};
 use crate::state::SystemView;
 use han_device::appliance::DeviceId;
 use han_device::status::StatusRecord;
@@ -192,7 +221,7 @@ enum ViewStore {
     /// handle row under [`CpModel::Ideal`].
     Pooled {
         pool: ViewPool,
-        handles: Vec<crate::pool::ViewHandle>,
+        handles: Vec<ViewHandle>,
         /// Reusable fork buffer for copy-on-write updates.
         staging: SystemView,
     },
@@ -204,6 +233,15 @@ enum ViewStore {
 }
 
 impl ViewStore {
+    /// A pooled store whose rows hold `handles` into `pool`.
+    fn pooled(pool: ViewPool, handles: Vec<ViewHandle>, device_count: usize) -> Self {
+        ViewStore::Pooled {
+            pool,
+            handles,
+            staging: SystemView::new(device_count),
+        }
+    }
+
     /// Number of view rows (1 for the shared Ideal row, node count
     /// otherwise).
     fn rows(&self) -> usize {
@@ -270,6 +308,25 @@ impl ViewStore {
         }
     }
 
+    /// Moves pooled row `row` onto row `from`'s entry. The shared round
+    /// transition calls this for a row whose delivery would leave it
+    /// holding exactly `from`'s content: applying would have
+    /// deduplicated onto `from`'s entry (merging a sole-owned entry into
+    /// it and parking the slot, or releasing a shared one and acquiring
+    /// it), and retaining then releasing has the same effect on every
+    /// count and on the free list.
+    fn adopt(&mut self, row: usize, from: usize) {
+        let ViewStore::Pooled { pool, handles, .. } = self else {
+            unreachable!("only pooled rows take the shared transition");
+        };
+        let shared = handles[from];
+        if handles[row] != shared {
+            pool.retain(shared);
+            pool.release(handles[row]);
+            handles[row] = shared;
+        }
+    }
+
     fn view(&self, row: usize) -> &SystemView {
         match self {
             ViewStore::Pooled { pool, handles, .. } => pool.view(handles[row]),
@@ -280,6 +337,51 @@ impl ViewStore {
 
 /// Sentinel for "this (node, origin) pair has never been refreshed".
 const NEVER: u64 = u64::MAX;
+
+/// The installed version of a `(row, origin)` pair whose record the row
+/// has not installed since its version matrix was last reset. No real
+/// version equals it.
+const UNKNOWN: u64 = u64::MAX;
+
+/// The version of a record installed straight from the published status.
+fn direct_version(seq: u32) -> u64 {
+    u64::from(seq) << 1
+}
+
+/// The version of a record decoded from a packet item. It differs from
+/// [`direct_version`] of the same sequence number: the wire format rounds
+/// times to whole seconds, so the two records may differ.
+fn decoded_version(seq: u32) -> u64 {
+    (u64::from(seq) << 1) | 1
+}
+
+/// Queues the record of `version` for a row's delivery unless entry
+/// `idx` of the version matrix says the row already holds it, and
+/// returns whether the row holds that version afterwards. `record` runs
+/// only when the record is queued; `None` (an undecodable packet
+/// payload) queues nothing and leaves the matrix as it was. An empty
+/// matrix — the per-node reference store — holds nothing, so every
+/// heard record is queued.
+fn queue_unless_held(
+    installed: &mut [u64],
+    delivery: &mut Vec<StatusRecord>,
+    idx: usize,
+    version: u64,
+    record: impl FnOnce() -> Option<StatusRecord>,
+) -> bool {
+    let held = installed.get_mut(idx);
+    if held.as_deref() == Some(&version) {
+        return true;
+    }
+    let Some(rec) = record() else {
+        return false;
+    };
+    delivery.push(rec);
+    if let Some(held) = held {
+        *held = version;
+    }
+    true
+}
 
 /// The communication plane: every node's [`SystemView`], stored in a
 /// content-addressed [`ViewPool`] and updated copy-on-write each round
@@ -293,6 +395,11 @@ pub struct CommunicationPlane {
     /// `(node, origin)` record was last refreshed ([`NEVER`] = not yet) —
     /// the per-node staleness that content-addressed views must not carry.
     last_refresh: Vec<u64>,
+    /// Flattened `rows × n` matrix of the version of each `(row, origin)`
+    /// record a pooled row last installed ([`UNKNOWN`] = none since the
+    /// rows were built); empty under the per-node reference store. Never
+    /// exported (see the [module docs](self#view-storage)).
+    installed: Vec<u64>,
     /// Reusable per-node delivery buffer for the current round.
     delivery: Vec<StatusRecord>,
     rng: DetRng,
@@ -392,11 +499,7 @@ impl CommunicationPlane {
             let mut pool = ViewPool::new(device_count);
             let empty = SystemView::new(device_count);
             let handles = (0..rows).map(|_| pool.acquire(&empty)).collect();
-            ViewStore::Pooled {
-                pool,
-                handles,
-                staging: empty,
-            }
+            ViewStore::pooled(pool, handles, device_count)
         };
         let ge_bad = if matches!(model, CpModel::GilbertElliott { .. }) {
             // Every channel starts in the good state.
@@ -410,6 +513,7 @@ impl CommunicationPlane {
             store,
             device_count,
             last_refresh: vec![NEVER; rows * device_count],
+            installed: vec![UNKNOWN; rows * device_count],
             delivery: Vec::with_capacity(device_count),
             rng: DetRng::for_stream(seed, "communication-plane"),
             stats,
@@ -452,13 +556,10 @@ impl CommunicationPlane {
             // the early return above.
             ViewStore::PerNode { .. } => unreachable!("per-node reference views have n rows"),
         };
-        self.store = ViewStore::Pooled {
-            pool,
-            handles,
-            staging: SystemView::new(n),
-        };
+        self.store = ViewStore::pooled(pool, handles, n);
         let row: Vec<u64> = self.last_refresh[..n].to_vec();
         self.last_refresh = row.repeat(n);
+        self.installed = vec![UNKNOWN; n * n];
     }
 
     /// Installs this round's fault exposure: `down[i] = true` suppresses
@@ -498,6 +599,7 @@ impl CommunicationPlane {
             views: vec![SystemView::new(n); n],
         };
         self.last_refresh = vec![NEVER; n * n];
+        self.installed = Vec::new();
         self.stats.view_pool = None;
     }
 
@@ -580,6 +682,11 @@ impl CommunicationPlane {
     /// receives its delivery per the model, in row order, and the round's
     /// statistics close (see the [module docs](self#one-round)).
     ///
+    /// `seqs[i]` must identify the content of `statuses[i]`: a device that
+    /// publishes the same sequence number twice publishes the same record
+    /// (a Device Interface bumps its version whenever its record changes).
+    /// Rows skip re-applying a version they already hold.
+    ///
     /// # Panics
     ///
     /// Panics if `statuses` / `seqs` lengths differ from the device count.
@@ -648,11 +755,26 @@ impl CommunicationPlane {
             // Perfect dissemination ⇒ identical views: one delivery of
             // everything to the single shared row. Statistics count
             // node-level refreshes — every node hears every record.
-            self.last_refresh.fill(round);
-            self.store.apply(0, statuses);
+            self.deliver(0, statuses, seqs, None);
             (n * n) as u64
         } else {
-            (0..n).map(|node| self.deliver(node, statuses, seqs)).sum()
+            // Whether every row that hears this round hears every record
+            // and so ends holding exactly `statuses` (see the module
+            // docs' "View storage").
+            let converges = matches!(self.store, ViewStore::Pooled { .. })
+                && !self.outage
+                && !self.down.contains(&true)
+                && matches!(
+                    self.model,
+                    CpModel::Ideal | CpModel::LossyRound { .. } | CpModel::GilbertElliott { .. }
+                );
+            let mut first_hearer = None;
+            let mut refreshed = 0;
+            for node in 0..n {
+                let first = converges.then_some(&mut first_hearer);
+                refreshed += self.deliver(node, statuses, seqs, first);
+            }
+            refreshed
         };
         self.round_index += 1;
         self.stats.rounds += 1;
@@ -675,7 +797,20 @@ impl CommunicationPlane {
     /// but its own record, and a down origin's record reaches no one (it
     /// never published). With no fault plan both flags stay false and
     /// every draw below is the fault-free plane's.
-    fn deliver(&mut self, node: usize, statuses: &[StatusRecord], seqs: &[u32]) -> u64 {
+    ///
+    /// Every refresh is stamped and counted, but the row applies only the
+    /// records whose version it does not hold yet. `first_hearer` is
+    /// `Some` in a round where every row that hears it ends holding
+    /// exactly `statuses`: the first such row records itself there and
+    /// applies, every later one adopts its entry without applying (see
+    /// the [module docs](self#view-storage)).
+    fn deliver(
+        &mut self,
+        node: usize,
+        statuses: &[StatusRecord],
+        seqs: &[u32],
+        first_hearer: Option<&mut Option<usize>>,
+    ) -> u64 {
         let n = self.device_count;
         let round = self.round_index;
         let faulted = self.outage || self.down[node];
@@ -707,11 +842,18 @@ impl CommunicationPlane {
             _ => false,
         };
         self.delivery.clear();
+        let row = node * n;
         let mut refreshed = 0;
         if faulted || missed {
             // A device needs no network to know itself.
-            self.delivery.push(statuses[node]);
-            self.last_refresh[node * n + node] = round;
+            queue_unless_held(
+                &mut self.installed,
+                &mut self.delivery,
+                row + node,
+                direct_version(seqs[node]),
+                || Some(statuses[node]),
+            );
+            self.last_refresh[row + node] = round;
             refreshed = 1;
         } else if let CpState::Packet {
             stores, last_seen, ..
@@ -740,14 +882,34 @@ impl CommunicationPlane {
                 if !(is_current || newly) {
                     continue;
                 }
-                if let Ok(rec) = StatusRecord::decode(&item.payload) {
-                    self.delivery.push(rec);
+                // A version the row already holds was decoded before and
+                // would decode to the same record: stamp it, skip the
+                // decode.
+                let held = queue_unless_held(
+                    &mut self.installed,
+                    &mut self.delivery,
+                    row + origin,
+                    decoded_version(item.seq),
+                    || StatusRecord::decode(&item.payload).ok(),
+                );
+                if held {
                     last_seen[node][origin] = Some(item.seq);
-                    self.last_refresh[node * n + origin] = round;
+                    self.last_refresh[row + origin] = round;
                     refreshed += u64::from(is_current);
                 }
             }
         } else {
+            if let Some(first_hearer) = first_hearer {
+                // Every origin is heard: this row ends holding exactly
+                // `statuses`, like the first row that heard this round.
+                if let Some(first) = *first_hearer {
+                    self.last_refresh[row..row + n].fill(round);
+                    self.store.adopt(node, first);
+                    self.installed.copy_within(first * n..first * n + n, row);
+                    return n as u64;
+                }
+                *first_hearer = Some(node);
+            }
             // Every live origin is heard. Under `LossyRecord` each live
             // foreign record also draws its own coin; a silent origin
             // transmits nothing, so it draws none.
@@ -759,8 +921,14 @@ impl CommunicationPlane {
                 let heard = origin == node
                     || (!self.down[origin] && !record_loss.is_some_and(|p| self.rng.gen_bool(p)));
                 if heard {
-                    self.delivery.push(*rec);
-                    self.last_refresh[node * n + origin] = round;
+                    queue_unless_held(
+                        &mut self.installed,
+                        &mut self.delivery,
+                        row + origin,
+                        direct_version(seqs[origin]),
+                        || Some(*rec),
+                    );
+                    self.last_refresh[row + origin] = round;
                     refreshed += 1;
                 }
             }
@@ -867,14 +1035,11 @@ impl CommunicationPlane {
                 ensure(handles.len() == rows, || {
                     format!("{} view handles for {rows} delivery rows", handles.len())
                 })?;
-                ViewStore::Pooled {
-                    pool: ViewPool::restore(n, pool, handles)?,
-                    handles: handles
-                        .iter()
-                        .map(|&id| crate::pool::ViewHandle::from_id(id))
-                        .collect(),
-                    staging: SystemView::new(n),
-                }
+                ViewStore::pooled(
+                    ViewPool::restore(n, pool, handles)?,
+                    handles.iter().map(|&id| ViewHandle::from_id(id)).collect(),
+                    n,
+                )
             }
             (StoreExport::PerNode { views }, ViewStore::PerNode { .. }) => {
                 ensure(views.len() == rows, || {
@@ -936,6 +1101,10 @@ impl CommunicationPlane {
         }
         self.per_node_rows = export.per_node_rows;
         self.last_refresh.clone_from(&export.last_refresh);
+        self.installed = match self.store {
+            ViewStore::Pooled { .. } => vec![UNKNOWN; rows * n],
+            ViewStore::PerNode { .. } => Vec::new(),
+        };
         self.rng = DetRng::from_state(export.rng);
         self.round_index = export.round_index;
         self.stats = export.stats.clone();
@@ -1212,38 +1381,98 @@ mod tests {
 
     #[test]
     fn pooled_and_reference_stores_hold_identical_contents() {
+        // Every abstract model against the per-node reference store, which
+        // takes neither the shared transition nor the version skip. Node 2
+        // is down in rounds 10–14, nodes 4 and 5 in round 20, and round 30
+        // is an outage; every other round is fault-free, which is where
+        // the shared transition applies.
         let n = 7;
-        let make = || {
-            CommunicationPlane::new(
+        let models = [
+            (
+                "lossy-record",
                 CpModel::LossyRecord {
                     miss_probability: 0.35,
                 },
-                n,
-                13,
-            )
-        };
-        let mut pooled = make();
-        let mut reference = make();
-        reference.set_reference_views();
-        for round in 0..60u64 {
-            let st = statuses(n, round % 9);
-            let seqs = vec![round as u32 + 1; n];
-            pooled.round(&st, &seqs);
-            reference.round(&st, &seqs);
-            for node in 0..n {
-                assert_eq!(
-                    pooled.view(node),
-                    reference.view(node),
-                    "round {round}, node {node}: pooling must be content-invisible"
-                );
-                for dev in 0..n {
+            ),
+            (
+                "lossy-round",
+                CpModel::LossyRound {
+                    miss_probability: 0.35,
+                },
+            ),
+            (
+                "gilbert-elliott",
+                CpModel::GilbertElliott {
+                    p_good_to_bad: 0.2,
+                    p_bad_to_good: 0.4,
+                    loss_good: 0.05,
+                    loss_bad: 0.9,
+                },
+            ),
+            ("ideal, per-node rows", CpModel::Ideal),
+        ];
+        for (name, model) in models {
+            let make = || {
+                let mut cp = CommunicationPlane::new(model.clone(), n, 13);
+                cp.enable_per_node_rows();
+                cp
+            };
+            let mut pooled = make();
+            let mut reference = make();
+            reference.set_reference_views();
+            let mut published: Vec<Option<StatusRecord>> = vec![None; n];
+            let mut seqs = vec![0u32; n];
+            for round in 0..60u64 {
+                let mut down = vec![false; n];
+                down[2] = (10..15).contains(&round);
+                down[4] = round == 20;
+                down[5] = round == 20;
+                let outage = round == 30;
+                pooled.set_round_faults(&down, outage);
+                reference.set_round_faults(&down, outage);
+                // Devices 4–6 never change. Like a Device Interface, a
+                // device bumps its version only when its record changes,
+                // so unchanged records keep their versions.
+                let st = statuses(n, round % 9);
+                for (i, rec) in st.iter().enumerate() {
+                    if published[i] != Some(*rec) {
+                        published[i] = Some(*rec);
+                        seqs[i] += 1;
+                    }
+                }
+                pooled.round(&st, &seqs);
+                reference.round(&st, &seqs);
+                for node in 0..n {
                     assert_eq!(
-                        pooled.age(node, DeviceId(dev as u32)),
-                        reference.age(node, DeviceId(dev as u32)),
-                        "round {round}: staleness must match too"
+                        pooled.view(node),
+                        reference.view(node),
+                        "{name}, round {round}, node {node}: pooling must be content-invisible"
                     );
+                    for dev in 0..n {
+                        assert_eq!(
+                            pooled.age(node, DeviceId(dev as u32)),
+                            reference.age(node, DeviceId(dev as u32)),
+                            "{name}, round {round}: staleness must match too"
+                        );
+                    }
+                    for other in 0..n {
+                        assert_eq!(
+                            pooled.view_handle(node) == pooled.view_handle(other),
+                            reference.view(node) == reference.view(other),
+                            "{name}, round {round}: handles group nodes {node} and {other} \
+                             exactly by content"
+                        );
+                    }
                 }
             }
+            assert_eq!(
+                (pooled.stats().refreshed_records, pooled.stats().full_rounds),
+                (
+                    reference.stats().refreshed_records,
+                    reference.stats().full_rounds
+                ),
+                "{name}: refresh counts"
+            );
         }
     }
 
@@ -1416,6 +1645,31 @@ mod tests {
         // The down node received only itself.
         assert!(!cp.view(1).record(DeviceId(1)).unwrap().on);
         assert_eq!(cp.age(1, DeviceId(1)), Some(0));
+    }
+
+    #[test]
+    fn a_published_record_never_passes_for_its_packet_decode() {
+        // Node 0 owes 90.5 s, which the 23-byte wire format rounds down
+        // to 90 s. Down in round 1, it installs its own record straight
+        // from its status; up in round 2 with the same version, it must
+        // install what its packet item decodes to, as the reference store
+        // (which applies every decode) does.
+        const N: usize = 3;
+        let mut st = statuses(N, 0);
+        st[0].owed = SimDuration::from_micros(90_500_000);
+        let make = || CommunicationPlane::new(CpModel::paper_packet(1), N, 7);
+        let mut pooled = make();
+        let mut reference = make();
+        reference.set_reference_views();
+        for down in [true, false] {
+            for cp in [&mut pooled, &mut reference] {
+                cp.set_round_faults(&[down, false, false], false);
+                cp.round(&st, &[1; N]);
+            }
+            assert_eq!(pooled.view(0), reference.view(0), "node 0 down: {down}");
+        }
+        let own = pooled.view(0).record(DeviceId(0)).expect("own record");
+        assert_eq!(own.owed, SimDuration::from_secs(90), "the decoded record");
     }
 
     #[test]

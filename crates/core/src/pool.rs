@@ -12,8 +12,10 @@
 //! the execution plane a collision-proof group key for free: two nodes
 //! plan together exactly when they hold the same handle.
 //!
-//! Reclaimed slots keep their buffers, so the steady-state round loop
-//! (views forking and re-deduplicating as records arrive) allocates
+//! Reclaimed slots keep their buffers, copying into a slot reuses its
+//! allocation, and the content index links same-key entries through the
+//! slots instead of keeping a bucket per key, so the steady-state round
+//! loop (views forking and re-deduplicating as records arrive) allocates
 //! nothing.
 //!
 //! # Examples
@@ -90,7 +92,14 @@ struct Entry {
     /// fingerprint; kept explicitly so release can unfile without
     /// recomputing).
     key: u64,
+    /// The next live entry filed under the same key ([`NO_ENTRY`] ends
+    /// the chain). A chain longer than one means a genuine 64-bit
+    /// collision between different contents.
+    next: u32,
 }
+
+/// End of a same-key chain.
+const NO_ENTRY: u32 = u32::MAX;
 
 /// Live memory-usage counters of a [`ViewPool`], snapshotted into
 /// [`CpStats`](crate::cp::CpStats) after every round.
@@ -131,11 +140,13 @@ pub struct ViewPool {
     entries: Vec<Entry>,
     /// Reclaimed slot ids, reused before growing `entries`.
     free: Vec<u32>,
-    /// Fingerprint → live entry ids with that fingerprint. More than one
-    /// id in a bucket means a genuine 64-bit collision between different
-    /// contents; lookups compare full contents, so collisions cost a
-    /// record-by-record comparison, never a wrong match.
-    index: HashMap<u64, Vec<u32>>,
+    /// Fingerprint → the first live entry filed under it; the rest of
+    /// the key's entries follow [`Entry::next`]. Lookups compare full
+    /// contents, so a collision costs a record-by-record comparison,
+    /// never a wrong match. Filing and unfiling only relink ids, so the
+    /// index allocates nothing once its table has grown to the peak
+    /// number of distinct views.
+    index: HashMap<u64, u32>,
     device_count: usize,
     live: usize,
     peak: usize,
@@ -177,23 +188,18 @@ impl ViewPool {
             self.device_count,
             "view size must match the pool's fleet"
         );
-        if let Some(ids) = self.index.get(&key) {
-            // Fingerprint hit: confirm with a full content comparison so a
-            // 64-bit collision between different views can never alias
-            // them onto one entry.
-            for &id in ids {
-                let entry = &mut self.entries[id as usize];
-                if entry.view == *view {
-                    entry.refs += 1;
-                    return ViewHandle(id);
-                }
-            }
+        // A fingerprint hit is confirmed by a full content comparison, so
+        // a 64-bit collision between different views can never alias them
+        // onto one entry.
+        if let Some(id) = self.find(key, view) {
+            self.entries[id as usize].refs += 1;
+            return ViewHandle(id);
         }
         self.forks += 1;
         let id = match self.free.pop() {
             Some(id) => {
-                // Reuse the parked slot's buffers: `clone_from` into the
-                // existing allocation instead of a fresh clone.
+                // Reuse the parked slot's buffers: `clone_from` copies into
+                // the existing allocation instead of a fresh clone.
                 let entry = &mut self.entries[id as usize];
                 entry.view.clone_from(view);
                 entry.refs = 1;
@@ -206,14 +212,57 @@ impl ViewPool {
                     view: view.clone(),
                     refs: 1,
                     key,
+                    next: NO_ENTRY,
                 });
                 id
             }
         };
-        self.index.entry(key).or_default().push(id);
+        self.file(key, id);
         self.live += 1;
         self.peak = self.peak.max(self.live);
         ViewHandle(id)
+    }
+
+    /// The live entry filed under `key` whose content equals `view`.
+    fn find(&self, key: u64, view: &SystemView) -> Option<u32> {
+        let mut id = *self.index.get(&key)?;
+        while id != NO_ENTRY {
+            let entry = &self.entries[id as usize];
+            if entry.view == *view {
+                return Some(id);
+            }
+            id = entry.next;
+        }
+        None
+    }
+
+    /// Files entry `id` under `key`, at the head of the key's chain.
+    fn file(&mut self, key: u64, id: u32) {
+        let head = self.index.insert(key, id);
+        self.entries[id as usize].next = head.unwrap_or(NO_ENTRY);
+    }
+
+    /// Removes entry `id` from the chain of `key`.
+    fn unfile(&mut self, key: u64, id: u32) {
+        let next = self.entries[id as usize].next;
+        let head = self
+            .index
+            .get_mut(&key)
+            .expect("live entry is always filed");
+        if *head == id {
+            if next == NO_ENTRY {
+                self.index.remove(&key);
+            } else {
+                *head = next;
+            }
+            return;
+        }
+        let mut prev = *head;
+        while self.entries[prev as usize].next != id {
+            prev = self.entries[prev as usize].next;
+            assert_ne!(prev, NO_ENTRY, "live entry is in its key's chain");
+        }
+        self.entries[prev as usize].next = next;
     }
 
     /// Whether `handle` is the only owner of its entry — the case where
@@ -251,25 +300,20 @@ impl ViewPool {
             "in-place update requires sole ownership"
         );
         self.in_place_edits += 1;
-        let old_key = self.entries[id].key;
-        Self::unfile(&mut self.index, old_key, handle.0);
+        self.unfile(self.entries[id].key, handle.0);
         mutate(&mut self.entries[id].view);
         let new_key = self.entries[id].view.fingerprint();
-        if let Some(ids) = self.index.get(&new_key) {
-            // The mutated content may now equal another entry (nodes
-            // re-converging): merge into it and park this slot.
-            for &other in ids {
-                if self.entries[other as usize].view == self.entries[id].view {
-                    self.entries[other as usize].refs += 1;
-                    self.entries[id].refs = 0;
-                    self.free.push(handle.0);
-                    self.live -= 1;
-                    return ViewHandle(other);
-                }
-            }
+        // The mutated content may now equal another entry (nodes
+        // re-converging): merge into it and park this slot.
+        if let Some(other) = self.find(new_key, &self.entries[id].view) {
+            self.entries[other as usize].refs += 1;
+            self.entries[id].refs = 0;
+            self.free.push(handle.0);
+            self.live -= 1;
+            return ViewHandle(other);
         }
         self.entries[id].key = new_key;
-        self.index.entry(new_key).or_default().push(handle.0);
+        self.file(new_key, handle.0);
         handle
     }
 
@@ -300,22 +344,9 @@ impl ViewPool {
             return;
         }
         let key = entry.key;
-        Self::unfile(&mut self.index, key, handle.0);
+        self.unfile(key, handle.0);
         self.free.push(handle.0);
         self.live -= 1;
-    }
-
-    /// Removes `id` from its fingerprint bucket.
-    fn unfile(index: &mut HashMap<u64, Vec<u32>>, key: u64, id: u32) {
-        let bucket = index.get_mut(&key).expect("live entry is always filed");
-        let pos = bucket
-            .iter()
-            .position(|&b| b == id)
-            .expect("live entry is in its bucket");
-        bucket.swap_remove(pos);
-        if bucket.is_empty() {
-            index.remove(&key);
-        }
     }
 
     /// The view a live handle points to.
@@ -399,7 +430,7 @@ impl ViewPool {
 
     /// Rebuilds a pool from an [`export`](ViewPool::export) and the raw
     /// handle ids that reference it. The content index is reconstructed
-    /// from the live slots (filed in ascending slot order — bucket order
+    /// from the live slots (filed in ascending slot order — chain order
     /// only matters on 64-bit fingerprint collisions, where equality
     /// checks disambiguate regardless of order).
     ///
@@ -432,8 +463,19 @@ impl ViewPool {
             )?;
             parked[f as usize] = true;
         }
-        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut entries = Vec::with_capacity(slots);
+        let mut pool = ViewPool {
+            entries: Vec::with_capacity(slots),
+            free: export.free.clone(),
+            index: HashMap::new(),
+            device_count,
+            live: export.live,
+            peak: export.peak,
+            // Churn counters are observability, not state: a restored
+            // pool restarts them at zero (the registry's monotonic
+            // publish absorbs the reset).
+            forks: 0,
+            in_place_edits: 0,
+        };
         for (id, slot) in export.slots.iter().enumerate() {
             ensure(u64::from(slot.refs) == held[id], || {
                 format!(
@@ -446,37 +488,28 @@ impl ViewPool {
                 ensure(view.fingerprint() == slot.key, || {
                     format!("view slot {id} is filed under a key its content does not hash to")
                 })?;
-                index.entry(slot.key).or_default().push(id as u32);
                 view
             } else {
                 SystemView::new(device_count)
             };
-            entries.push(Entry {
+            pool.entries.push(Entry {
                 view,
                 refs: slot.refs,
                 key: slot.key,
+                next: NO_ENTRY,
             });
+            if slot.refs > 0 {
+                pool.file(slot.key, id as u32);
+            }
         }
-        let live = entries.iter().filter(|e| e.refs > 0).count();
+        let live = pool.entries.iter().filter(|e| e.refs > 0).count();
         ensure(export.live == live && export.peak >= live, || {
             format!(
                 "pool counters live={} peak={} for {live} live views",
                 export.live, export.peak
             )
         })?;
-        Ok(ViewPool {
-            entries,
-            free: export.free.clone(),
-            index,
-            device_count,
-            live: export.live,
-            peak: export.peak,
-            // Churn counters are observability, not state: a restored
-            // pool restarts them at zero (the registry's monotonic
-            // publish absorbs the reset).
-            forks: 0,
-            in_place_edits: 0,
-        })
+        Ok(pool)
     }
 
     /// Current memory counters, with the dense one-view-per-`nodes` layout

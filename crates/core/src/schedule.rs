@@ -19,10 +19,18 @@ impl Schedule {
     /// Creates a schedule from any iterable of device ids (deduplicated,
     /// sorted).
     pub fn from_on_set(ids: impl IntoIterator<Item = DeviceId>) -> Self {
-        let mut on: Vec<DeviceId> = ids.into_iter().collect();
-        on.sort_unstable();
-        on.dedup();
-        Schedule { on }
+        let mut schedule = Schedule::empty();
+        schedule.refill(ids);
+        schedule
+    }
+
+    /// Replaces the ON set with `ids` (deduplicated, sorted), reusing the
+    /// schedule's buffer — the planner rebuilds recycled plans this way.
+    pub(crate) fn refill(&mut self, ids: impl IntoIterator<Item = DeviceId>) {
+        self.on.clear();
+        self.on.extend(ids);
+        self.on.sort_unstable();
+        self.on.dedup();
     }
 
     /// The empty schedule.

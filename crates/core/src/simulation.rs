@@ -16,7 +16,9 @@
 //! uncoordinated baseline it compares against, and a classical centralized
 //! scheduler (an ablation beyond the paper).
 
-use crate::algorithm::{demand_rate_kw, CoordinatedPlanner, Plan, PlanConfig, SchedulingRule};
+use crate::algorithm::{
+    demand_rate_kw, CoordinatedPlanner, Plan, PlanConfig, PlanScratch, SchedulingRule,
+};
 use crate::checkpoint::{ensure, Checkpoint, CheckpointError, SimState};
 use crate::cp::{CommunicationPlane, CpModel, CpStats};
 use crate::fault::{FaultEvent, FaultPlan};
@@ -213,9 +215,10 @@ pub struct HanSimulation {
     observer: Obs,
 }
 
-/// Reusable per-round working memory for the execution plane, allocated
-/// once per run so the round loop itself allocates nothing in the common
-/// case.
+/// Reusable per-round working memory for the execution plane. Its
+/// buffers grow in the first rounds and are reused from then on, so a
+/// steady-state round of the coordinated paper home on an abstract CP
+/// allocates nothing (`crates/core/tests/alloc_free.rs` checks this).
 #[derive(Debug, Default)]
 struct RoundScratch {
     /// Status records published this round.
@@ -228,12 +231,31 @@ struct RoundScratch {
     groups: HashMap<(u32, u64), usize>,
     /// Demand rate memo per view-pool handle.
     demands: HashMap<u32, f64>,
-    /// One plan per distinct `(view, level)` group this round.
+    /// One plan per distinct `(view, level)` group this round: the first
+    /// `live_plans` entries. The rest are earlier rounds' plans, kept so
+    /// the next group plans into their buffers.
     plans: Vec<Plan>,
+    /// How many of `plans` this round has filled.
+    live_plans: usize,
+    /// The planning kernel's working memory.
+    kernel: PlanScratch,
     /// `plans[i].schedule.content_hash()`, computed once per distinct plan.
     plan_hashes: Vec<u64>,
     /// Each node's index into `plans`.
     node_plan: Vec<usize>,
+}
+
+impl RoundScratch {
+    /// The next recycled plan slot of this round and its index, with the
+    /// kernel's working memory.
+    fn next_plan(&mut self) -> (usize, &mut Plan, &mut PlanScratch) {
+        let idx = self.live_plans;
+        if idx == self.plans.len() {
+            self.plans.push(Plan::default());
+        }
+        self.live_plans += 1;
+        (idx, &mut self.plans[idx], &mut self.kernel)
+    }
 }
 
 /// Folds one schedule hash into the order-sensitive run digest.
@@ -1249,7 +1271,7 @@ impl Driver {
                 scratch.hashes.clear();
                 scratch.groups.clear();
                 scratch.demands.clear();
-                scratch.plans.clear();
+                scratch.live_plans = 0;
                 scratch.plan_hashes.clear();
                 scratch.node_plan.clear();
 
@@ -1262,8 +1284,11 @@ impl Driver {
                         // a staleness divergence as a planning bug.
                         let filtered = ttl.and_then(|t| ttl_filtered_view(cp, i, n, t));
                         let view = filtered.as_ref().unwrap_or_else(|| cp.view(i));
-                        scratch.plans.push(planner.plan(view, now));
-                        scratch.node_plan.push(i);
+                        // Fresh buffers on purpose: the oracle does not
+                        // share the fast path's plan recycling.
+                        let (idx, slot, _) = scratch.next_plan();
+                        *slot = planner.plan(view, now);
+                        scratch.node_plan.push(idx);
                     }
                 } else {
                     // Memoized fast path: group nodes directly by
@@ -1290,8 +1315,9 @@ impl Driver {
                         // view no longer matches its pool handle).
                         if let Some(t) = ttl {
                             if let Some(view) = ttl_filtered_view(cp, i, n, t) {
-                                scratch.plans.push(planner.plan(&view, now));
-                                scratch.node_plan.push(scratch.plans.len() - 1);
+                                let (idx, slot, _) = scratch.next_plan();
+                                *slot = planner.plan(&view, now);
+                                scratch.node_plan.push(idx);
                                 continue;
                             }
                         }
@@ -1316,9 +1342,8 @@ impl Driver {
                             _ => match scratch.groups.get(&key) {
                                 Some(&idx) => idx,
                                 None => {
-                                    let plan = planner.plan_at_level(view, now);
-                                    scratch.plans.push(plan);
-                                    let idx = scratch.plans.len() - 1;
+                                    let (idx, slot, kernel) = scratch.next_plan();
+                                    planner.plan_at_level(view, now, kernel, slot);
                                     scratch.groups.insert(key, idx);
                                     idx
                                 }
@@ -1331,9 +1356,11 @@ impl Driver {
 
                 // Hash each distinct plan once; the digest and the
                 // divergence probe both reuse these.
-                scratch
-                    .plan_hashes
-                    .extend(scratch.plans.iter().map(|p| p.schedule.content_hash()));
+                scratch.plan_hashes.extend(
+                    scratch.plans[..scratch.live_plans]
+                        .iter()
+                        .map(|p| p.schedule.content_hash()),
+                );
 
                 let adopt_placements = matches!(plan_cfg.rule, SchedulingRule::BalancedPlacement);
                 for (i, di) in dis.iter_mut().enumerate() {

@@ -27,13 +27,33 @@ use han_device::status::StatusRecord;
 /// (each [`refresh`](SystemView::refresh) is O(1) including the
 /// fingerprint). Shared between nodes by the
 /// [`ViewPool`](crate::pool::ViewPool) whenever contents coincide.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SystemView {
     records: Vec<Option<StatusRecord>>,
     /// Per-slot contribution to the view fingerprint (0 for empty slots).
     contribs: Vec<u64>,
     /// XOR of all slot contributions — the incremental view fingerprint.
     fingerprint: u64,
+}
+
+// By hand, not derived: a derived `clone_from` is `*self =
+// source.clone()`, which allocates two fresh buffers. The pool's fork
+// staging and parked-slot reuse call `clone_from` precisely to copy into
+// buffers they already own.
+impl Clone for SystemView {
+    fn clone(&self) -> Self {
+        SystemView {
+            records: self.records.clone(),
+            contribs: self.contribs.clone(),
+            fingerprint: self.fingerprint,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.records.clone_from(&source.records);
+        self.contribs.clone_from(&source.contribs);
+        self.fingerprint = source.fingerprint;
+    }
 }
 
 /// Mixes one record into a 64-bit slot contribution.

@@ -12,9 +12,15 @@
 //! The table covers every model, a one-device and a six-device fleet
 //! (a one-device lossy, GE or packet plane also has a single view row,
 //! like the shared Ideal row), a down/up/outage fault timeline on the
-//! last device, and the per-node reference store. The constants were
-//! taken from the plane before its round collapsed into one call; only a
-//! deliberate change to what the plane delivers may update them.
+//! last device, and the per-node reference store. The abstract models
+//! also run the paper's 26-device fleet, with and without faults: a
+//! faulted Ideal plane delivers per node through its fault-free rounds,
+//! so those rows pin the pool slots, free list and refresh stamps of the
+//! shared round transition at the paper's size. The constants were
+//! taken from the plane before its round collapsed into one call (the
+//! 26-device rows: before delivery stopped re-applying unchanged
+//! records); only a deliberate change to what the plane delivers may
+//! update them.
 
 use han_core::cp::CpModel;
 use han_core::experiment;
@@ -76,14 +82,16 @@ fn fault_spec(last: usize, minutes: u64) -> String {
 
 #[test]
 fn every_delivery_rule_is_pinned() {
-    let models: [(&str, CpModel, u64); 5] = [
-        ("ideal", CpModel::Ideal, 10),
+    // `(name, model, minutes, fleet sizes)`.
+    let models: [(&str, CpModel, u64, &[usize]); 5] = [
+        ("ideal", CpModel::Ideal, 10, &[1, 6, 26]),
         (
             "lossy-round",
             CpModel::LossyRound {
                 miss_probability: 0.3,
             },
             10,
+            &[1, 6, 26],
         ),
         (
             "lossy-record",
@@ -91,6 +99,7 @@ fn every_delivery_rule_is_pinned() {
                 miss_probability: 0.3,
             },
             10,
+            &[1, 6, 26],
         ),
         (
             "gilbert-elliott",
@@ -101,13 +110,14 @@ fn every_delivery_rule_is_pinned() {
                 loss_bad: 1.0,
             },
             10,
+            &[1, 6, 26],
         ),
-        ("packet", CpModel::paper_packet(3), 4),
+        ("packet", CpModel::paper_packet(3), 4, &[1, 6]),
     ];
     let mut mismatches = Vec::new();
-    for (name, cp, minutes) in &models {
+    for (name, cp, minutes, fleets) in &models {
         let mut cases = Vec::new();
-        for devices in [1, 6] {
+        for &devices in *fleets {
             cases.push((format!("{devices} dev"), devices, String::new(), false));
             cases.push((
                 format!("{devices} dev, faults"),
@@ -160,6 +170,14 @@ const PINS: &[(&str, Pins)] = &[
         (0x66e6_6335_3626_0054, 10836, 301, 0x8892_527b_11e5_1969),
     ),
     (
+        "ideal, 26 dev",
+        (0xdc03_6dd2_974b_eca7, 203476, 301, 0xe4d7_84b4_5aea_888e),
+    ),
+    (
+        "ideal, 26 dev, faults",
+        (0xdc03_6dd2_974b_eca7, 180976, 211, 0x37b9_4567_1ca0_b2ad),
+    ),
+    (
         "lossy-round, 1 dev",
         (0xa057_80ce_85eb_cf78, 301, 301, 0x00ac_b220_a4f7_3999),
     ),
@@ -178,6 +196,14 @@ const PINS: &[(&str, Pins)] = &[
     (
         "lossy-round, 6 dev, reference",
         (0x7cf0_1105_fa30_0563, 8201, 38, 0xc5e2_d52c_8320_c530),
+    ),
+    (
+        "lossy-round, 26 dev",
+        (0xbaf9_46bf_0e4a_8693, 144201, 0, 0x7dd0_2e05_5af6_1973),
+    ),
+    (
+        "lossy-round, 26 dev, faults",
+        (0x7cef_3a53_3ac3_7838, 129417, 0, 0x856c_1ada_9e7a_1652),
     ),
     (
         "lossy-record, 1 dev",
@@ -200,6 +226,14 @@ const PINS: &[(&str, Pins)] = &[
         (0xb3b9_0e9d_2375_375b, 8079, 0, 0x7d97_1d76_1ca5_c8b7),
     ),
     (
+        "lossy-record, 26 dev",
+        (0x1ca3_8e29_462e_3d39, 144725, 0, 0xaa7f_ceeb_729a_db8f),
+    ),
+    (
+        "lossy-record, 26 dev, faults",
+        (0xc84d_4380_77a7_08c7, 129026, 0, 0x7695_8a3b_7317_881b),
+    ),
+    (
         "gilbert-elliott, 1 dev",
         (0xa057_80ce_85eb_cf78, 301, 301, 0xd8f7_7efd_1545_5cf3),
     ),
@@ -218,6 +252,14 @@ const PINS: &[(&str, Pins)] = &[
     (
         "gilbert-elliott, 6 dev, reference",
         (0x3ee5_1960_8768_f665, 9246, 88, 0x4ae3_369c_ace3_8f55),
+    ),
+    (
+        "gilbert-elliott, 26 dev",
+        (0x8060_2e59_6094_affe, 171201, 2, 0x09ed_43f8_85fd_6c40),
+    ),
+    (
+        "gilbert-elliott, 26 dev, faults",
+        (0x8060_2e59_6094_affe, 152055, 1, 0x35ee_06c8_6ef2_3e79),
     ),
     (
         "packet, 1 dev",
