@@ -21,8 +21,8 @@
 //!   Gauss-Seidel order) — wall time, iterations and the feeder-peak
 //!   movement versus the independent baseline,
 //! * **view pool**: the lossy street (8 homes × 26 devices, whole-round
-//!   loss p = 0.3) on the content-addressed
-//!   [`ViewPool`](han_core::pool::ViewPool) — peak resident distinct
+//!   loss p = 0.3) on the content-addressed view pool
+//!   ([`ViewPoolStats`](han_core::ViewPoolStats)) — peak resident distinct
 //!   views and bytes per home versus the dense one-view-per-node layout,
 //!   plus lossy rounds/s pooled versus the per-node reference plane,
 //! * **resilience**: the fault-injection plane's cost on fault-free runs

@@ -117,7 +117,7 @@ impl Default for PlanConfig {
 /// The planner's full output: the ON-set for this round plus the start
 /// assignment of every outstanding instance (committed and newly placed).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Plan {
+pub(crate) struct Plan {
     /// Devices whose element should be ON this round.
     pub schedule: Schedule,
     /// `(device, start)` for every active device with outstanding work,
@@ -245,45 +245,17 @@ fn candidate_starts(p: &Pending, now: SimTime, out: &mut Vec<SimTime>) {
     out.dedup();
 }
 
-/// Computes the coordinated plan from a system view.
+/// The planning kernel: writes the plan of `view` at `now` under `config`,
+/// served at `level_kw`, into `out`, reusing the buffers of `out` and
+/// `scratch`. Whatever `out` held before is replaced.
 ///
-/// Pure and deterministic: identical `(view, now, config)` always yields an
-/// identical [`Plan`], regardless of record insertion order — the
-/// foundation of decentralized agreement.
-pub fn plan_coordinated(view: &SystemView, now: SimTime, config: &PlanConfig) -> Plan {
-    plan_with_level(view, now, config, demand_rate_kw(view))
-}
-
-/// Computes the plan at an explicit served level (kW).
-///
-/// The entry point to the pure planning kernel shared by
-/// [`plan_coordinated`] (which uses the raw demand rate as the level), by
-/// [`CoordinatedPlanner::plan`] (which uses its slew-limited level), and
-/// by the simulation's grouped execution plane and its naive reference
-/// path — keeping one definition of the algorithm for all of them. The
-/// level only affects the [`SchedulingRule::LevelCappedQueue`] rule;
-/// placement rules ignore it.
-pub fn plan_with_level(
-    view: &SystemView,
-    now: SimTime,
-    config: &PlanConfig,
-    level_kw: f64,
-) -> Plan {
-    let mut plan = Plan::default();
-    plan_into(
-        view,
-        now,
-        config,
-        level_kw,
-        &mut PlanScratch::default(),
-        &mut plan,
-    );
-    plan
-}
-
-/// The planning kernel: writes the plan [`plan_with_level`] returns into
-/// `out`, reusing the buffers of `out` and `scratch`. Whatever `out` held
-/// before is replaced.
+/// Pure and deterministic: identical `(view, now, config, level_kw)`
+/// always yields an identical [`Plan`], regardless of record insertion
+/// order — the foundation of decentralized agreement. The level only
+/// affects the [`SchedulingRule::LevelCappedQueue`] rule; placement rules
+/// ignore it. [`CoordinatedPlanner`] supplies its slew-limited level, so
+/// the grouped execution plane and its naive reference path share this
+/// one definition of the algorithm.
 pub(crate) fn plan_into(
     view: &SystemView,
     now: SimTime,
@@ -309,7 +281,7 @@ pub(crate) fn plan_into(
 /// trailing-window moving average of the work-arrival rate — the level the
 /// system will need in the near future regardless of how instances are
 /// arranged.
-pub fn demand_rate_kw(view: &SystemView) -> f64 {
+pub(crate) fn demand_rate_kw(view: &SystemView) -> f64 {
     view.iter()
         .filter(|rec| rec.active && !rec.max_dcp.is_zero())
         .map(|rec| {
@@ -339,7 +311,7 @@ fn collect_pending(view: &SystemView, now: SimTime, out: &mut Vec<Pending>) {
 /// saw the same rounds hold identical levels; nodes that missed rounds
 /// re-converge as their views do.
 #[derive(Debug, Clone)]
-pub struct CoordinatedPlanner {
+pub(crate) struct CoordinatedPlanner {
     config: PlanConfig,
     level_kw: f64,
     last_update: Option<SimTime>,
@@ -359,16 +331,6 @@ impl CoordinatedPlanner {
             last_update: None,
             invocations: 0,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &PlanConfig {
-        &self.config
-    }
-
-    /// The slew-limited demand level, in kW.
-    pub fn level_kw(&self) -> f64 {
-        self.level_kw
     }
 
     /// Plans computed so far: every call of the planning kernel, through
@@ -578,15 +540,6 @@ fn plan_by_placement(now: SimTime, config: &PlanConfig, scratch: &mut PlanScratc
     out.schedule.refill(on_set.iter().copied());
 }
 
-/// The uncoordinated baseline ("w/o coordination"): every active device
-/// with outstanding work runs immediately — simultaneous requests stack.
-pub fn plan_uncoordinated(view: &SystemView, _now: SimTime) -> Schedule {
-    view.iter()
-        .filter(|rec| rec.active && !rec.owed.is_zero())
-        .map(|rec| rec.device)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,8 +588,24 @@ mod tests {
         v
     }
 
+    /// The kernel's plan with fresh buffers, served at `level_kw`.
+    fn fresh_plan(view: &SystemView, now: SimTime, config: &PlanConfig, level_kw: f64) -> Plan {
+        let mut plan = Plan::default();
+        plan_into(
+            view,
+            now,
+            config,
+            level_kw,
+            &mut PlanScratch::default(),
+            &mut plan,
+        );
+        plan
+    }
+
+    /// The default configuration's plan at the view's raw demand rate.
     fn plan(records: impl IntoIterator<Item = StatusRecord>, n: usize, now: SimTime) -> Plan {
-        plan_coordinated(&view_of(records, n), now, &PlanConfig::default())
+        let view = view_of(records, n);
+        fresh_plan(&view, now, &PlanConfig::default(), demand_rate_kw(&view))
     }
 
     #[test]
@@ -704,7 +673,7 @@ mod tests {
             ],
             3,
         );
-        let p = plan_coordinated(&v, t(5), &cfg);
+        let p = fresh_plan(&v, t(5), &cfg, demand_rate_kw(&v));
         assert_eq!(p.start_of(DeviceId(1)), Some(t(20)));
         // Newcomer's candidates {5, 15, 20}: 5 and 15 are free until 20;
         // earliest free slot wins.
@@ -739,10 +708,10 @@ mod tests {
         let v = view_of([r], 1);
         // At 14 min 59 s laxity is 1 s < 2 s: forced.
         let almost = SimTime::from_secs(14 * 60 + 59);
-        let p = plan_coordinated(&v, almost, &cfg);
+        let p = fresh_plan(&v, almost, &cfg, demand_rate_kw(&v));
         assert!(p.schedule.is_on(DeviceId(0)), "forced inside the guard");
         // At t=14:00 laxity is 60 s ≥ guard and start not reached: off.
-        let p = plan_coordinated(&v, t(14), &cfg);
+        let p = fresh_plan(&v, t(14), &cfg, demand_rate_kw(&v));
         assert!(!p.schedule.is_on(DeviceId(0)));
     }
 
@@ -792,9 +761,7 @@ mod tests {
         ];
         let mut reversed = records.to_vec();
         reversed.reverse();
-        let a = plan_coordinated(&view_of(records, 8), t(12), &PlanConfig::default());
-        let b = plan_coordinated(&view_of(reversed, 8), t(12), &PlanConfig::default());
-        assert_eq!(a, b);
+        assert_eq!(plan(records, 8, t(12)), plan(reversed, 8, t(12)));
     }
 
     #[test]
@@ -804,7 +771,7 @@ mod tests {
             ..PlanConfig::default()
         };
         let v = view_of((0..6).map(|i| rec(i, false, 15, 30, 0)), 6);
-        let p = plan_coordinated(&v, t(0), &cfg);
+        let p = fresh_plan(&v, t(0), &cfg, demand_rate_kw(&v));
         assert_eq!(p.schedule.on_count(), 6, "earliest-fit stacks like greedy");
     }
 
@@ -815,7 +782,7 @@ mod tests {
             ..PlanConfig::default()
         };
         let v = view_of((0..6).map(|i| rec(i, false, 15, 30, 0)), 6);
-        let p = plan_coordinated(&v, t(0), &cfg);
+        let p = fresh_plan(&v, t(0), &cfg, demand_rate_kw(&v));
         assert_eq!(p.schedule.on_count(), 0, "latest-fit defers everything");
         for i in 0..6u32 {
             assert_eq!(p.start_of(DeviceId(i)), Some(t(15)));
@@ -872,20 +839,20 @@ mod tests {
         // climb 0.1 kW per minute toward the 5 kW demand.
         let v = view_of((0..10).map(|i| rec(i, false, 15, 300, 0)), 10);
         planner.plan(&v, t(0));
-        assert_eq!(planner.level_kw(), 0.0, "no time elapsed yet");
+        assert_eq!(planner.persisted_level().0, 0.0, "no time elapsed yet");
         planner.plan(&v, t(10));
         assert!(
-            (planner.level_kw() - 1.0).abs() < 1e-9,
+            (planner.persisted_level().0 - 1.0).abs() < 1e-9,
             "10 min x 0.1 kW/min, got {}",
-            planner.level_kw()
+            planner.persisted_level().0
         );
         // Demand drops to zero: the level decays at the same bounded rate.
         let empty = SystemView::new(10);
         planner.plan(&empty, t(15));
         assert!(
-            (planner.level_kw() - 0.5).abs() < 1e-9,
+            (planner.persisted_level().0 - 0.5).abs() < 1e-9,
             "decay is slew-limited too, got {}",
-            planner.level_kw()
+            planner.persisted_level().0
         );
     }
 
@@ -951,14 +918,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_with_level_matches_planner() {
+    fn planner_matches_the_kernel_at_its_level() {
         let v = view_of((0..6).map(|i| rec(i, false, 15, 40, 0)), 6);
         let mut planner = CoordinatedPlanner::new(PlanConfig::default());
         planner.advance_level(demand_rate_kw(&v), t(3));
         let mut from_planner = Plan::default();
         planner.plan_at_level(&v, t(3), &mut PlanScratch::default(), &mut from_planner);
-        let from_pure = plan_with_level(&v, t(3), &PlanConfig::default(), planner.level_kw());
-        assert_eq!(from_planner, from_pure);
+        let (level_kw, _) = planner.persisted_level();
+        let from_kernel = fresh_plan(&v, t(3), &PlanConfig::default(), level_kw);
+        assert_eq!(from_planner, from_kernel);
     }
 
     #[test]
@@ -1005,7 +973,7 @@ mod tests {
         let mut plan = Plan::default();
         for (i, (view, cfg, level)) in cases.iter().enumerate() {
             plan_into(view, t(3), cfg, *level, &mut scratch, &mut plan);
-            assert_eq!(plan, plan_with_level(view, t(3), cfg, *level), "case {i}");
+            assert_eq!(plan, fresh_plan(view, t(3), cfg, *level), "case {i}");
         }
     }
 
@@ -1019,7 +987,7 @@ mod tests {
             ..PlanConfig::default()
         };
         let v = view_of((0..10).map(|i| rec(i, false, 15, 60, 0)), 10);
-        let p = plan_coordinated(&v, t(0), &cfg);
+        let p = fresh_plan(&v, t(0), &cfg, demand_rate_kw(&v));
         assert_eq!(p.schedule.on_count(), 2, "cap clips the admission level");
         // All ten still have committed starts (queued at latest start).
         assert_eq!(p.starts.len(), 10);
@@ -1033,8 +1001,8 @@ mod tests {
         };
         let v = view_of((0..8).map(|i| rec(i, false, 15, 40, i as u64)), 8);
         for minute in [0, 5, 12] {
-            let a = plan_coordinated(&v, t(minute), &PlanConfig::default());
-            let b = plan_coordinated(&v, t(minute), &capped);
+            let a = fresh_plan(&v, t(minute), &PlanConfig::default(), demand_rate_kw(&v));
+            let b = fresh_plan(&v, t(minute), &capped, demand_rate_kw(&v));
             assert_eq!(a, b, "unlimited profile must be the identity signal");
         }
     }
@@ -1048,7 +1016,7 @@ mod tests {
             ..PlanConfig::default()
         };
         let v = view_of([rec(0, false, 15, 15, 0), rec(1, false, 15, 120, 0)], 2);
-        let p = plan_coordinated(&v, t(0), &cfg);
+        let p = fresh_plan(&v, t(0), &cfg, demand_rate_kw(&v));
         assert!(p.schedule.is_on(DeviceId(0)), "forced despite the cap");
         assert!(!p.schedule.is_on(DeviceId(1)), "relaxed device respects it");
     }

@@ -24,15 +24,15 @@
 //!   the per-node reference store, see
 //!   [`HanSimulation::set_reference_planning`]).
 //! * Per-node staleness is tracked per `(node, origin)` pair from refresh
-//!   rounds ([`CommunicationPlane::age`]); it is *not* part of a view and
+//!   rounds (`CommunicationPlane::age`); it is *not* part of a view and
 //!   never influences which pool entry a node shares.
 //!
 //! # View storage
 //!
 //! Under loss most nodes still converge to one of a few distinct views
 //! (everyone who heard the last full round holds the *same* content), so
-//! the plane stores views in a content-addressed
-//! [`crate::pool::ViewPool`] and gives each node a handle.
+//! the plane stores views in a content-addressed view pool and gives
+//! each node a handle.
 //! Round delivery is **copy-on-write**: a node whose delivered records
 //! would not change its view keeps its handle (the common converged
 //! case); otherwise it forks the content and immediately re-deduplicates
@@ -40,7 +40,7 @@
 //! holds the same content. Memory is O(distinct views · devices) instead
 //! of O(nodes · devices), and two nodes hold equal handles exactly when
 //! their views are identical, which the execution plane uses as its
-//! planning-group key ([`CommunicationPlane::view_handle`]). Under
+//! planning-group key (`CommunicationPlane::view_handle`). Under
 //! [`CpModel::Ideal`] every node's view is identical by definition, so
 //! the plane keeps a single shared handle — O(n) record refreshes per
 //! round instead of O(n²) — and the pool holds exactly one entry.
@@ -76,7 +76,7 @@
 //!
 //! # One round
 //!
-//! [`CommunicationPlane::round`] is the whole synchronous exchange the
+//! `CommunicationPlane::round` is the whole synchronous exchange the
 //! paper's MiniCast round performs: every live node publishes its status
 //! (under a packet CP it merges its own item into its store), the floods
 //! run (packet CP only; the abstract models deliver instantly), each view
@@ -386,7 +386,7 @@ fn queue_unless_held(
 /// The communication plane: every node's [`SystemView`], stored in a
 /// content-addressed [`ViewPool`] and updated copy-on-write each round
 /// according to the model (see the [module docs](self)).
-pub struct CommunicationPlane {
+pub(crate) struct CommunicationPlane {
     model: CpModel,
     state: CpState,
     store: ViewStore,
@@ -639,14 +639,6 @@ impl CommunicationPlane {
         Some(u32::try_from(age).unwrap_or(u32::MAX))
     }
 
-    /// Largest record age in node `node`'s view, or 0 for an empty view.
-    pub fn max_age(&self, node: usize) -> u32 {
-        (0..self.device_count)
-            .filter_map(|d| self.age(node, DeviceId(d as u32)))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Statistics accumulated so far (a borrow — all accumulators,
     /// including packet-mode dissemination and the view-pool counters, are
     /// folded in place as rounds run, so nothing is cloned here).
@@ -667,14 +659,6 @@ impl CommunicationPlane {
     /// (the end-of-run outcome) that needs ownership.
     pub fn into_stats(self) -> CpStats {
         self.stats
-    }
-
-    /// Radio-on duty cycle of the protocol itself (packet mode only).
-    pub fn radio_duty_cycle(&self, round_period: SimDuration) -> Option<f64> {
-        self.stats
-            .dissemination
-            .as_ref()
-            .map(|d| d.duty_cycle(round_period))
     }
 
     /// Executes one CP round: every node publishes `statuses[i]` (version
@@ -1317,7 +1301,9 @@ mod tests {
         assert_eq!(cp.age(0, DeviceId(1)), None, "nothing refreshed yet");
         cp.round(&statuses(3, 0), &[1; 3]);
         assert_eq!(cp.age(0, DeviceId(1)), Some(0));
-        assert_eq!(cp.max_age(0), 0);
+        for device in 0..3 {
+            assert_eq!(cp.age(0, DeviceId(device)), Some(0), "device {device}");
+        }
         // A reference-store plane derives identical ages.
         let mut reference = CommunicationPlane::new(
             CpModel::LossyRound {
@@ -1506,16 +1492,17 @@ mod tests {
             "packet delivery {}",
             stats.delivery_rate()
         );
-        assert!(stats.dissemination.is_some());
         // Packet mode pools views like any other non-ideal model.
         let pool = stats.view_pool.expect("pooled store");
         assert!(pool.peak_views <= 26);
         // All-to-all sharing of 26 aggregates every 2 s keeps the radio on
         // for roughly half the round — the honest cost of a 2-second
         // all-to-all cadence at this network size.
-        let dc = cp
-            .radio_duty_cycle(SimDuration::from_secs(2))
-            .expect("packet mode");
+        let dc = stats
+            .dissemination
+            .as_ref()
+            .expect("packet mode")
+            .duty_cycle(SimDuration::from_secs(2));
         assert!(dc > 0.0 && dc < 0.8, "radio duty cycle {dc}");
     }
 

@@ -29,6 +29,7 @@
 use han_sim::time::{SimDuration, SimTime};
 use han_workload::fleet::ScenarioError;
 use han_workload::signal::PowerCapProfile;
+use han_workload::telemetry::TelemetryEvent;
 
 /// One scripted fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +66,22 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
+    /// The fault a telemetry event reports: node churn, CP blackouts and
+    /// signal dropouts map one-to-one; arrivals, completions, cap and
+    /// tariff changes are not faults.
+    pub(crate) fn from_telemetry(event: &TelemetryEvent) -> Option<FaultEvent> {
+        Some(match *event {
+            TelemetryEvent::NodeDown { at, node } => FaultEvent::NodeDown { at, node },
+            TelemetryEvent::NodeUp { at, node } => FaultEvent::NodeUp { at, node },
+            TelemetryEvent::CpOutage { from, until } => FaultEvent::CpOutage { from, until },
+            TelemetryEvent::SignalLoss { from, until } => FaultEvent::SignalLoss { from, until },
+            TelemetryEvent::Arrival { .. }
+            | TelemetryEvent::Completion { .. }
+            | TelemetryEvent::CapChange { .. }
+            | TelemetryEvent::Tariff { .. } => return None,
+        })
+    }
+
     /// The instant the event takes effect (window events: their start).
     fn effective_at(&self) -> SimTime {
         match *self {
@@ -116,76 +133,38 @@ impl FaultPlan {
         Ok(FaultPlan { events })
     }
 
-    /// Parses the CLI fault spec: semicolon-separated entries
-    /// `down:NODE@MIN`, `up:NODE@MIN`, `outage:FROM-UNTIL`,
-    /// `sigloss:FROM-UNTIL`, all times in whole minutes.
+    /// Parses the CLI fault spec: the fault entries of the telemetry
+    /// grammar ([`TelemetryEvent::parse_script`]) — `down:NODE@T`,
+    /// `up:NODE@T`, `outage:FROM-UNTIL` and `sigloss:FROM-UNTIL`, separated
+    /// by semicolons and/or newlines, `#` lines being comments, with times
+    /// in whole minutes or with an `s`/`us` suffix.
     ///
     /// ```
     /// use han_core::fault::FaultPlan;
     /// let plan = FaultPlan::parse("down:2@10; up:2@25; outage:40-45").unwrap();
     /// assert_eq!(plan.events().len(), 3);
     /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::InvalidFaultPlan`] for a malformed entry, a time
+    /// past the clock's range, an empty window, or an entry of a kind that
+    /// is not a fault (such as `arrive:1@2`).
     pub fn parse(spec: &str) -> Result<Self, ScenarioError> {
-        let bad = |entry: &str, why: &str| ScenarioError::InvalidFaultPlan {
-            reason: format!("cannot parse '{entry}': {why}"),
-        };
-        let mut events = Vec::new();
-        for entry in spec.split(';') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (kind, body) = entry
-                .split_once(':')
-                .ok_or_else(|| bad(entry, "expected 'kind:...'"))?;
-            match kind.trim() {
-                k @ ("down" | "up") => {
-                    let (node, at) = body
-                        .split_once('@')
-                        .ok_or_else(|| bad(entry, "expected 'NODE@MIN'"))?;
-                    let node: usize = node
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(entry, "node must be a non-negative integer"))?;
-                    let mins: u64 = at
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(entry, "time must be whole minutes"))?;
-                    let at = SimTime::from_mins(mins);
-                    events.push(if k == "down" {
-                        FaultEvent::NodeDown { at, node }
-                    } else {
-                        FaultEvent::NodeUp { at, node }
-                    });
-                }
-                k @ ("outage" | "sigloss") => {
-                    let (from, until) = body
-                        .split_once('-')
-                        .ok_or_else(|| bad(entry, "expected 'FROM-UNTIL'"))?;
-                    let from: u64 = from
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(entry, "times must be whole minutes"))?;
-                    let until: u64 = until
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(entry, "times must be whole minutes"))?;
-                    let (from, until) = (SimTime::from_mins(from), SimTime::from_mins(until));
-                    events.push(if k == "outage" {
-                        FaultEvent::CpOutage { from, until }
-                    } else {
-                        FaultEvent::SignalLoss { from, until }
-                    });
-                }
-                other => {
-                    return Err(bad(
-                        entry,
-                        &format!("unknown fault kind '{other}' (down/up/outage/sigloss)"),
-                    ))
-                }
-            }
-        }
-        FaultPlan::from_events(events)
+        let invalid = |reason| ScenarioError::InvalidFaultPlan { reason };
+        let events = TelemetryEvent::parse_script(spec).map_err(|e| match e {
+            ScenarioError::InvalidTelemetry { reason } => invalid(reason),
+            other => invalid(other.to_string()),
+        })?;
+        let faults = events
+            .iter()
+            .map(|event| {
+                FaultEvent::from_telemetry(event).ok_or_else(|| {
+                    invalid(format!("'{event}' is not a fault (down/up/outage/sigloss)"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        FaultPlan::from_events(faults)
     }
 
     /// Appends one event to a live plan, preserving the sorted-by-effective
@@ -492,6 +471,68 @@ mod tests {
             );
         }
         assert!(FaultPlan::parse("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn parse_reads_the_fault_entries_of_the_telemetry_grammar() {
+        let secs = SimTime::from_secs;
+        for (entry, expected) in [
+            ("down:3@10", FaultEvent::NodeDown { at: t(10), node: 3 }),
+            (
+                "down:3@90s",
+                FaultEvent::NodeDown {
+                    at: secs(90),
+                    node: 3,
+                },
+            ),
+            (
+                "up:3@5400000001us",
+                FaultEvent::NodeUp {
+                    at: SimTime::from_micros(5_400_000_001),
+                    node: 3,
+                },
+            ),
+            (
+                "outage:30s-2",
+                FaultEvent::CpOutage {
+                    from: secs(30),
+                    until: t(2),
+                },
+            ),
+            (
+                "sigloss:80-90",
+                FaultEvent::SignalLoss {
+                    from: t(80),
+                    until: t(90),
+                },
+            ),
+        ] {
+            let telemetry = TelemetryEvent::parse(entry).unwrap();
+            assert_eq!(
+                FaultEvent::from_telemetry(&telemetry),
+                Some(expected),
+                "{entry}"
+            );
+            assert_eq!(
+                FaultPlan::parse(entry).unwrap().events(),
+                &[expected],
+                "{entry}"
+            );
+        }
+        // Newlines and `#` comment lines separate entries, as in a script.
+        let plan = FaultPlan::parse("# churn\ndown:3@10\nup:3@20; outage:30s-2").unwrap();
+        assert_eq!(plan.events().len(), 3);
+        // A telemetry kind that is no fault, and a minute count past the
+        // microsecond clock, are both typed errors.
+        for bad in ["arrive:1@2", "down:3@307445734562"] {
+            assert!(
+                matches!(
+                    FaultPlan::parse(bad),
+                    Err(ScenarioError::InvalidFaultPlan { .. })
+                ),
+                "spec '{bad}' must be rejected"
+            );
+        }
     }
 
     #[test]

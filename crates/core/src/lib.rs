@@ -5,17 +5,11 @@
 //! *"Collaborative Load Management in Smart Home Area Network"*
 //! (Debadarshini & Saha, ICDCS 2022):
 //!
-//! * [`state`] — [`state::SystemView`]: one node's belief about every
-//!   device (pure record content, fingerprinted incrementally);
-//! * [`pool`] — [`pool::ViewPool`]: content-addressed, reference-counted
-//!   storage that keeps each distinct view once, shared by every node
-//!   holding identical content;
-//! * [`schedule`] — the canonical ON-set with a divergence-detection hash;
-//! * [`algorithm`] — [`algorithm::plan_coordinated`]: must-stay / forced /
-//!   water-filling / staggered-EDF planning (and the
-//!   [`algorithm::plan_uncoordinated`] baseline);
-//! * [`cp`] — communication-plane models from ideal to packet-level
-//!   MiniCast on the FlockLab-like testbed;
+//! * [`algorithm`] — must-stay / forced / water-filling / staggered-EDF
+//!   planning, configured by [`PlanConfig`] and [`SchedulingRule`];
+//! * [`cp`] — communication-plane models ([`CpModel`]) from ideal to
+//!   packet-level MiniCast on the FlockLab-like testbed, and their
+//!   statistics ([`CpStats`], with the view pool's [`ViewPoolStats`]);
 //! * [`simulation`] — the round-by-round two-plane simulation
 //!   ([`simulation::HanSimulation`]), configured by a heterogeneous
 //!   [`han_workload::fleet::FleetSpec`];
@@ -37,6 +31,11 @@
 //!   substation → city with no per-home trace materialization,
 //!   digest-equivalent per home to the [`neighborhood`] path and
 //!   invariant in the shard count.
+//!
+//! The round engine behind these — each node's system view, the
+//! content-addressed view pool, the communication plane's rounds, the
+//! planner and its schedules — is private to this crate: callers
+//! configure runs and read their reports.
 //!
 //! # Examples
 //!
@@ -70,19 +69,16 @@ pub mod fault;
 pub mod feeder;
 pub mod neighborhood;
 pub mod online;
-pub mod pool;
-pub mod schedule;
+mod pool;
+mod schedule;
 pub mod simulation;
-pub mod state;
+mod state;
 mod wire;
 
-pub use algorithm::{
-    demand_rate_kw, plan_coordinated, plan_uncoordinated, plan_with_level, CoordinatedPlanner,
-    Plan, PlanConfig, SchedulingRule,
-};
+pub use algorithm::{PlanConfig, SchedulingRule};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use city::{City, CityCoordination, CityReport, CitySpec, FeederAggregate, HomeDigest};
-pub use cp::{CommunicationPlane, CpModel, CpStats};
+pub use cp::{CpModel, CpStats};
 pub use fault::{degrade_cap_profile, FaultEvent, FaultPlan};
 pub use feeder::{
     ConvergenceCriterion, ConvergenceTrace, FeederPolicy, FeederReport, FeederSignal,
@@ -90,7 +86,5 @@ pub use feeder::{
 };
 pub use neighborhood::{Home, HomeResult, Neighborhood, NeighborhoodReport};
 pub use online::{OnlineDriver, OnlineError, ServeOptions};
-pub use pool::{ViewHandle, ViewPool, ViewPoolStats};
-pub use schedule::Schedule;
+pub use pool::ViewPoolStats;
 pub use simulation::{HanSimulation, SimulationConfig, SimulationOutcome, Strategy};
-pub use state::SystemView;

@@ -12,10 +12,9 @@
 //!
 //! Re-planning after an injection needs no bookkeeping: the coordinated
 //! planners keep no plan from one round to the next, so an injected cap
-//! change
-//! ([`CoordinatedPlanner::set_admission_cap`](crate::algorithm::CoordinatedPlanner::set_admission_cap))
-//! reaches the next round's plans the way an arrival or a completion
-//! does, through the state that round plans on.
+//! change (each planner's `set_admission_cap`) reaches the next round's
+//! plans the way an arrival or a completion does, through the state that
+//! round plans on.
 //!
 //! # Service snapshots (`HANSRV01`)
 //!
@@ -34,6 +33,7 @@
 //! lost by design, exactly like any crash-recovery log cut).
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::fault::FaultEvent;
 use crate::simulation::{
     run_span, Driver, HanSimulation, Injection, SimulationConfig, SimulationOutcome, Strategy,
 };
@@ -557,17 +557,11 @@ impl OnlineDriver {
                     let idx = tariffs.partition_point(|(t, _)| *t <= at);
                     tariffs.insert(idx, (at, rate_per_kwh));
                 }
-                TelemetryEvent::NodeDown { at, node } => {
-                    faults.push(crate::fault::FaultEvent::NodeDown { at, node })?;
-                }
-                TelemetryEvent::NodeUp { at, node } => {
-                    faults.push(crate::fault::FaultEvent::NodeUp { at, node })?;
-                }
-                TelemetryEvent::CpOutage { from, until } => {
-                    faults.push(crate::fault::FaultEvent::CpOutage { from, until })?;
-                }
-                TelemetryEvent::SignalLoss { from, until } => {
-                    faults.push(crate::fault::FaultEvent::SignalLoss { from, until })?;
+                TelemetryEvent::NodeDown { .. }
+                | TelemetryEvent::NodeUp { .. }
+                | TelemetryEvent::CpOutage { .. }
+                | TelemetryEvent::SignalLoss { .. } => {
+                    faults.push(FaultEvent::from_telemetry(event).expect("a fault kind"))?;
                 }
             }
         }

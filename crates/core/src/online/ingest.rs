@@ -248,13 +248,11 @@ pub(crate) fn translate(
             }
         }
         TelemetryEvent::Tariff { at, rate_per_kwh } => Action::Tariff { at, rate_per_kwh },
-        TelemetryEvent::NodeDown { at, node } => Action::Fault(FaultEvent::NodeDown { at, node }),
-        TelemetryEvent::NodeUp { at, node } => Action::Fault(FaultEvent::NodeUp { at, node }),
-        TelemetryEvent::CpOutage { from, until } => {
-            Action::Fault(FaultEvent::CpOutage { from, until })
-        }
-        TelemetryEvent::SignalLoss { from, until } => {
-            Action::Fault(FaultEvent::SignalLoss { from, until })
+        TelemetryEvent::NodeDown { .. }
+        | TelemetryEvent::NodeUp { .. }
+        | TelemetryEvent::CpOutage { .. }
+        | TelemetryEvent::SignalLoss { .. } => {
+            Action::Fault(FaultEvent::from_telemetry(event).expect("a fault kind"))
         }
     })
 }

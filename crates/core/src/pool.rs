@@ -17,39 +17,6 @@
 //! slots instead of keeping a bucket per key, so the steady-state round
 //! loop (views forking and re-deduplicating as records arrive) allocates
 //! nothing.
-//!
-//! # Examples
-//!
-//! ```
-//! use han_core::pool::ViewPool;
-//! use han_core::state::SystemView;
-//! use han_device::appliance::DeviceId;
-//! use han_device::status::StatusRecord;
-//!
-//! let mut pool = ViewPool::new(4);
-//! let mut view = SystemView::new(4);
-//! view.refresh(StatusRecord::idle(DeviceId(2)));
-//!
-//! // Acquiring the same content twice yields the same entry…
-//! let a = pool.acquire(&view);
-//! let b = pool.acquire(&view);
-//! assert_eq!(a, b);
-//! assert_eq!(pool.live_views(), 1);
-//!
-//! // …different content forks a second entry…
-//! view.refresh(StatusRecord::idle(DeviceId(3)));
-//! let c = pool.acquire(&view);
-//! assert_ne!(a, c);
-//! assert_eq!(pool.live_views(), 2);
-//! assert_eq!(pool.view(c).record(DeviceId(3)), view.record(DeviceId(3)));
-//!
-//! // …and releasing the last handle reclaims the entry.
-//! pool.release(a);
-//! pool.release(b);
-//! pool.release(c);
-//! assert_eq!(pool.live_views(), 0);
-//! assert_eq!(pool.peak_views(), 2);
-//! ```
 
 use crate::checkpoint::{ensure, CheckpointError};
 use crate::state::SystemView;
@@ -65,7 +32,7 @@ use std::collections::HashMap;
 /// reused after reclamation, so two live handles are equal **iff** they
 /// name the same (content-identical) entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ViewHandle(u32);
+pub(crate) struct ViewHandle(u32);
 
 impl ViewHandle {
     /// The raw slot index — stable while the handle is live, reused after
@@ -101,8 +68,8 @@ struct Entry {
 /// End of a same-key chain.
 const NO_ENTRY: u32 = u32::MAX;
 
-/// Live memory-usage counters of a [`ViewPool`], snapshotted into
-/// [`CpStats`](crate::cp::CpStats) after every round.
+/// Live memory-usage counters of the communication plane's view pool,
+/// snapshotted into [`CpStats`](crate::cp::CpStats) after every round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ViewPoolStats {
     /// Distinct views currently alive.
@@ -134,9 +101,9 @@ impl ViewPoolStats {
 ///
 /// All views in one pool must have the same slot count (one per device of
 /// the fleet the pool serves); [`acquire`](ViewPool::acquire) enforces
-/// this. See the [module docs](self) for the idea and an example.
+/// this. See the [module docs](self) for the idea.
 #[derive(Debug, Default)]
-pub struct ViewPool {
+pub(crate) struct ViewPool {
     entries: Vec<Entry>,
     /// Reclaimed slot ids, reused before growing `entries`.
     free: Vec<u32>,
@@ -360,16 +327,6 @@ impl ViewPool {
         &entry.view
     }
 
-    /// Distinct views currently alive.
-    pub fn live_views(&self) -> usize {
-        self.live
-    }
-
-    /// High-water mark of concurrently live distinct views.
-    pub fn peak_views(&self) -> usize {
-        self.peak
-    }
-
     /// Entries ever created — every time a view *forked* off shared
     /// content (or seeded a fresh pool). Observability-only; resets on
     /// checkpoint restore.
@@ -381,13 +338,6 @@ impl ViewPool {
     /// Observability-only; resets on checkpoint restore.
     pub fn in_place_edits(&self) -> u64 {
         self.in_place_edits
-    }
-
-    /// Slots ever allocated (live entries plus parked buffers). Bounded by
-    /// the peak number of concurrently distinct views plus the transient
-    /// entry a copy-on-write fork holds while re-deduplicating.
-    pub fn slot_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Estimated bytes per pooled view (records + fingerprint
@@ -574,17 +524,26 @@ mod tests {
         let a = pool.acquire(&v);
         let b = pool.acquire(&v.clone());
         assert_eq!(a, b, "identical content shares one entry");
-        assert_eq!(pool.live_views(), 1);
+        assert_eq!(pool.stats(0).live_views, 1);
         assert_eq!(pool.view(a), &v);
     }
 
     #[test]
     fn distinct_content_distinct_entries() {
         let mut pool = ViewPool::new(3);
-        let a = pool.acquire(&view_with(3, &[record(0, 15)]));
-        let b = pool.acquire(&view_with(3, &[record(0, 14)]));
+        let x = view_with(3, &[record(0, 15)]);
+        let y = view_with(3, &[record(0, 14)]);
+        let a = pool.acquire(&x);
+        let b = pool.acquire(&y);
         assert_ne!(a, b);
-        assert_eq!(pool.live_views(), 2);
+        assert_eq!(pool.stats(0).live_views, 2);
+        assert_eq!(pool.view(a), &x);
+        assert_eq!(pool.view(b), &y, "the forked entry holds the new content");
+        // Releasing every handle reclaims both; the peak remembers them.
+        pool.release(a);
+        pool.release(b);
+        assert_eq!(pool.stats(0).live_views, 0);
+        assert_eq!(pool.stats(0).peak_views, 2);
     }
 
     #[test]
@@ -599,7 +558,7 @@ mod tests {
         let hx = pool.acquire_keyed(&x, 42);
         let hy = pool.acquire_keyed(&y, 42);
         assert_ne!(hx, hy, "colliding key must not alias different contents");
-        assert_eq!(pool.live_views(), 2);
+        assert_eq!(pool.stats(0).live_views, 2);
         // Re-acquiring under the colliding key still finds the right entry.
         assert_eq!(pool.acquire_keyed(&x, 42), hx);
         assert_eq!(pool.acquire_keyed(&y, 42), hy);
@@ -609,7 +568,7 @@ mod tests {
         pool.release(hx);
         pool.release(hx);
         assert_eq!(pool.acquire_keyed(&y, 42), hy);
-        assert_eq!(pool.live_views(), 1);
+        assert_eq!(pool.stats(0).live_views, 1);
     }
 
     #[test]
@@ -618,15 +577,15 @@ mod tests {
         let a = pool.acquire(&view_with(2, &[record(0, 15)]));
         pool.retain(a);
         pool.release(a);
-        assert_eq!(pool.live_views(), 1, "still one owner");
+        assert_eq!(pool.stats(0).live_views, 1, "still one owner");
         pool.release(a);
-        assert_eq!(pool.live_views(), 0);
-        assert_eq!(pool.slot_count(), 1, "slot parked, not dropped");
+        assert_eq!(pool.stats(0).live_views, 0);
+        assert_eq!(pool.stats(0).slots, 1, "slot parked, not dropped");
         // A different content reuses the parked slot: no growth.
         let b = pool.acquire(&view_with(2, &[record(1, 9)]));
         assert_eq!(b.id(), a.id(), "parked slot reused");
-        assert_eq!(pool.slot_count(), 1);
-        assert_eq!(pool.peak_views(), 1);
+        assert_eq!(pool.stats(0).slots, 1);
+        assert_eq!(pool.stats(0).peak_views, 1);
     }
 
     #[test]
@@ -638,9 +597,9 @@ mod tests {
         // Re-acquiring the same content builds a fresh entry (refs start
         // over), it does not resurrect the reclaimed one.
         let b = pool.acquire(&v);
-        assert_eq!(pool.live_views(), 1);
+        assert_eq!(pool.stats(0).live_views, 1);
         pool.release(b);
-        assert_eq!(pool.live_views(), 0);
+        assert_eq!(pool.stats(0).live_views, 0);
     }
 
     #[test]
@@ -670,9 +629,7 @@ mod tests {
         pool.release(c); // park slot 2 — free list is [1, 2]
         let export = pool.export();
         let mut restored = ViewPool::restore(2, &export, &[a.id(), a.id()]).expect("consistent");
-        assert_eq!(restored.live_views(), pool.live_views());
-        assert_eq!(restored.peak_views(), pool.peak_views());
-        assert_eq!(restored.slot_count(), pool.slot_count());
+        assert_eq!(restored.stats(2), pool.stats(2));
         assert_eq!(restored.view(a), pool.view(a));
         assert!(restored.is_sole_owner(a) == pool.is_sole_owner(a));
         // Future behavior must match: dedup onto the live entry…

@@ -6,24 +6,15 @@
 //! content hash so the simulation can detect divergence between nodes.
 
 use han_device::appliance::DeviceId;
-use std::fmt;
 
 /// An ON-set for the next interval.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Schedule {
+pub(crate) struct Schedule {
     /// Devices to keep ON, sorted ascending (canonical form).
     on: Vec<DeviceId>,
 }
 
 impl Schedule {
-    /// Creates a schedule from any iterable of device ids (deduplicated,
-    /// sorted).
-    pub fn from_on_set(ids: impl IntoIterator<Item = DeviceId>) -> Self {
-        let mut schedule = Schedule::empty();
-        schedule.refill(ids);
-        schedule
-    }
-
     /// Replaces the ON set with `ids` (deduplicated, sorted), reusing the
     /// schedule's buffer — the planner rebuilds recycled plans this way.
     pub(crate) fn refill(&mut self, ids: impl IntoIterator<Item = DeviceId>) {
@@ -43,16 +34,6 @@ impl Schedule {
         self.on.binary_search(&device).is_ok()
     }
 
-    /// Number of devices ON.
-    pub fn on_count(&self) -> usize {
-        self.on.len()
-    }
-
-    /// The ON set in ascending order.
-    pub fn on_devices(&self) -> &[DeviceId] {
-        &self.on
-    }
-
     /// A stable content hash (FNV-1a over the sorted ids) for divergence
     /// detection across nodes.
     pub fn content_hash(&self) -> u64 {
@@ -67,22 +48,11 @@ impl Schedule {
     }
 }
 
-impl fmt::Display for Schedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "on={{")?;
-        for (i, id) in self.on.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{id}")?;
-        }
-        write!(f, "}}")
-    }
-}
-
-impl FromIterator<DeviceId> for Schedule {
-    fn from_iter<T: IntoIterator<Item = DeviceId>>(iter: T) -> Self {
-        Schedule::from_on_set(iter)
+#[cfg(test)]
+impl Schedule {
+    /// Number of devices ON.
+    pub(crate) fn on_count(&self) -> usize {
+        self.on.len()
     }
 }
 
@@ -90,10 +60,17 @@ impl FromIterator<DeviceId> for Schedule {
 mod tests {
     use super::*;
 
+    /// The schedule of `ids` (deduplicated, sorted).
+    fn on(ids: impl IntoIterator<Item = DeviceId>) -> Schedule {
+        let mut schedule = Schedule::empty();
+        schedule.refill(ids);
+        schedule
+    }
+
     #[test]
     fn canonical_form() {
-        let a = Schedule::from_on_set([DeviceId(3), DeviceId(1), DeviceId(3)]);
-        let b = Schedule::from_on_set([DeviceId(1), DeviceId(3)]);
+        let a = on([DeviceId(3), DeviceId(1), DeviceId(3)]);
+        let b = on([DeviceId(1), DeviceId(3)]);
         assert_eq!(a, b);
         assert_eq!(a.content_hash(), b.content_hash());
         assert_eq!(a.on_count(), 2);
@@ -101,23 +78,17 @@ mod tests {
 
     #[test]
     fn membership() {
-        let s = Schedule::from_on_set([DeviceId(2), DeviceId(5)]);
+        let s = on([DeviceId(2), DeviceId(5)]);
         assert!(s.is_on(DeviceId(2)));
         assert!(!s.is_on(DeviceId(3)));
     }
 
     #[test]
     fn hash_differs_for_different_sets() {
-        let a = Schedule::from_on_set([DeviceId(1)]);
-        let b = Schedule::from_on_set([DeviceId(2)]);
+        let a = on([DeviceId(1)]);
+        let b = on([DeviceId(2)]);
         let c = Schedule::empty();
         assert_ne!(a.content_hash(), b.content_hash());
         assert_ne!(a.content_hash(), c.content_hash());
-    }
-
-    #[test]
-    fn display_lists_devices() {
-        let s: Schedule = [DeviceId(0), DeviceId(7)].into_iter().collect();
-        assert_eq!(s.to_string(), "on={d0,d7}");
     }
 }

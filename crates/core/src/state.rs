@@ -28,7 +28,7 @@ use han_device::status::StatusRecord;
 /// fingerprint). Shared between nodes by the
 /// [`ViewPool`](crate::pool::ViewPool) whenever contents coincide.
 #[derive(Debug, PartialEq, Eq)]
-pub struct SystemView {
+pub(crate) struct SystemView {
     records: Vec<Option<StatusRecord>>,
     /// Per-slot contribution to the view fingerprint (0 for empty slots).
     contribs: Vec<u64>,
@@ -132,11 +132,6 @@ impl SystemView {
         self.records.len()
     }
 
-    /// Whether the view holds no records at all.
-    pub fn is_empty(&self) -> bool {
-        self.records.iter().all(Option::is_none)
-    }
-
     /// Installs a record, replacing whatever the slot held.
     ///
     /// The view fingerprint is updated incrementally in O(1): the slot's
@@ -227,12 +222,12 @@ mod tests {
     #[test]
     fn refresh_and_lookup() {
         let mut v = SystemView::new(3);
-        assert!(v.is_empty());
+        assert!(v.iter().next().is_none(), "no records");
         v.refresh(active_record(1));
         assert!(v.record(DeviceId(1)).is_some());
         assert!(v.record(DeviceId(0)).is_none());
         assert_eq!(v.len(), 3);
-        assert!(!v.is_empty());
+        assert!(v.iter().next().is_some());
     }
 
     #[test]
@@ -297,7 +292,7 @@ mod tests {
         assert!(v.record(DeviceId(2)).is_none());
         v.clear_slot(DeviceId(0));
         assert_eq!(v.fingerprint(), 0);
-        assert!(v.is_empty());
+        assert!(v.iter().next().is_none(), "no records");
         // Clearing an already-empty slot is a no-op.
         v.clear_slot(DeviceId(1));
         assert_eq!(v.fingerprint(), 0);

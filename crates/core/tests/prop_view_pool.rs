@@ -1,8 +1,8 @@
 //! Differential property tests of the content-addressed view pool.
 //!
-//! The pooled communication plane (copy-on-write delivery into a
-//! [`ViewPool`](han_core::pool::ViewPool), nodes grouped for planning by
-//! pool handle) must be **bit-invisible**: under random lossy and
+//! The pooled communication plane (copy-on-write delivery into the
+//! crate-private view pool, nodes grouped for planning by pool handle)
+//! must be **bit-invisible**: under random lossy and
 //! packet-level CPs it must produce the same order-sensitive
 //! `schedule_digest`, the same `divergent_rounds` and the same load trace
 //! as the naive one-view-per-node reference plane (the

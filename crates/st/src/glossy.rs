@@ -34,22 +34,6 @@ pub struct FloodOutcome {
     pub slots_used: usize,
 }
 
-impl FloodOutcome {
-    /// Fraction of nodes (including the initiator) holding the frame.
-    pub fn coverage(&self) -> f64 {
-        let n = self.received.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.received.iter().filter(|&&r| r).count() as f64 / n as f64
-    }
-
-    /// Whether every node received the frame.
-    pub fn is_complete(&self) -> bool {
-        self.received.iter().all(|&r| r)
-    }
-}
-
 /// Draws a transmit-timing offset for one transmitter in one slot.
 fn draw_offset(cfg: &StConfig, rng: &mut DetRng) -> SimDuration {
     if rng.gen_bool(cfg.desync_probability) {
@@ -168,6 +152,7 @@ mod tests {
     use super::*;
     use han_net::generators;
     use han_radio::channel::ChannelModel;
+    use proptest::prelude::*;
 
     fn disk(range: f64) -> ChannelModel {
         ChannelModel::UnitDisk { range_m: range }
@@ -177,13 +162,23 @@ mod tests {
         StConfig::default()
     }
 
+    /// Fraction of nodes (including the initiator) holding the frame.
+    fn coverage(out: &FloodOutcome) -> f64 {
+        out.received.iter().filter(|&&r| r).count() as f64 / out.received.len() as f64
+    }
+
+    /// Whether every node received the frame.
+    fn is_complete(out: &FloodOutcome) -> bool {
+        out.received.iter().all(|&r| r)
+    }
+
     #[test]
     fn flood_covers_connected_line() {
         let topo = generators::line(5, 10.0, disk(15.0));
         let rssi = topo.rssi_matrix();
         let mut rng = DetRng::new(1);
         let out = flood(&rssi, NodeId(0), 42, 60, &cfg(), &mut rng);
-        assert!(out.is_complete(), "flood failed: {:?}", out.received);
+        assert!(is_complete(&out), "flood failed: {:?}", out.received);
         // Hop latency: node k first receives in slot >= k-1.
         assert_eq!(out.first_rx_slot[1], Some(0));
         assert!(out.first_rx_slot[4].unwrap() >= 3);
@@ -197,7 +192,7 @@ mod tests {
         let out = flood(&rssi, NodeId(0), 42, 60, &cfg(), &mut rng);
         assert!(out.received[0]);
         assert!(!out.received[1] && !out.received[2] && !out.received[3]);
-        assert!((out.coverage() - 0.25).abs() < 1e-12);
+        assert!((coverage(&out) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -210,7 +205,7 @@ mod tests {
         for (i, &t) in out.tx_count.iter().enumerate() {
             assert!(t <= u32::from(c.n_tx), "node {i} transmitted {t} times");
         }
-        assert!(out.is_complete());
+        assert!(is_complete(&out));
     }
 
     #[test]
@@ -232,7 +227,7 @@ mod tests {
         for seed in 0..50 {
             let mut rng = DetRng::new(seed);
             let out = flood(&rssi, NodeId(0), seed, 60, &c, &mut rng);
-            if out.is_complete() {
+            if is_complete(&out) {
                 complete += 1;
             }
         }
@@ -253,7 +248,7 @@ mod tests {
         let mut covered = 0.0;
         for seed in 0..20 {
             let mut rng = DetRng::new(seed);
-            covered += flood(&rssi, NodeId(0), 1, 60, &noisy, &mut rng).coverage();
+            covered += coverage(&flood(&rssi, NodeId(0), 1, 60, &noisy, &mut rng));
         }
         let mean = covered / 20.0;
         // Desynchronized relays collide constantly, but single-transmitter
@@ -284,5 +279,55 @@ mod tests {
         let rssi = topo.rssi_matrix();
         let mut rng = DetRng::new(1);
         flood(&rssi, NodeId(5), 1, 60, &cfg(), &mut rng);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn flood_reaches_exactly_the_connected_component(
+            n in 2usize..12,
+            spacing in 5.0f64..25.0,
+            seed in any::<u64>()
+        ) {
+            // A line with unit-disk range 15: connected prefix iff spacing <= 15.
+            let topo = generators::line(n, spacing, ChannelModel::UnitDisk { range_m: 15.0 });
+            let rssi = topo.rssi_matrix();
+            let mut rng = DetRng::new(seed);
+            let out = flood(&rssi, NodeId(0), 1, 60, &StConfig::default(), &mut rng);
+            let connected = spacing <= 15.0;
+            if connected {
+                // With the default redundancy a clean line always floods fully
+                // as long as it fits the slot budget (hops <= flood_slots).
+                if n <= StConfig::default().flood_slots {
+                    prop_assert!(is_complete(&out), "coverage {:?}", out.received);
+                }
+            } else {
+                prop_assert!(out.received[0]);
+                for i in 1..n {
+                    prop_assert!(!out.received[i], "frame crossed a {spacing} m gap");
+                }
+            }
+        }
+
+        #[test]
+        fn flood_tx_budget_always_respected(
+            rows in 2usize..5,
+            cols in 2usize..5,
+            seed in any::<u64>()
+        ) {
+            let topo = generators::grid(rows, cols, 10.0, ChannelModel::UnitDisk { range_m: 15.0 });
+            let rssi = topo.rssi_matrix();
+            let cfg = StConfig::default();
+            let mut rng = DetRng::new(seed);
+            let out = flood(&rssi, NodeId(0), 1, 60, &cfg, &mut rng);
+            for (i, &tx) in out.tx_count.iter().enumerate() {
+                prop_assert!(tx <= u32::from(cfg.n_tx), "node {i} over budget");
+                prop_assert_eq!(
+                    out.listen_slots[i] + out.tx_count[i],
+                    cfg.flood_slots as u32
+                );
+            }
+        }
     }
 }

@@ -8,11 +8,10 @@
 //! * [`item`] — versioned data items and per-node [`item::ItemStore`]s;
 //! * [`config`] — [`config::StConfig`]: round period (paper: 2 s), slot
 //!   timing, Glossy `n_tx`, jitter/desync model;
-//! * [`glossy`] — the synchronous flood primitive;
 //! * [`minicast`] — the all-to-all round: sync beacon + one aggregated
-//!   flood per node in rotating TDMA order ([`minicast::run_round`]);
-//! * [`collect`] — many-to-one converge-cast (substrate of the centralized
-//!   baseline);
+//!   Glossy flood per node in rotating TDMA order
+//!   ([`minicast::run_round`]); the flood primitive itself is private to
+//!   the crate;
 //! * [`stats`] — multi-round reliability / radio-cost accounting;
 //! * [`sync`] — crystal-drift vs. sync-beacon analysis
 //!   ([`sync::SyncTracker`]).
@@ -42,9 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collect;
 pub mod config;
-pub mod glossy;
+mod glossy;
 pub mod item;
 pub mod minicast;
 pub mod stats;

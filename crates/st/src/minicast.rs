@@ -121,22 +121,10 @@ fn absorb(out: &FloodOutcome, scratch: &mut RoundScratch, frame_payload: usize) 
     }
 }
 
-/// Builds the aggregate for a phase initiator: its own item first, then
-/// other stored items chosen round-robin by `(origin + rotation)`.
-pub(crate) fn build_aggregate(
-    store: &ItemStore,
-    own: NodeId,
-    rotation: u64,
-    max_payload: usize,
-) -> Vec<Item> {
-    let mut out = Vec::new();
-    let mut origins = Vec::new();
-    build_aggregate_into(store, own, rotation, max_payload, &mut out, &mut origins);
-    out
-}
-
-/// [`build_aggregate`] into caller-owned buffers (cleared first).
-pub(crate) fn build_aggregate_into(
+/// Builds the aggregate for a phase initiator into caller-owned buffers
+/// (cleared first): its own item first, then other stored items chosen
+/// round-robin by `(origin + rotation)`.
+fn build_aggregate_into(
     store: &ItemStore,
     own: NodeId,
     rotation: u64,
@@ -327,6 +315,18 @@ mod tests {
 
     fn disk(range: f64) -> ChannelModel {
         ChannelModel::UnitDisk { range_m: range }
+    }
+
+    /// A phase initiator's aggregate, built into fresh buffers.
+    fn build_aggregate(
+        store: &ItemStore,
+        own: NodeId,
+        rotation: u64,
+        max_payload: usize,
+    ) -> Vec<Item> {
+        let mut out = Vec::new();
+        build_aggregate_into(store, own, rotation, max_payload, &mut out, &mut Vec::new());
+        out
     }
 
     fn publish_all(stores: &mut [ItemStore], seq: u32) {

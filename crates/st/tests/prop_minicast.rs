@@ -4,7 +4,6 @@ use han_net::generators;
 use han_net::NodeId;
 use han_radio::channel::ChannelModel;
 use han_sim::rng::DetRng;
-use han_st::glossy;
 use han_st::item::{Item, ItemStore};
 use han_st::minicast::run_round;
 use han_st::StConfig;
@@ -12,52 +11,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn flood_reaches_exactly_the_connected_component(
-        n in 2usize..12,
-        spacing in 5.0f64..25.0,
-        seed in any::<u64>()
-    ) {
-        // A line with unit-disk range 15: connected prefix iff spacing <= 15.
-        let topo = generators::line(n, spacing, ChannelModel::UnitDisk { range_m: 15.0 });
-        let rssi = topo.rssi_matrix();
-        let mut rng = DetRng::new(seed);
-        let out = glossy::flood(&rssi, NodeId(0), 1, 60, &StConfig::default(), &mut rng);
-        let connected = spacing <= 15.0;
-        if connected {
-            // With the default redundancy a clean line always floods fully
-            // as long as it fits the slot budget (hops <= flood_slots).
-            if n <= StConfig::default().flood_slots {
-                prop_assert!(out.is_complete(), "coverage {:?}", out.received);
-            }
-        } else {
-            prop_assert!(out.received[0]);
-            for i in 1..n {
-                prop_assert!(!out.received[i], "frame crossed a {spacing} m gap");
-            }
-        }
-    }
-
-    #[test]
-    fn flood_tx_budget_always_respected(
-        rows in 2usize..5,
-        cols in 2usize..5,
-        seed in any::<u64>()
-    ) {
-        let topo = generators::grid(rows, cols, 10.0, ChannelModel::UnitDisk { range_m: 15.0 });
-        let rssi = topo.rssi_matrix();
-        let cfg = StConfig::default();
-        let mut rng = DetRng::new(seed);
-        let out = glossy::flood(&rssi, NodeId(0), 1, 60, &cfg, &mut rng);
-        for (i, &tx) in out.tx_count.iter().enumerate() {
-            prop_assert!(tx <= u32::from(cfg.n_tx), "node {i} over budget");
-            prop_assert_eq!(
-                out.listen_slots[i] + out.tx_count[i],
-                cfg.flood_slots as u32
-            );
-        }
-    }
 
     #[test]
     fn stores_only_grow_and_never_regress_versions(

@@ -11,10 +11,10 @@
 //!
 //! # Grammar
 //!
-//! Events parse from the same kind of compact spec as the CLI fault plan
-//! (semicolon-separated entries, whole minutes by default), extended with
-//! sub-minute suffixes because replaying a Poisson workload bit-identically
-//! needs microsecond instants:
+//! Events parse from a compact spec (semicolon-separated entries, whole
+//! minutes by default), with sub-minute suffixes because replaying a
+//! Poisson workload bit-identically needs microsecond instants. The CLI
+//! fault plan is its fault entries (`down`, `up`, `outage`, `sigloss`):
 //!
 //! ```text
 //! arrive:DEV@T         request for device DEV at time T (one window)

@@ -356,7 +356,7 @@ fn parse_flags(
                 }
             }
             "--cp" => scenario.cp = CpChoice::parse(&value("--cp")?)?,
-            "--minutes" => scenario.minutes = num(&mut value, "--minutes")?,
+            "--minutes" => scenario.minutes = minutes(&mut value, "--minutes")?,
             "--devices" => scenario.devices = num(&mut value, "--devices")?,
             "--faults" => scenario.faults = parse_faults(value("--faults")?)?,
             "--seed" => scenario.seed = num(&mut value, "--seed")?,
@@ -376,6 +376,22 @@ fn parse_flags(
 /// Reads the next argument as `flag`'s numeric value.
 fn num<T: std::str::FromStr>(value: &mut Value, flag: &'static str) -> Result<T, CliError> {
     parse_num(&value(flag)?, flag)
+}
+
+/// Reads the next argument as a count of minutes. The simulation clock
+/// counts microseconds in a `u64`, so a count it cannot hold is a bad
+/// value rather than a window that wraps around.
+fn minutes(value: &mut Value, flag: &'static str) -> Result<u64, CliError> {
+    let text = value(flag)?;
+    let mins: u64 = parse_num(&text, flag)?;
+    match mins.checked_mul(SimDuration::from_mins(1).as_micros()) {
+        Some(_) => Ok(mins),
+        None => Err(CliError::Invalid {
+            flag,
+            value: text,
+            expected: "a number of minutes the microsecond clock can hold",
+        }),
+    }
 }
 
 /// Checks a `--strategy` value against the names a mode accepts.
@@ -998,7 +1014,7 @@ fn parse_serve_args() -> Result<ServeArgs, CliError> {
                 "--replay" => args.replay = Some(value("--replay")?),
                 "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
                 "--checkpoint-every" => {
-                    args.checkpoint_every_min = Some(num(value, "--checkpoint-every")?)
+                    args.checkpoint_every_min = Some(minutes(value, "--checkpoint-every")?)
                 }
                 "--restore" => args.restore = Some(value("--restore")?),
                 "--pace-us" => args.pace_us = Some(num(value, "--pace-us")?),

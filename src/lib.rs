@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `han-sim` | deterministic time, RNG and trace substrate |
+//! | [`sim`] | `han-sim` | deterministic time and RNG substrate |
 //! | [`radio`] | `han-radio` | 802.15.4 PHY, capture effect, energy |
 //! | [`net`] | `han-net` | topologies incl. the FlockLab-like testbed |
 //! | [`st`] | `han-st` | Glossy floods, MiniCast all-to-all rounds |

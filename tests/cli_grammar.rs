@@ -62,3 +62,48 @@ fn zero_homes_is_a_typed_error() {
         );
     }
 }
+
+#[test]
+fn minutes_past_the_microsecond_clock_fail_while_the_flags_parse() {
+    // 307,445,734,562 minutes is the first count whose microseconds do
+    // not fit the clock's u64: it must be a bad value in every mode, not a
+    // window, a fault time or a checkpoint cadence that wraps around.
+    let past = "307445734562";
+    let fault = format!("down:3@{past}");
+    for mode in [None, Some("serve"), Some("city")] {
+        let line = |flag: &str, value: &str| {
+            let args: Vec<&str> = mode.into_iter().chain([flag, value]).collect();
+            error_line(&args)
+        };
+        assert_eq!(
+            line("--minutes", past),
+            format!(
+                "error: bad value '{past}' for --minutes \
+                 (expected a number of minutes the microsecond clock can hold)"
+            ),
+            "{mode:?}"
+        );
+        let faults = line("--faults", &fault);
+        assert!(
+            faults.starts_with(&format!("error: bad value '{fault}' for --faults")),
+            "{mode:?}: {faults}"
+        );
+    }
+    let every = "614891469123651722";
+    let args = [
+        "serve",
+        "--replay",
+        "never-read.script",
+        "--checkpoint",
+        "never-written.ckpt",
+        "--checkpoint-every",
+        every,
+    ];
+    assert_eq!(
+        error_line(&args),
+        format!(
+            "error: bad value '{every}' for --checkpoint-every \
+             (expected a number of minutes the microsecond clock can hold)"
+        )
+    );
+}
