@@ -93,7 +93,6 @@ use crate::state::SystemView;
 use han_device::appliance::DeviceId;
 use han_device::status::StatusRecord;
 use han_net::{NodeId, Topology};
-use han_radio::units::Dbm;
 use han_sim::rng::DetRng;
 use han_sim::time::SimDuration;
 use han_st::item::{Item, ItemStore};
@@ -201,13 +200,16 @@ enum CpState {
     Abstract,
     Packet {
         st: StConfig,
-        rssi: Vec<Vec<Dbm>>,
+        /// The topology's link budget, audible neighbours and CI-slot PRR
+        /// memo, built once with the plane.
+        links: minicast::LinkTable,
         stores: Vec<ItemStore>,
         /// Last sequence number each node has decoded per origin, to detect
         /// which records are fresh this round.
         last_seen: Vec<Vec<Option<u32>>>,
         sync: SyncTracker,
-        /// Reusable MiniCast working buffers (aggregates, per-flood tallies).
+        /// Reusable MiniCast working buffers (aggregates, flood buffers)
+        /// and the round report they fill.
         scratch: minicast::RoundScratch,
         /// Reusable status-encoding buffer.
         encode_buf: Vec<u8>,
@@ -467,12 +469,13 @@ impl CommunicationPlane {
                     topology.len(),
                     device_count
                 );
+                // Checked once here, not every round.
                 st.validate().expect("invalid ST configuration");
                 st.check_fits_round(topology.len())
                     .expect("network too large for the round period");
                 CpState::Packet {
                     st: st.clone(),
-                    rssi: topology.rssi_matrix(),
+                    links: minicast::LinkTable::new(&topology.rssi_matrix()),
                     stores: vec![ItemStore::new(); topology.len()],
                     last_seen: vec![vec![None; topology.len()]; topology.len()],
                     sync: SyncTracker::new(topology.len(), 20.0, st.round_period, seed),
@@ -691,7 +694,7 @@ impl CommunicationPlane {
         let round = self.round_index;
         if let CpState::Packet {
             st,
-            rssi,
+            links,
             stores,
             sync,
             scratch,
@@ -702,17 +705,21 @@ impl CommunicationPlane {
             // Publish: each node merges its own fresh item. A down node
             // (or everyone, during an outage) does not publish — its
             // stored item keeps its old sequence number, so survivors
-            // treat it as stale rather than fresh.
+            // treat it as stale rather than fresh. A store that already
+            // holds `seq` (or newer) would reject the item, so it is
+            // neither encoded nor built.
             for (i, (rec, &seq)) in statuses.iter().zip(seqs).enumerate() {
-                if self.outage || self.down[i] {
+                let node = NodeId(i as u32);
+                let held = stores[i].seq_of(node).is_some_and(|held| held >= seq);
+                if self.outage || self.down[i] || held {
                     continue;
                 }
                 encode_buf.clear();
                 rec.encode_into(encode_buf);
-                stores[i].merge(&Item::new(NodeId(i as u32), seq, encode_buf.as_slice()));
+                stores[i].merge(&Item::new(node, seq, encode_buf.as_slice()));
             }
             let report = minicast::run_round_with(
-                rssi,
+                links,
                 stores,
                 NodeId(0),
                 st,
@@ -724,7 +731,7 @@ impl CommunicationPlane {
                 .dissemination
                 .as_mut()
                 .expect("packet mode pre-seeds dissemination stats")
-                .record(&report);
+                .record(report);
             // The tracker covers every topology node (relay-only nodes
             // drift too), so it gets the full sync vector — not just the
             // first `n` device slots.

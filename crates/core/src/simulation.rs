@@ -121,13 +121,16 @@ impl SimulationConfig {
             }
         }
         match &self.cp {
-            CpModel::Packet { topology, .. } => {
+            CpModel::Packet { st, topology } => {
                 if topology.len() < self.fleet.device_count() {
                     return Err(ScenarioError::TopologyTooSmall {
                         nodes: topology.len(),
                         device_count: self.fleet.device_count(),
                     });
                 }
+                st.validate()
+                    .and_then(|()| st.check_fits_round(topology.len()))
+                    .map_err(|reason| ScenarioError::InvalidPacketConfig { reason })?;
             }
             CpModel::LossyRound { miss_probability }
             | CpModel::LossyRecord { miss_probability } => {
@@ -1682,6 +1685,46 @@ mod tests {
             HanSimulation::new(cfg, vec![]),
             Err(ScenarioError::InvalidProbability { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_st_config_is_a_typed_error_not_a_round_panic() {
+        let cp = CpModel::Packet {
+            st: han_st::StConfig {
+                n_tx: 0,
+                ..han_st::StConfig::default()
+            },
+            topology: han_net::flocklab::flocklab26(0),
+        };
+        let err = HanSimulation::new(small_config(Strategy::coordinated(), cp), vec![])
+            .expect_err("n_tx = 0 is rejected up front");
+        assert_eq!(
+            err,
+            ScenarioError::InvalidPacketConfig {
+                reason: "n_tx must be at least 1".into()
+            }
+        );
+    }
+
+    #[test]
+    fn topology_too_large_for_the_round_is_a_typed_error() {
+        // 64 data phases plus the sync phase need 2.6 s of a 2 s round.
+        let cp = CpModel::Packet {
+            st: han_st::StConfig::default(),
+            topology: han_net::generators::grid(
+                8,
+                8,
+                10.0,
+                han_radio::channel::ChannelModel::UnitDisk { range_m: 15.0 },
+            ),
+        };
+        let err = HanSimulation::new(small_config(Strategy::coordinated(), cp), vec![])
+            .expect_err("a 64-node round is rejected up front");
+        assert_eq!(
+            err.to_string(),
+            "invalid packet CP configuration: 64 nodes need 2.600s of airtime \
+             but the 2.000s round fits only 49 data phases"
+        );
     }
 
     #[test]

@@ -12,15 +12,17 @@
 //! The table covers every model, a one-device and a six-device fleet
 //! (a one-device lossy, GE or packet plane also has a single view row,
 //! like the shared Ideal row), a down/up/outage fault timeline on the
-//! last device, and the per-node reference store. The abstract models
-//! also run the paper's 26-device fleet, with and without faults: a
-//! faulted Ideal plane delivers per node through its fault-free rounds,
-//! so those rows pin the pool slots, free list and refresh stamps of the
-//! shared round transition at the paper's size. The constants were
-//! taken from the plane before its round collapsed into one call (the
+//! last device, and the per-node reference store. Every model also runs
+//! the paper's 26-device fleet, with and without faults: a faulted Ideal
+//! plane delivers per node through its fault-free rounds, so those rows
+//! pin the pool slots, free list and refresh stamps of the shared round
+//! transition at the paper's size, and the packet rows pin the MiniCast
+//! floods of the paper's testbed. The constants were taken from the
+//! plane before its round collapsed into one call (the abstract
 //! 26-device rows: before delivery stopped re-applying unchanged
-//! records); only a deliberate change to what the plane delivers may
-//! update them.
+//! records; the packet 26-device rows: before the Glossy flood became a
+//! slot kernel over a link table); only a deliberate change to what the
+//! plane delivers may update them.
 
 use han_core::cp::CpModel;
 use han_core::experiment;
@@ -112,7 +114,7 @@ fn every_delivery_rule_is_pinned() {
             10,
             &[1, 6, 26],
         ),
-        ("packet", CpModel::paper_packet(3), 4, &[1, 6]),
+        ("packet", CpModel::paper_packet(3), 4, &[1, 6, 26]),
     ];
     let mut mismatches = Vec::new();
     for (name, cp, minutes, fleets) in &models {
@@ -280,5 +282,13 @@ const PINS: &[(&str, Pins)] = &[
     (
         "packet, 6 dev, reference",
         (0xb00a_0766_61ca_4b0c, 4356, 121, 0x3723_9081_a655_98cc),
+    ),
+    (
+        "packet, 26 dev",
+        (0x2893_e527_4f31_dd1b, 81796, 121, 0xf2f0_b36c_6341_b07b),
+    ),
+    (
+        "packet, 26 dev, faults",
+        (0x2893_e527_4f31_dd1b, 61546, 61, 0xf107_9d5c_88b5_af97),
     ),
 ];

@@ -96,36 +96,40 @@ impl Default for CaptureConfig {
 /// Resolves one receiver's slot given all incident signals.
 ///
 /// `frame_bytes` is the on-air frame size used for the PRR draw; `rng`
-/// supplies the packet-level Bernoulli randomness.
+/// supplies the packet-level Bernoulli randomness: one draw when a frame
+/// reaches the PRR step, none on silence, sensitivity or collision.
+///
+/// The slot allocates nothing: it sorts `signals` in place, audible
+/// signals strongest first (ties to the lower `tx_index`) and inaudible
+/// ones last, so the caller's order is not kept.
 ///
 /// The decision procedure is described in the [module docs](self).
 pub fn resolve_slot(
-    signals: &[IncomingSignal],
+    signals: &mut [IncomingSignal],
     config: &CaptureConfig,
     frame_bytes: usize,
     rng: &mut DetRng,
 ) -> SlotOutcome {
-    let audible: Vec<&IncomingSignal> = signals
-        .iter()
-        .filter(|s| s.rssi >= phy::SENSITIVITY)
-        .collect();
-    if audible.is_empty() {
+    let audible = |s: &IncomingSignal| s.rssi >= phy::SENSITIVITY;
+    // Strongest-first; ties broken by tx index for determinism. Inaudible
+    // signals (NaN included) compare equal among themselves and sort last.
+    signals.sort_by(|a, b| match (audible(a), audible(b)) {
+        (true, true) => b
+            .rssi
+            .partial_cmp(&a.rssi)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.tx_index.cmp(&b.tx_index)),
+        (a_audible, b_audible) => b_audible.cmp(&a_audible),
+    });
+    let by_power = &signals[..signals.partition_point(audible)];
+    if by_power.is_empty() {
         return if signals.is_empty() {
             SlotOutcome::Silence
         } else {
             SlotOutcome::Lost(LossReason::BelowSensitivity)
         };
     }
-
-    // Strongest-first; ties broken by tx index for determinism.
-    let mut by_power = audible.clone();
-    by_power.sort_by(|a, b| {
-        b.rssi
-            .partial_cmp(&a.rssi)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.tx_index.cmp(&b.tx_index))
-    });
-    let strongest = by_power[0];
+    let strongest = &by_power[0];
 
     let identical = by_power
         .iter()
@@ -187,7 +191,12 @@ mod tests {
 
     fn resolve(signals: &[IncomingSignal]) -> SlotOutcome {
         let mut rng = DetRng::new(1);
-        resolve_slot(signals, &CaptureConfig::default(), FRAME, &mut rng)
+        resolve_slot(
+            &mut signals.to_vec(),
+            &CaptureConfig::default(),
+            FRAME,
+            &mut rng,
+        )
     }
 
     #[test]
@@ -278,11 +287,11 @@ mod tests {
         // so across many draws we must observe both outcomes.
         let mut rng = DetRng::new(7);
         let cfg = CaptureConfig::default();
-        let signals = [sig(0, -98.3, 0, 1)];
+        let mut signals = [sig(0, -98.3, 0, 1)];
         let mut received = 0;
         let mut lost = 0;
         for _ in 0..500 {
-            match resolve_slot(&signals, &cfg, FRAME, &mut rng) {
+            match resolve_slot(&mut signals, &cfg, FRAME, &mut rng) {
                 SlotOutcome::Received { .. } => received += 1,
                 SlotOutcome::Lost(LossReason::ChannelError) => lost += 1,
                 other => panic!("unexpected outcome {other:?}"),
@@ -295,5 +304,97 @@ mod tests {
     fn tie_power_breaks_by_tx_index() {
         let out = resolve(&[sig(5, -70.0, 0, 42), sig(2, -70.0, 0, 42)]);
         assert_eq!(out, SlotOutcome::Received { tx_index: 2 });
+    }
+
+    /// The allocating form of the rule: filter the audible signals into a
+    /// fresh `Vec`, sort a copy of it, resolve. [`resolve_slot`] must
+    /// match it outcome for outcome and draw for draw.
+    fn resolve_filtered(
+        signals: &[IncomingSignal],
+        config: &CaptureConfig,
+        frame_bytes: usize,
+        rng: &mut DetRng,
+    ) -> SlotOutcome {
+        let audible: Vec<&IncomingSignal> = signals
+            .iter()
+            .filter(|s| s.rssi >= phy::SENSITIVITY)
+            .collect();
+        if audible.is_empty() {
+            return if signals.is_empty() {
+                SlotOutcome::Silence
+            } else {
+                SlotOutcome::Lost(LossReason::BelowSensitivity)
+            };
+        }
+        let mut by_power = audible.clone();
+        by_power.sort_by(|a, b| {
+            b.rssi
+                .partial_cmp(&a.rssi)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.tx_index.cmp(&b.tx_index))
+        });
+        let strongest = by_power[0];
+        let identical = by_power
+            .iter()
+            .all(|s| s.content_id == strongest.content_id);
+        let min_offset = by_power.iter().map(|s| s.offset).min().unwrap();
+        let max_offset = by_power.iter().map(|s| s.offset).max().unwrap();
+        let (signal, interference_dbm) = if identical && max_offset - min_offset <= config.ci_window
+        {
+            (strongest.rssi + config.ci_gain_db, phy::NOISE_FLOOR)
+        } else {
+            if strongest.offset.saturating_sub(min_offset) > config.capture_window {
+                return SlotOutcome::Lost(LossReason::Collision);
+            }
+            let others = by_power[1..].iter().map(|s| s.rssi);
+            let interference = sum_power_dbm(others.chain([phy::NOISE_FLOOR]));
+            if strongest.rssi - interference < config.capture_threshold_db {
+                return SlotOutcome::Lost(LossReason::Collision);
+            }
+            (strongest.rssi, interference)
+        };
+        let p = prr::packet_reception_rate(signal, interference_dbm, frame_bytes);
+        if rng.gen_bool(p) {
+            SlotOutcome::Received {
+                tx_index: strongest.tx_index,
+            }
+        } else {
+            SlotOutcome::Lost(LossReason::ChannelError)
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn in_place_sort_resolves_like_the_filtering_rule(
+            raw in prop::collection::vec(
+                (0usize..6, -106.0f64..-60.0, 0u64..250, 0u64..2, any::<bool>()),
+                0..8,
+            ),
+            frame in 20usize..128,
+            seed in any::<u64>(),
+        ) {
+            // Repeated tx indices and rounded levels force ties, and some
+            // levels are NaN (never audible). Most offsets fall inside the
+            // CI window, the rest around the capture window.
+            let signals: Vec<IncomingSignal> = raw
+                .iter()
+                .map(|&(tx, rssi, offset, content, nan)| {
+                    let rssi = if nan && tx == 5 { f64::NAN } else { rssi.round() };
+                    let offset = if offset < 150 { offset % 2 } else { offset };
+                    sig(tx, rssi, offset, content)
+                })
+                .collect();
+            let cfg = CaptureConfig::default();
+            let mut want_rng = DetRng::new(seed);
+            let want = resolve_filtered(&signals, &cfg, frame, &mut want_rng);
+            let mut got_rng = DetRng::new(seed);
+            let got = resolve_slot(&mut signals.clone(), &cfg, frame, &mut got_rng);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got_rng.state(), want_rng.state());
+        }
     }
 }

@@ -48,7 +48,7 @@ proptest! {
         rssis in prop::collection::vec(-100.0f64..-50.0, 1..5),
         seed in any::<u64>()
     ) {
-        let signals: Vec<IncomingSignal> = rssis
+        let mut signals: Vec<IncomingSignal> = rssis
             .iter()
             .enumerate()
             .map(|(i, &r)| IncomingSignal {
@@ -59,20 +59,20 @@ proptest! {
             })
             .collect();
         let cfg = CaptureConfig::default();
-        let a = resolve_slot(&signals, &cfg, 60, &mut DetRng::new(seed));
-        let b = resolve_slot(&signals, &cfg, 60, &mut DetRng::new(seed));
+        let a = resolve_slot(&mut signals, &cfg, 60, &mut DetRng::new(seed));
+        let b = resolve_slot(&mut signals, &cfg, 60, &mut DetRng::new(seed));
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn single_strong_signal_always_received(rssi in -85.0f64..-40.0, seed in any::<u64>()) {
-        let signals = [IncomingSignal {
+        let mut signals = [IncomingSignal {
             tx_index: 0,
             rssi: Dbm(rssi),
             offset: SimDuration::ZERO,
             content_id: 1,
         }];
-        let out = resolve_slot(&signals, &CaptureConfig::default(), 60, &mut DetRng::new(seed));
+        let out = resolve_slot(&mut signals, &CaptureConfig::default(), 60, &mut DetRng::new(seed));
         prop_assert_eq!(out, SlotOutcome::Received { tx_index: 0 });
     }
 
@@ -83,7 +83,7 @@ proptest! {
         seed in any::<u64>()
     ) {
         // Constructive interference: same content, sub-µs offsets.
-        let signals: Vec<IncomingSignal> = (0..count)
+        let mut signals: Vec<IncomingSignal> = (0..count)
             .map(|i| IncomingSignal {
                 tx_index: i,
                 rssi: Dbm(rssi),
@@ -91,7 +91,7 @@ proptest! {
                 content_id: 7,
             })
             .collect();
-        let out = resolve_slot(&signals, &CaptureConfig::default(), 60, &mut DetRng::new(seed));
+        let out = resolve_slot(&mut signals, &CaptureConfig::default(), 60, &mut DetRng::new(seed));
         prop_assert!(
             matches!(out, SlotOutcome::Received { .. }),
             "CI frames collided: {out:?}"

@@ -109,7 +109,8 @@ impl StConfig {
         let max = self.max_nodes_per_round();
         if n > max {
             return Err(format!(
-                "{n} nodes need {} of airtime but the {} round fits only {max}                  data phases",
+                "{n} nodes need {} of airtime but the {} round fits only {max} \
+                 data phases",
                 self.phase_duration() * (n as u64 + 1),
                 self.round_period
             ));
@@ -143,7 +144,10 @@ mod tests {
         assert!(cfg.check_fits_round(26).is_ok());
         assert!(cfg.check_fits_round(49).is_ok());
         let err = cfg.check_fits_round(50).unwrap_err();
-        assert!(err.contains("50 nodes"), "{err}");
+        assert_eq!(
+            err,
+            "50 nodes need 2.040s of airtime but the 2.000s round fits only 49 data phases"
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   timing, Glossy `n_tx`, jitter/desync model;
 //! * [`minicast`] — the all-to-all round: sync beacon + one aggregated
 //!   Glossy flood per node in rotating TDMA order
-//!   ([`minicast::run_round`]); the flood primitive itself is private to
-//!   the crate;
+//!   ([`minicast::run_round`], or [`minicast::run_round_with`] over a
+//!   [`LinkTable`] built once per deployment); the flood kernel itself is
+//!   private to the crate;
 //! * [`stats`] — multi-round reliability / radio-cost accounting;
 //! * [`sync`] — crystal-drift vs. sync-beacon analysis
 //!   ([`sync::SyncTracker`]).
@@ -50,6 +51,6 @@ pub mod sync;
 
 pub use config::StConfig;
 pub use item::{Item, ItemStore};
-pub use minicast::RoundReport;
+pub use minicast::{LinkTable, RoundReport};
 pub use stats::DisseminationStats;
 pub use sync::SyncTracker;

@@ -18,10 +18,14 @@
 //! 3. Every receiver merges the aggregate into its [`ItemStore`].
 //!
 //! [`run_round`] executes one full round against the topology's RSSI matrix
-//! and reports coverage, reliability and radio cost.
+//! and reports coverage, reliability and radio cost. A long-running plane
+//! calls [`run_round_with`] instead: it floods over a [`LinkTable`] built
+//! once per deployment and keeps its buffers and its [`RoundReport`] in a
+//! [`RoundScratch`], so a round allocates nothing for the floods and the
+//! report once the buffers have grown.
 
 use crate::config::StConfig;
-use crate::glossy::{self, FloodOutcome};
+use crate::glossy::{self, Flood};
 use crate::item::{Item, ItemStore};
 use han_net::NodeId;
 use han_radio::phy;
@@ -29,12 +33,14 @@ use han_radio::units::Dbm;
 use han_sim::rng::DetRng;
 use han_sim::time::SimDuration;
 
+pub use crate::glossy::LinkTable;
+
 /// Aggregate frame overhead besides items: round counter (4 B), phase (1 B),
 /// initiator (1 B), item count (1 B).
 pub const AGGREGATE_HEADER_BYTES: usize = 7;
 
 /// Report of one MiniCast round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RoundReport {
     /// Round counter this report describes.
     pub round_index: u64,
@@ -78,46 +84,48 @@ impl RoundReport {
     }
 }
 
-/// Reusable working memory for [`run_round_with`].
+/// Reusable working memory for [`run_round_with`], and the report it
+/// fills.
 ///
 /// The aggregate/origins buffers are rebuilt once per data phase (n times
-/// per round), so reusing them is the real win; the per-node tally
-/// vectors are handed off into the returned [`RoundReport`] (whose
-/// per-node vectors are the function's product and necessarily fresh)
-/// and regrown on the next round. Item clones into the aggregate are
-/// cheap: payloads are refcounted [`Bytes`], so "cloning" an item copies
-/// a pointer, never the payload.
+/// per round) and the flood buffers once per flood; the report's per-node
+/// vectors are cleared and refilled in place every round. Item clones
+/// into the aggregate are cheap: payloads are refcounted [`Bytes`], so
+/// "cloning" an item copies a pointer, never the payload.
 ///
 /// [`Bytes`]: bytes::Bytes
 #[derive(Debug, Default, Clone)]
 pub struct RoundScratch {
     aggregate: Vec<Item>,
     origins: Vec<NodeId>,
-    tx_count: Vec<u32>,
-    listen_slots: Vec<u32>,
     tx_air: Vec<SimDuration>,
+    flood: Flood,
+    report: RoundReport,
 }
 
 impl RoundScratch {
     fn reset(&mut self, n: usize) {
         self.aggregate.clear();
         self.origins.clear();
-        self.tx_count.clear();
-        self.tx_count.resize(n, 0);
-        self.listen_slots.clear();
-        self.listen_slots.resize(n, 0);
         self.tx_air.clear();
         self.tx_air.resize(n, SimDuration::ZERO);
+        let report = &mut self.report;
+        for v in [&mut report.tx_count, &mut report.listen_slots] {
+            v.clear();
+            v.resize(n, 0);
+        }
     }
-}
 
-/// Folds one flood's radio tallies into the round-in-flight scratch.
-fn absorb(out: &FloodOutcome, scratch: &mut RoundScratch, frame_payload: usize) {
-    let air = phy::air_time(frame_payload).expect("aggregate exceeds frame");
-    for i in 0..out.tx_count.len() {
-        scratch.tx_count[i] += out.tx_count[i];
-        scratch.listen_slots[i] += out.listen_slots[i];
-        scratch.tx_air[i] += air * u64::from(out.tx_count[i]);
+    /// Folds the last flood's radio tallies into the round in flight.
+    fn absorb(&mut self, frame_payload: usize) {
+        let air = phy::air_time(frame_payload).expect("aggregate exceeds frame");
+        let out = &self.flood;
+        let report = &mut self.report;
+        for i in 0..out.tx_count.len() {
+            report.tx_count[i] += out.tx_count[i];
+            report.listen_slots[i] += out.listen_slots[i];
+            self.tx_air[i] += air * u64::from(out.tx_count[i]);
+        }
     }
 }
 
@@ -192,47 +200,57 @@ pub fn run_round(
     round_index: u64,
     rng: &mut DetRng,
 ) -> RoundReport {
+    config.validate().expect("invalid ST configuration");
     let mut scratch = RoundScratch::default();
     run_round_with(
-        rssi,
+        &mut LinkTable::new(rssi),
         stores,
         initiator,
         config,
         round_index,
         rng,
         &mut scratch,
-    )
+    );
+    scratch.report
 }
 
-/// [`run_round`] with caller-owned [`RoundScratch`], so a long-running
-/// communication plane reuses its working buffers round after round
-/// instead of reallocating them.
-#[allow(clippy::too_many_arguments)]
-pub fn run_round_with(
-    rssi: &[Vec<Dbm>],
+/// [`run_round`] over a caller-owned [`LinkTable`] and [`RoundScratch`],
+/// so a long-running communication plane builds the table once and
+/// reuses its working buffers and its report round after round. Returns
+/// the round's report, which lives in `scratch` until the next round.
+///
+/// The caller checks `config` once, with [`StConfig::validate`] and
+/// [`StConfig::check_fits_round`]; a round does not re-check it.
+///
+/// # Panics
+///
+/// Panics if `stores.len()` does not match the table's node count.
+pub fn run_round_with<'s>(
+    links: &mut LinkTable,
     stores: &mut [ItemStore],
     initiator: NodeId,
     config: &StConfig,
     round_index: u64,
     rng: &mut DetRng,
-    scratch: &mut RoundScratch,
-) -> RoundReport {
-    config.validate().expect("invalid ST configuration");
-    let n = rssi.len();
+    scratch: &'s mut RoundScratch,
+) -> &'s RoundReport {
+    let n = links.len();
     assert_eq!(stores.len(), n, "one item store per node required");
     scratch.reset(n);
 
     // Phase 0: the sync beacon.
     let beacon_payload = 8;
-    let sync_out = glossy::flood(
-        rssi,
+    glossy::flood(
+        links,
         initiator,
         0x5159_0000 ^ round_index,
         phy::frame_bytes(beacon_payload).expect("beacon fits"),
         config,
         rng,
+        &mut scratch.flood,
     );
-    absorb(&sync_out, scratch, beacon_payload);
+    scratch.absorb(beacon_payload);
+    scratch.report.synced.clone_from(&scratch.flood.received);
 
     // Data phase k: the flood initiated by node (round + k) mod n carries
     // its aggregate, merged into every receiver's store.
@@ -248,7 +266,7 @@ pub fn run_round_with(
         );
         if scratch.aggregate.is_empty() {
             // Nothing to send: the phase stays silent, everyone listens.
-            for (i, ls) in scratch.listen_slots.iter_mut().enumerate() {
+            for (i, ls) in scratch.report.listen_slots.iter_mut().enumerate() {
                 if i != origin.index() {
                     *ls += config.flood_slots as u32;
                 }
@@ -257,54 +275,53 @@ pub fn run_round_with(
         }
         let payload = aggregate_payload_bytes(&scratch.aggregate);
         let content = aggregate_content_key(&scratch.aggregate, round_index, k);
-        let out = glossy::flood(
-            rssi,
+        glossy::flood(
+            links,
             origin,
             content,
             phy::frame_bytes(payload).expect("aggregate fits"),
             config,
             rng,
+            &mut scratch.flood,
         );
-        absorb(&out, scratch, payload);
+        scratch.absorb(payload);
         for (node, store) in stores.iter_mut().enumerate() {
-            if out.received[node] && node != origin.index() {
+            if scratch.flood.received[node] && node != origin.index() {
                 store.merge_all(scratch.aggregate.iter());
             }
         }
     }
 
     // Coverage and reliability against the set of origins that published.
-    let published = (0..n)
+    let report = &mut scratch.report;
+    report.round_index = round_index;
+    report.published = (0..n)
         .filter(|&i| stores[i].get(NodeId(i as u32)).is_some())
         .count();
-    let coverage: Vec<usize> = stores.iter().map(ItemStore::len).collect();
-    let reliability = if published == 0 {
+    report.coverage.clear();
+    report.coverage.extend(stores.iter().map(ItemStore::len));
+    let published = report.published;
+    report.reliability = if published == 0 {
         1.0
     } else {
-        coverage
+        report
+            .coverage
             .iter()
             .map(|&c| c.min(published) as f64 / published as f64)
             .sum::<f64>()
             / n as f64
     };
-    let all_to_all = coverage.iter().all(|&c| c >= published);
-
-    let radio_on: Vec<SimDuration> = (0..n)
-        .map(|i| scratch.tx_air[i] + config.slot_len * u64::from(scratch.listen_slots[i]))
-        .collect();
-
-    RoundReport {
-        round_index,
-        coverage,
-        published,
-        reliability,
-        all_to_all,
-        synced: sync_out.received,
-        tx_count: std::mem::take(&mut scratch.tx_count),
-        listen_slots: std::mem::take(&mut scratch.listen_slots),
-        radio_on,
-        phases: n + 1,
-    }
+    report.all_to_all = report.coverage.iter().all(|&c| c >= published);
+    report.radio_on.clear();
+    report.radio_on.extend(
+        scratch
+            .tx_air
+            .iter()
+            .zip(&report.listen_slots)
+            .map(|(&air, &listen)| air + config.slot_len * u64::from(listen)),
+    );
+    report.phases = n + 1;
+    report
 }
 
 #[cfg(test)]

@@ -96,6 +96,13 @@ pub enum ScenarioError {
         /// Devices in the fleet.
         device_count: usize,
     },
+    /// A packet-mode communication plane's synchronous-transmission
+    /// configuration is invalid, or one round cannot fit a flood phase
+    /// per topology node.
+    InvalidPacketConfig {
+        /// What was wrong with the configuration.
+        reason: String,
+    },
     /// A neighborhood had no homes.
     EmptyNeighborhood,
     /// A city had no feeders or no homes per feeder.
@@ -210,6 +217,9 @@ impl fmt::Display for ScenarioError {
                     f,
                     "packet topology has {nodes} nodes for {device_count} devices"
                 )
+            }
+            ScenarioError::InvalidPacketConfig { reason } => {
+                write!(f, "invalid packet CP configuration: {reason}")
             }
             ScenarioError::EmptyNeighborhood => {
                 write!(f, "neighborhood must contain at least one home")
