@@ -11,7 +11,7 @@
 //! | `claims` | the in-text claims (peak ↓ up to 50 %, std ↓ up to 58 %, average unchanged) |
 //! | `fig1_minicast` | Fig. 1: the 2-second MiniCast round timeline on the testbed |
 //! | `ablation` | beyond-paper: scheduling-rule and CP-model ablations |
-//!
-//! Criterion micro-benchmarks live under `benches/` (`cargo bench`).
+
+#![warn(unreachable_pub)]
 
 pub mod harness;

@@ -128,7 +128,7 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// The assigned start for a device, if it has outstanding work.
-    pub fn start_of(&self, device: DeviceId) -> Option<SimTime> {
+    pub(crate) fn start_of(&self, device: DeviceId) -> Option<SimTime> {
         self.starts
             .binary_search_by_key(&device, |&(d, _)| d)
             .ok()
@@ -324,7 +324,7 @@ pub(crate) struct CoordinatedPlanner {
 
 impl CoordinatedPlanner {
     /// Creates a planner.
-    pub fn new(config: PlanConfig) -> Self {
+    pub(crate) fn new(config: PlanConfig) -> Self {
         CoordinatedPlanner {
             config,
             level_kw: 0.0,
@@ -335,20 +335,20 @@ impl CoordinatedPlanner {
 
     /// Plans computed so far: every call of the planning kernel, through
     /// [`plan`](CoordinatedPlanner::plan) or the grouped execution plane.
-    pub fn invocations(&self) -> u64 {
+    pub(crate) fn invocations(&self) -> u64 {
         self.invocations
     }
 
     /// The level tracker's persistent state `(level_kw, last_update)`, for
     /// checkpointing. Together with the configuration it is the whole
     /// planning state: no plan is kept from one round to the next.
-    pub fn persisted_level(&self) -> (f64, Option<SimTime>) {
+    pub(crate) fn persisted_level(&self) -> (f64, Option<SimTime>) {
         (self.level_kw, self.last_update)
     }
 
     /// Restores the level tracker captured by
     /// [`persisted_level`](CoordinatedPlanner::persisted_level).
-    pub fn restore_level(&mut self, level_kw: f64, last_update: Option<SimTime>) {
+    pub(crate) fn restore_level(&mut self, level_kw: f64, last_update: Option<SimTime>) {
         self.level_kw = level_kw;
         self.last_update = last_update;
     }
@@ -359,7 +359,7 @@ impl CoordinatedPlanner {
     /// Split out of [`plan`](CoordinatedPlanner::plan) so the grouped
     /// execution plane can keep every node's level tracker live while
     /// running the expensive planning kernel only once per distinct view.
-    pub fn advance_level(&mut self, demand_kw: f64, now: SimTime) -> f64 {
+    pub(crate) fn advance_level(&mut self, demand_kw: f64, now: SimTime) -> f64 {
         let dt = match self.last_update {
             Some(last) => now.saturating_since(last),
             None => SimDuration::ZERO,
@@ -373,12 +373,12 @@ impl CoordinatedPlanner {
 
     /// Replaces the admission cap in force — the online ingest path's
     /// cap-change hook. The next plan reads the new cap.
-    pub fn set_admission_cap(&mut self, cap: Option<PowerCapProfile>) {
+    pub(crate) fn set_admission_cap(&mut self, cap: Option<PowerCapProfile>) {
         self.config.admission_cap = cap;
     }
 
     /// Computes this round's plan and updates the level tracker.
-    pub fn plan(&mut self, view: &SystemView, now: SimTime) -> Plan {
+    pub(crate) fn plan(&mut self, view: &SystemView, now: SimTime) -> Plan {
         self.advance_level(demand_rate_kw(view), now);
         let mut plan = Plan::default();
         self.plan_at_level(view, now, &mut PlanScratch::default(), &mut plan);

@@ -329,7 +329,6 @@ impl CitySpec {
                     fold(rate_per_hour.to_bits());
                 }
                 Workload::Daily(_) => fold(2),
-                Workload::Trace(_) => fold(3),
             }
             fold(u64::from(t.power_cap.is_some()));
         }

@@ -437,7 +437,7 @@ impl CommunicationPlane {
     ///
     /// Panics if a packet-mode topology has fewer nodes than devices, or if
     /// a loss probability is outside `[0, 1]`.
-    pub fn new(model: CpModel, device_count: usize, seed: u64) -> Self {
+    pub(crate) fn new(model: CpModel, device_count: usize, seed: u64) -> Self {
         let state = match &model {
             CpModel::Ideal => CpState::Abstract,
             CpModel::LossyRound { miss_probability }
@@ -542,7 +542,7 @@ impl CommunicationPlane {
     /// content-addressed) and replicating its refresh row is
     /// behavior-identical. The online service relies on this to keep the
     /// shared-row fast path until the first fault telemetry arrives.
-    pub fn enable_per_node_rows(&mut self) {
+    pub(crate) fn enable_per_node_rows(&mut self) {
         self.per_node_rows = true;
         let n = self.device_count;
         if self.store.rows() == n {
@@ -576,7 +576,7 @@ impl CommunicationPlane {
     /// Panics if `down` has the wrong length, or if a fault is injected
     /// while an Ideal plane still shares a single delivery row (call
     /// [`Self::enable_per_node_rows`] first).
-    pub fn set_round_faults(&mut self, down: &[bool], outage: bool) {
+    pub(crate) fn set_round_faults(&mut self, down: &[bool], outage: bool) {
         assert_eq!(down.len(), self.device_count, "one down flag per device");
         assert!(
             self.store.rows() == self.device_count || (!outage && !down.contains(&true)),
@@ -595,7 +595,7 @@ impl CommunicationPlane {
     ///
     /// Panics if any round has already run.
     #[doc(hidden)]
-    pub fn set_reference_views(&mut self) {
+    pub(crate) fn set_reference_views(&mut self) {
         assert_eq!(self.round_index, 0, "switch stores before the first round");
         let n = self.device_count;
         self.store = ViewStore::PerNode {
@@ -608,7 +608,7 @@ impl CommunicationPlane {
 
     /// The view node `node` currently holds (possibly shared with other
     /// nodes holding identical content).
-    pub fn view(&self, node: usize) -> &SystemView {
+    pub(crate) fn view(&self, node: usize) -> &SystemView {
         assert!(node < self.device_count, "node out of range");
         self.store.view(self.store.row_of(node))
     }
@@ -618,7 +618,7 @@ impl CommunicationPlane {
     /// one pool entry), so the execution plane groups nodes by this key
     /// directly instead of re-hashing views. Falls back to the node index
     /// (no sharing) in the per-node reference store.
-    pub fn view_handle(&self, node: usize) -> u32 {
+    pub(crate) fn view_handle(&self, node: usize) -> u32 {
         assert!(node < self.device_count, "node out of range");
         match &self.store {
             ViewStore::Pooled { handles, .. } => handles[self.store.row_of(node)].id(),
@@ -630,7 +630,7 @@ impl CommunicationPlane {
     /// (0 = this round), or `None` if it never has. This is the staleness
     /// the views themselves no longer carry; it is derived from refresh
     /// rounds, so no per-round aging sweep exists anywhere.
-    pub fn age(&self, node: usize, device: DeviceId) -> Option<u32> {
+    pub(crate) fn age(&self, node: usize, device: DeviceId) -> Option<u32> {
         assert!(node < self.device_count, "node out of range");
         assert!(device.index() < self.device_count, "device out of range");
         let row = self.store.row_of(node);
@@ -645,13 +645,13 @@ impl CommunicationPlane {
     /// Statistics accumulated so far (a borrow — all accumulators,
     /// including packet-mode dissemination and the view-pool counters, are
     /// folded in place as rounds run, so nothing is cloned here).
-    pub fn stats(&self) -> &CpStats {
+    pub(crate) fn stats(&self) -> &CpStats {
         &self.stats
     }
 
     /// Pool churn counters `(forks, in_place_edits)` — observability
     /// only, `None` under the per-node reference store.
-    pub fn pool_churn(&self) -> Option<(u64, u64)> {
+    pub(crate) fn pool_churn(&self) -> Option<(u64, u64)> {
         match &self.store {
             ViewStore::Pooled { pool, .. } => Some((pool.forks(), pool.in_place_edits())),
             ViewStore::PerNode { .. } => None,
@@ -660,7 +660,7 @@ impl CommunicationPlane {
 
     /// Consumes the plane, yielding owned statistics — for the one caller
     /// (the end-of-run outcome) that needs ownership.
-    pub fn into_stats(self) -> CpStats {
+    pub(crate) fn into_stats(self) -> CpStats {
         self.stats
     }
 
@@ -677,7 +677,7 @@ impl CommunicationPlane {
     /// # Panics
     ///
     /// Panics if `statuses` / `seqs` lengths differ from the device count.
-    pub fn round(&mut self, statuses: &[StatusRecord], seqs: &[u32]) {
+    pub(crate) fn round(&mut self, statuses: &[StatusRecord], seqs: &[u32]) {
         let n = self.device_count;
         assert_eq!(statuses.len(), n, "one status per device");
         assert_eq!(seqs.len(), n, "one sequence number per device");

@@ -453,7 +453,10 @@ mod tests {
         );
         assert_eq!(plain.outcome.trace, faulted.outcome.trace);
         assert_eq!(plain.samples, faulted.samples);
-        assert!(faulted.outcome.resilience.is_quiet());
+        assert_eq!(
+            faulted.outcome.resilience,
+            han_metrics::ResilienceStats::default()
+        );
     }
 
     #[test]

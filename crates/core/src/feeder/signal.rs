@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn invalid_parameters_rejected() {
         assert!(FeederSignal::TimeOfUse {
-            tariff: TimeOfUseTariff::flat(0.2),
+            tariff: TimeOfUseTariff::typical_residential(),
             elasticity: -1.0,
         }
         .validate()
@@ -325,9 +325,11 @@ mod tests {
                 .to_string()
                 .contains("5.00 kW")
         );
-        assert!(FeederSignal::time_of_use(TimeOfUseTariff::flat(0.2))
-            .to_string()
-            .contains("time-of-use"));
+        assert!(
+            FeederSignal::time_of_use(TimeOfUseTariff::typical_residential())
+                .to_string()
+                .contains("time-of-use")
+        );
         assert!(FeederSignal::Congestion { utilization: 0.9 }
             .to_string()
             .contains("90%"));

@@ -58,6 +58,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(missing_docs)]
 
 pub mod algorithm;

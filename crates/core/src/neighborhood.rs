@@ -587,12 +587,10 @@ mod tests {
         let faulted = &b.homes[1].comparison.coordinated.outcome;
         assert!(faulted.resilience.down_node_rounds > 0);
         assert_eq!(faulted.deadline_misses, 0);
-        assert!(a.homes[1]
-            .comparison
-            .coordinated
-            .outcome
-            .resilience
-            .is_quiet());
+        assert_eq!(
+            a.homes[1].comparison.coordinated.outcome.resilience,
+            han_metrics::ResilienceStats::default()
+        );
     }
 
     #[test]

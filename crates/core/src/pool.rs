@@ -38,7 +38,7 @@ impl ViewHandle {
     /// The raw slot index — stable while the handle is live, reused after
     /// reclamation. Two live handles with equal ids share one entry, so
     /// this is the execution plane's planning-group key.
-    pub fn id(self) -> u32 {
+    pub(crate) fn id(self) -> u32 {
         self.0
     }
 
@@ -128,7 +128,7 @@ pub(crate) struct ViewPool {
 
 impl ViewPool {
     /// Creates an empty pool for views over `device_count` devices.
-    pub fn new(device_count: usize) -> Self {
+    pub(crate) fn new(device_count: usize) -> Self {
         ViewPool {
             device_count,
             ..ViewPool::default()
@@ -142,7 +142,7 @@ impl ViewPool {
     /// # Panics
     ///
     /// Panics if `view` has a different slot count than the pool.
-    pub fn acquire(&mut self, view: &SystemView) -> ViewHandle {
+    pub(crate) fn acquire(&mut self, view: &SystemView) -> ViewHandle {
         self.acquire_keyed(view, view.fingerprint())
     }
 
@@ -239,7 +239,7 @@ impl ViewPool {
     /// # Panics
     ///
     /// Panics if the handle is not live.
-    pub fn is_sole_owner(&self, handle: ViewHandle) -> bool {
+    pub(crate) fn is_sole_owner(&self, handle: ViewHandle) -> bool {
         let entry = &self.entries[handle.0 as usize];
         assert!(entry.refs > 0, "ownership query on a reclaimed handle");
         entry.refs == 1
@@ -256,7 +256,7 @@ impl ViewPool {
     /// # Panics
     ///
     /// Panics if the handle is not live or has other owners.
-    pub fn update_sole_owner(
+    pub(crate) fn update_sole_owner(
         &mut self,
         handle: ViewHandle,
         mutate: impl FnOnce(&mut SystemView),
@@ -289,7 +289,7 @@ impl ViewPool {
     /// # Panics
     ///
     /// Panics if the handle is not live.
-    pub fn retain(&mut self, handle: ViewHandle) {
+    pub(crate) fn retain(&mut self, handle: ViewHandle) {
         let entry = &mut self.entries[handle.0 as usize];
         assert!(entry.refs > 0, "retain of a reclaimed handle");
         entry.refs += 1;
@@ -303,7 +303,7 @@ impl ViewPool {
     /// # Panics
     ///
     /// Panics if the handle is not live.
-    pub fn release(&mut self, handle: ViewHandle) {
+    pub(crate) fn release(&mut self, handle: ViewHandle) {
         let entry = &mut self.entries[handle.0 as usize];
         assert!(entry.refs > 0, "release of a reclaimed handle");
         entry.refs -= 1;
@@ -321,7 +321,7 @@ impl ViewPool {
     /// # Panics
     ///
     /// Panics if the handle is not live.
-    pub fn view(&self, handle: ViewHandle) -> &SystemView {
+    pub(crate) fn view(&self, handle: ViewHandle) -> &SystemView {
         let entry = &self.entries[handle.0 as usize];
         assert!(entry.refs > 0, "lookup of a reclaimed handle");
         &entry.view
@@ -330,19 +330,19 @@ impl ViewPool {
     /// Entries ever created — every time a view *forked* off shared
     /// content (or seeded a fresh pool). Observability-only; resets on
     /// checkpoint restore.
-    pub fn forks(&self) -> u64 {
+    pub(crate) fn forks(&self) -> u64 {
         self.forks
     }
 
     /// Sole-owner in-place edits — the copy-free half of copy-on-write.
     /// Observability-only; resets on checkpoint restore.
-    pub fn in_place_edits(&self) -> u64 {
+    pub(crate) fn in_place_edits(&self) -> u64 {
         self.in_place_edits
     }
 
     /// Estimated bytes per pooled view (records + fingerprint
     /// contributions + container overhead).
-    pub fn bytes_per_view(&self) -> usize {
+    pub(crate) fn bytes_per_view(&self) -> usize {
         std::mem::size_of::<SystemView>()
             + self.device_count
                 * (std::mem::size_of::<Option<StatusRecord>>() + std::mem::size_of::<u64>())
@@ -464,7 +464,7 @@ impl ViewPool {
 
     /// Current memory counters, with the dense one-view-per-`nodes` layout
     /// as the comparison baseline.
-    pub fn stats(&self, nodes: usize) -> ViewPoolStats {
+    pub(crate) fn stats(&self, nodes: usize) -> ViewPoolStats {
         ViewPoolStats {
             live_views: self.live,
             peak_views: self.peak,

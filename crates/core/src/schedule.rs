@@ -25,18 +25,18 @@ impl Schedule {
     }
 
     /// The empty schedule.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Schedule::default()
     }
 
     /// Whether `device` should be ON.
-    pub fn is_on(&self, device: DeviceId) -> bool {
+    pub(crate) fn is_on(&self, device: DeviceId) -> bool {
         self.on.binary_search(&device).is_ok()
     }
 
     /// A stable content hash (FNV-1a over the sorted ids) for divergence
     /// detection across nodes.
-    pub fn content_hash(&self) -> u64 {
+    pub(crate) fn content_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for id in &self.on {
             for b in id.0.to_le_bytes() {

@@ -90,7 +90,7 @@ fn record_contribution(rec: &StatusRecord) -> u64 {
 
 impl SystemView {
     /// Creates an empty view with one slot per device in the fleet.
-    pub fn new(device_count: usize) -> Self {
+    pub(crate) fn new(device_count: usize) -> Self {
         SystemView {
             records: vec![None; device_count],
             contribs: vec![0; device_count],
@@ -128,7 +128,7 @@ impl SystemView {
     }
 
     /// Number of device slots in the view.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
@@ -141,7 +141,7 @@ impl SystemView {
     /// # Panics
     ///
     /// Panics if the record's device id is out of range.
-    pub fn refresh(&mut self, record: StatusRecord) {
+    pub(crate) fn refresh(&mut self, record: StatusRecord) {
         let idx = record.device.index();
         let contrib = record_contribution(&record);
         self.fingerprint ^= self.contribs[idx] ^ contrib;
@@ -165,12 +165,12 @@ impl SystemView {
     /// would only split groups that plan identically. Slot contributions
     /// are combined with XOR, which is what makes the per-refresh update
     /// O(1) rather than a rehash of all `n` slots.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
     /// The record for a device, if any.
-    pub fn record(&self, device: DeviceId) -> Option<&StatusRecord> {
+    pub(crate) fn record(&self, device: DeviceId) -> Option<&StatusRecord> {
         self.records.get(device.index()).and_then(Option::as_ref)
     }
 
@@ -185,7 +185,7 @@ impl SystemView {
     /// # Panics
     ///
     /// Panics if the device id is out of range.
-    pub fn clear_slot(&mut self, device: DeviceId) {
+    pub(crate) fn clear_slot(&mut self, device: DeviceId) {
         let idx = device.index();
         self.fingerprint ^= self.contribs[idx];
         self.contribs[idx] = 0;
@@ -193,7 +193,7 @@ impl SystemView {
     }
 
     /// Iterates the records present in the view, in device order.
-    pub fn iter(&self) -> impl Iterator<Item = &StatusRecord> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &StatusRecord> {
         self.records.iter().filter_map(Option::as_ref)
     }
 }

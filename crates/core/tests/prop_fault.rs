@@ -196,7 +196,7 @@ proptest! {
             format!("{:?}", plain.cp),
             "CP statistics must be untouched"
         );
-        prop_assert!(empty.resilience.is_quiet());
+        prop_assert_eq!(&empty.resilience, &han_metrics::ResilienceStats::default());
     }
 
     /// (b) minDCD-per-maxDCP holds under ANY fault plan: a down DI keeps

@@ -100,40 +100,6 @@ impl ApplianceKind {
             | ApplianceKind::WaterCooler => DeviceClass::Schedulable,
         }
     }
-
-    /// Typical rated power of the switched element.
-    pub fn typical_power(self) -> Watts {
-        match self {
-            ApplianceKind::Fan => Watts(75.0),
-            ApplianceKind::Television => Watts(120.0),
-            ApplianceKind::Laptop => Watts(60.0),
-            ApplianceKind::HairDryer => Watts(1200.0),
-            ApplianceKind::Blender => Watts(400.0),
-            ApplianceKind::Lighting => Watts(100.0),
-            ApplianceKind::AirConditioner => Watts(1500.0),
-            ApplianceKind::RoomHeater => Watts(1800.0),
-            ApplianceKind::WaterHeater => Watts(2000.0),
-            ApplianceKind::Fridge => Watts(150.0),
-            ApplianceKind::WaterCooler => Watts(500.0),
-        }
-    }
-
-    /// All catalogued kinds.
-    pub fn all() -> &'static [ApplianceKind] {
-        &[
-            ApplianceKind::Fan,
-            ApplianceKind::Television,
-            ApplianceKind::Laptop,
-            ApplianceKind::HairDryer,
-            ApplianceKind::Blender,
-            ApplianceKind::Lighting,
-            ApplianceKind::AirConditioner,
-            ApplianceKind::RoomHeater,
-            ApplianceKind::WaterHeater,
-            ApplianceKind::Fridge,
-            ApplianceKind::WaterCooler,
-        ]
-    }
 }
 
 impl fmt::Display for ApplianceKind {
@@ -164,15 +130,6 @@ pub struct Appliance {
 }
 
 impl Appliance {
-    /// Creates an appliance with the kind's typical rated power.
-    pub fn new(id: DeviceId, kind: ApplianceKind) -> Self {
-        Appliance {
-            id,
-            kind,
-            rated_power: kind.typical_power(),
-        }
-    }
-
     /// Creates an appliance with an explicit rated power.
     ///
     /// # Panics
@@ -190,29 +147,27 @@ impl Appliance {
         }
     }
 
-    /// The paper's reproduction device: a generic 1 kW Type-2 appliance.
-    pub fn paper_type2(id: DeviceId) -> Self {
-        Appliance::with_power(id, ApplianceKind::AirConditioner, Watts::from_kw(1.0))
-    }
-
     /// The device id.
-    pub fn id(&self) -> DeviceId {
+    pub(crate) fn id(&self) -> DeviceId {
         self.id
     }
 
-    /// The appliance kind.
-    pub fn kind(&self) -> ApplianceKind {
-        self.kind
-    }
-
     /// The paper's class of this appliance.
-    pub fn class(&self) -> DeviceClass {
+    pub(crate) fn class(&self) -> DeviceClass {
         self.kind.class()
     }
 
     /// Power drawn by the switched element while ON.
-    pub fn rated_power(&self) -> Watts {
+    pub(crate) fn rated_power(&self) -> Watts {
         self.rated_power
+    }
+}
+
+#[cfg(test)]
+impl Appliance {
+    /// The paper's reproduction device: a generic 1 kW Type-2 appliance.
+    pub(crate) fn paper_type2(id: DeviceId) -> Self {
+        Appliance::with_power(id, ApplianceKind::AirConditioner, Watts::from_kw(1.0))
     }
 }
 
@@ -232,15 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn catalogue_is_complete_and_priced() {
-        for &kind in ApplianceKind::all() {
-            assert!(kind.typical_power().value() > 0.0, "{kind} has no power");
-            assert!(!kind.to_string().is_empty());
-        }
-        assert_eq!(ApplianceKind::all().len(), 11);
-    }
-
-    #[test]
     fn paper_device_is_1kw_type2() {
         let a = Appliance::paper_type2(DeviceId(3));
         assert_eq!(a.rated_power(), Watts::from_kw(1.0));
@@ -252,7 +198,6 @@ mod tests {
     fn explicit_power_override() {
         let a = Appliance::with_power(DeviceId(0), ApplianceKind::Fridge, Watts(200.0));
         assert_eq!(a.rated_power(), Watts(200.0));
-        assert_eq!(a.kind(), ApplianceKind::Fridge);
     }
 
     #[test]

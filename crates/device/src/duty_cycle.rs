@@ -75,18 +75,13 @@ impl DutyCycleConstraints {
     }
 
     /// The minimum ON-instance duration.
-    pub fn min_dcd(&self) -> SimDuration {
+    pub(crate) fn min_dcd(&self) -> SimDuration {
         self.min_dcd
     }
 
     /// The maximum duty-cycle period.
     pub fn max_dcp(&self) -> SimDuration {
         self.max_dcp
-    }
-
-    /// The steady-state duty fraction this pair implies (minDCD / maxDCP).
-    pub fn duty_fraction(&self) -> f64 {
-        self.min_dcd.as_secs_f64() / self.max_dcp.as_secs_f64()
     }
 }
 
@@ -128,8 +123,8 @@ pub struct DutyCyclerSnapshot {
     pub active: Option<ActiveSnapshot>,
 }
 
-/// The bookkeeping of one active window, captured by
-/// [`DutyCycler::snapshot`].
+/// The bookkeeping of one active window, part of a
+/// [`DutyCyclerSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActiveSnapshot {
     /// Start of the current maxDCP window.
@@ -149,7 +144,7 @@ pub struct ActiveSnapshot {
 
 /// Error returned when a command would violate the minDCD constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinDcdViolation {
+pub(crate) struct MinDcdViolation {
     /// How long the running instance has been ON.
     pub instance_elapsed: SimDuration,
     /// The required minimum.
@@ -177,7 +172,7 @@ pub struct DutyCycler {
 
 impl DutyCycler {
     /// Creates an inactive cycler.
-    pub fn new(constraints: DutyCycleConstraints) -> Self {
+    pub(crate) fn new(constraints: DutyCycleConstraints) -> Self {
         DutyCycler {
             constraints,
             state: State::Inactive,
@@ -206,7 +201,7 @@ impl DutyCycler {
     }
 
     /// Arrival time of the activating request, while active.
-    pub fn arrival(&self) -> Option<SimTime> {
+    pub(crate) fn arrival(&self) -> Option<SimTime> {
         match self.state {
             State::Active { arrival, .. } => Some(arrival),
             State::Inactive => None,
@@ -214,7 +209,7 @@ impl DutyCycler {
     }
 
     /// Activity windows still owed, including the current one.
-    pub fn windows_remaining(&self) -> u32 {
+    pub(crate) fn windows_remaining(&self) -> u32 {
         match self.state {
             State::Active {
                 windows_remaining, ..
@@ -229,7 +224,7 @@ impl DutyCycler {
     /// # Panics
     ///
     /// Panics if `windows` is zero.
-    pub fn activate(&mut self, now: SimTime, windows: u32) {
+    pub(crate) fn activate(&mut self, now: SimTime, windows: u32) {
         assert!(windows > 0, "activation must request at least one window");
         match &mut self.state {
             State::Inactive => {
@@ -255,7 +250,7 @@ impl DutyCycler {
     /// Must be called with non-decreasing `now`. Returns what happened; the
     /// Device Interface turns the appliance OFF physically when
     /// `deactivated` is reported.
-    pub fn advance(&mut self, now: SimTime) -> AdvanceOutcome {
+    pub(crate) fn advance(&mut self, now: SimTime) -> AdvanceOutcome {
         let mut outcome = AdvanceOutcome::default();
         loop {
             let State::Active {
@@ -305,7 +300,7 @@ impl DutyCycler {
     ///
     /// Panics if the device is inactive — the schedule must never switch ON
     /// a device nobody asked for.
-    pub fn set_on(&mut self, now: SimTime) {
+    pub(crate) fn set_on(&mut self, now: SimTime) {
         match &mut self.state {
             State::Inactive => panic!("cannot switch ON an inactive device"),
             State::Active {
@@ -329,7 +324,7 @@ impl DutyCycler {
     ///
     /// Returns [`MinDcdViolation`] (leaving the device ON) if the running
     /// instance has not yet lasted minDCD.
-    pub fn set_off(&mut self, now: SimTime) -> Result<(), MinDcdViolation> {
+    pub(crate) fn set_off(&mut self, now: SimTime) -> Result<(), MinDcdViolation> {
         let State::Active {
             on_since,
             instance_start,
@@ -355,31 +350,9 @@ impl DutyCycler {
         Ok(())
     }
 
-    /// Switches the element OFF unconditionally (deactivation, failure
-    /// injection). Returns whether the minDCD constraint was violated.
-    pub fn force_off(&mut self, now: SimTime) -> bool {
-        let State::Active {
-            on_since,
-            instance_start,
-            served_in_window,
-            ..
-        } = &mut self.state
-        else {
-            return false;
-        };
-        let (Some(since), Some(instance)) = (*on_since, *instance_start) else {
-            return false;
-        };
-        let violated = now.saturating_since(instance) < self.constraints.min_dcd;
-        *served_in_window += now.saturating_since(since);
-        *on_since = None;
-        *instance_start = None;
-        violated
-    }
-
     /// Captures the activity state as plain data (constraints excluded —
     /// they come from the fleet spec on reconstruction).
-    pub fn snapshot(&self) -> DutyCyclerSnapshot {
+    pub(crate) fn snapshot(&self) -> DutyCyclerSnapshot {
         DutyCyclerSnapshot {
             active: match &self.state {
                 State::Inactive => None,
@@ -403,7 +376,7 @@ impl DutyCycler {
     }
 
     /// Restores the activity state from a [`DutyCycler::snapshot`].
-    pub fn restore(&mut self, snapshot: &DutyCyclerSnapshot) {
+    pub(crate) fn restore(&mut self, snapshot: &DutyCyclerSnapshot) {
         self.state = match &snapshot.active {
             None => State::Inactive,
             Some(a) => State::Active {
@@ -418,7 +391,7 @@ impl DutyCycler {
     }
 
     /// ON time credited to the current window as of `now`.
-    pub fn served_in_window(&self, now: SimTime) -> SimDuration {
+    pub(crate) fn served_in_window(&self, now: SimTime) -> SimDuration {
         match &self.state {
             State::Inactive => SimDuration::ZERO,
             State::Active {
@@ -446,7 +419,7 @@ impl DutyCycler {
     }
 
     /// Deadline of the current window, while active.
-    pub fn window_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn window_deadline(&self) -> Option<SimTime> {
         match self.state {
             State::Active { window_start, .. } => Some(window_start + self.constraints.max_dcp),
             State::Inactive => None,
@@ -466,11 +439,6 @@ impl DutyCycler {
         }
         let slack = deadline.as_micros() as i64 - now.as_micros() as i64;
         Some(slack - owed.as_micros() as i64)
-    }
-
-    /// Whether the device must be ON *now* to keep its obligation feasible.
-    pub fn must_run(&self, now: SimTime) -> bool {
-        matches!(self.laxity_micros(now), Some(l) if l <= 0)
     }
 
     /// Whether the running instance has lasted at least minDCD (and may be
@@ -512,7 +480,6 @@ mod tests {
             DutyCycleConstraints::new(MAX, MIN),
             Err(ConstraintError::PeriodShorterThanDuration { .. })
         ));
-        assert!((DutyCycleConstraints::paper().duty_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -554,19 +521,6 @@ mod tests {
         assert_eq!(err.required, MIN);
         assert!(d.is_on(), "device must remain ON after rejected OFF");
         assert!(err.to_string().contains("required"));
-    }
-
-    #[test]
-    fn force_off_reports_violation() {
-        let mut d = paper_cycler();
-        d.activate(t(0), 1);
-        d.set_on(t(0));
-        assert!(d.force_off(t(5)), "early force-off is a violation");
-        assert!(!d.is_on());
-        let mut d2 = paper_cycler();
-        d2.activate(t(0), 1);
-        d2.set_on(t(0));
-        assert!(!d2.force_off(t(16)), "late force-off is clean");
     }
 
     #[test]
@@ -619,15 +573,12 @@ mod tests {
         assert_eq!(d.laxity_micros(t(0)), Some(15 * 60 * 1_000_000));
         // At t=15: laxity 0 => must run.
         assert_eq!(d.laxity_micros(t(15)), Some(0));
-        assert!(d.must_run(t(15)));
-        assert!(!d.must_run(t(14)));
         // Past the point of feasibility: negative.
         assert!(d.laxity_micros(t(20)).unwrap() < 0);
         // Once met, no laxity is reported.
         d.set_on(t(0));
         d.set_off(t(15)).unwrap();
         assert_eq!(d.laxity_micros(t(16)), None);
-        assert!(!d.must_run(t(16)));
     }
 
     #[test]

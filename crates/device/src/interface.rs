@@ -26,11 +26,6 @@ pub enum RequestError {
         /// The request's target.
         requested: DeviceId,
     },
-    /// The appliance is Type-1 and not schedulable.
-    NotSchedulable {
-        /// The device in question.
-        device: DeviceId,
-    },
 }
 
 impl fmt::Display for RequestError {
@@ -38,9 +33,6 @@ impl fmt::Display for RequestError {
         match self {
             RequestError::WrongDevice { this, requested } => {
                 write!(f, "request for {requested} delivered to {this}")
-            }
-            RequestError::NotSchedulable { device } => {
-                write!(f, "{device} is a Type-1 appliance and cannot be scheduled")
             }
         }
     }
@@ -98,19 +90,9 @@ impl DeviceInterface {
         }
     }
 
-    /// The paper's reproduction DI: 1 kW Type-2, minDCD 15 min, maxDCP 30 min.
-    pub fn paper(id: DeviceId) -> Self {
-        DeviceInterface::new(Appliance::paper_type2(id), DutyCycleConstraints::paper())
-    }
-
     /// The device id.
-    pub fn id(&self) -> DeviceId {
+    pub(crate) fn id(&self) -> DeviceId {
         self.appliance.id()
-    }
-
-    /// The attached appliance.
-    pub fn appliance(&self) -> &Appliance {
-        &self.appliance
     }
 
     /// The duty-cycle bookkeeping (read access for schedulers).
@@ -218,7 +200,7 @@ impl DeviceInterface {
     ///
     /// The sequence number increments on every state change, so stale
     /// records never overwrite fresh ones in the item stores.
-    pub fn status(&self, now: SimTime) -> StatusRecord {
+    pub(crate) fn status(&self, now: SimTime) -> StatusRecord {
         StatusRecord {
             device: self.id(),
             active: self.is_active(),
@@ -297,6 +279,14 @@ pub struct DeviceInterfaceSnapshot {
     /// Last record handed to the communication plane (exact, full
     /// resolution — required for publish-side change detection).
     pub last_published: Option<StatusRecord>,
+}
+
+#[cfg(test)]
+impl DeviceInterface {
+    /// The paper's reproduction DI: 1 kW Type-2, minDCD 15 min, maxDCP 30 min.
+    pub(crate) fn paper(id: DeviceId) -> Self {
+        DeviceInterface::new(Appliance::paper_type2(id), DutyCycleConstraints::paper())
+    }
 }
 
 #[cfg(test)]
@@ -460,7 +450,11 @@ mod tests {
     #[should_panic(expected = "Type-2")]
     fn type1_appliance_rejected() {
         DeviceInterface::new(
-            Appliance::new(DeviceId(0), crate::appliance::ApplianceKind::Fan),
+            Appliance::with_power(
+                DeviceId(0),
+                crate::appliance::ApplianceKind::Fan,
+                crate::power::Watts(75.0),
+            ),
             DutyCycleConstraints::paper(),
         );
     }

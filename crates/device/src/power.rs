@@ -1,11 +1,10 @@
-//! Electrical power and energy units.
+//! Electrical power units.
 //!
-//! Newtypes prevent mixing watts with kilowatts or power with energy in the
+//! A newtype keeps watts from being mixed with kilowatts in the
 //! load-management arithmetic ([C-NEWTYPE]).
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
-use han_sim::time::SimDuration;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
@@ -14,13 +13,9 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(pub f64);
 
-/// Electrical energy in watt-hours.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct WattHours(pub f64);
-
 impl Watts {
     /// Zero power.
-    pub const ZERO: Watts = Watts(0.0);
+    pub(crate) const ZERO: Watts = Watts(0.0);
 
     /// Creates a power from kilowatts.
     pub fn from_kw(kw: f64) -> Self {
@@ -33,27 +28,7 @@ impl Watts {
     }
 
     /// Returns the raw value in watts.
-    pub const fn value(self) -> f64 {
-        self.0
-    }
-
-    /// Energy delivered at this power over `duration`.
-    pub fn energy_over(self, duration: SimDuration) -> WattHours {
-        WattHours(self.0 * duration.as_hours_f64())
-    }
-}
-
-impl WattHours {
-    /// Zero energy.
-    pub const ZERO: WattHours = WattHours(0.0);
-
-    /// Returns the energy in kilowatt-hours.
-    pub fn as_kwh(self) -> f64 {
-        self.0 / 1000.0
-    }
-
-    /// Returns the raw value in watt-hours.
-    pub const fn value(self) -> f64 {
+    pub(crate) const fn value(self) -> f64 {
         self.0
     }
 }
@@ -84,41 +59,12 @@ impl Sum for Watts {
     }
 }
 
-impl Add for WattHours {
-    type Output = WattHours;
-    fn add(self, rhs: WattHours) -> WattHours {
-        WattHours(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for WattHours {
-    fn add_assign(&mut self, rhs: WattHours) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sum for WattHours {
-    fn sum<I: Iterator<Item = WattHours>>(iter: I) -> WattHours {
-        iter.fold(WattHours::ZERO, Add::add)
-    }
-}
-
 impl fmt::Display for Watts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0.abs() >= 1000.0 {
             write!(f, "{:.2} kW", self.as_kw())
         } else {
             write!(f, "{:.0} W", self.0)
-        }
-    }
-}
-
-impl fmt::Display for WattHours {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.abs() >= 1000.0 {
-            write!(f, "{:.2} kWh", self.as_kwh())
-        } else {
-            write!(f, "{:.0} Wh", self.0)
         }
     }
 }
@@ -131,29 +77,17 @@ mod tests {
     fn conversions() {
         assert_eq!(Watts::from_kw(1.5).value(), 1500.0);
         assert_eq!(Watts(2500.0).as_kw(), 2.5);
-        assert_eq!(WattHours(3000.0).as_kwh(), 3.0);
-    }
-
-    #[test]
-    fn energy_integration() {
-        // 1 kW for 15 minutes = 0.25 kWh, the paper's per-request energy.
-        let e = Watts::from_kw(1.0).energy_over(SimDuration::from_mins(15));
-        assert!((e.as_kwh() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn sums() {
         let total: Watts = [Watts(100.0), Watts(250.0), Watts(50.0)].into_iter().sum();
         assert_eq!(total, Watts(400.0));
-        let e: WattHours = [WattHours(1.0), WattHours(2.0)].into_iter().sum();
-        assert_eq!(e, WattHours(3.0));
     }
 
     #[test]
     fn display() {
         assert_eq!(Watts(1500.0).to_string(), "1.50 kW");
         assert_eq!(Watts(40.0).to_string(), "40 W");
-        assert_eq!(WattHours(250.0).to_string(), "250 Wh");
-        assert_eq!(WattHours(1250.0).to_string(), "1.25 kWh");
     }
 }

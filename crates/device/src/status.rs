@@ -25,7 +25,7 @@ use han_sim::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// Encoded size of a [`StatusRecord`] on the wire.
-pub const STATUS_WIRE_BYTES: usize = 23;
+pub(crate) const STATUS_WIRE_BYTES: usize = 23;
 
 const NONE_U32: u32 = u32::MAX;
 
@@ -61,7 +61,7 @@ pub struct StatusRecord {
 /// Errors decoding a [`StatusRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeStatusError {
-    /// The byte slice was not exactly [`STATUS_WIRE_BYTES`] long.
+    /// The byte slice was not exactly 23 bytes long.
     WrongLength {
         /// Bytes supplied.
         got: usize,
@@ -107,13 +107,6 @@ impl StatusRecord {
             min_dcd: SimDuration::ZERO,
             max_dcp: SimDuration::ZERO,
         }
-    }
-
-    /// Serializes to the 23-byte wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(STATUS_WIRE_BYTES);
-        self.encode_into(&mut out);
-        out
     }
 
     /// Serializes to the 23-byte wire format, appending to `out` — lets
@@ -187,6 +180,16 @@ impl StatusRecord {
             min_dcd: SimDuration::from_secs(u64::from(min_dcd)),
             max_dcp: SimDuration::from_secs(u64::from(max_dcp)),
         })
+    }
+}
+
+#[cfg(test)]
+impl StatusRecord {
+    /// Serializes to the 23-byte wire format.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(STATUS_WIRE_BYTES);
+        self.encode_into(&mut out);
+        out
     }
 }
 

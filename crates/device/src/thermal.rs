@@ -9,47 +9,37 @@
 //! dT/dt = (T_ambient − T) / τ  ±  g · u(t)
 //! ```
 //!
-//! where `τ` is the thermal time constant, `g` the actuation rate of the
-//! appliance (negative for cooling), and `u(t) ∈ {0, 1}` the element state.
+//! where `τ` is the thermal time constant, `g` the cooling rate of the
+//! appliance (an air conditioner or fridge), and `u(t) ∈ {0, 1}` the
+//! element state.
 //! It supports comfort metrics in the examples and lets tests derive the
 //! duty fraction a thermostat would naturally produce.
 
 use han_sim::time::SimDuration;
 
-/// Direction a duty-cycled appliance drives temperature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThermalAction {
-    /// The element lowers temperature (air conditioner, fridge).
-    Cooling,
-    /// The element raises temperature (room/water heater).
-    Heating,
-}
-
-/// A first-order thermal environment coupled to one appliance.
+/// A first-order thermal environment coupled to one cooling appliance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalModel {
     temperature_c: f64,
     ambient_c: f64,
     time_constant: SimDuration,
     actuation_c_per_hour: f64,
-    action: ThermalAction,
 }
 
 impl ThermalModel {
     /// Creates a model at an initial temperature.
     ///
-    /// `actuation_c_per_hour` is the magnitude of the appliance's pull on
-    /// the temperature while ON.
+    /// `actuation_c_per_hour` is how fast the appliance cools the room
+    /// while ON.
     ///
     /// # Panics
     ///
     /// Panics if the time constant is zero or the actuation is negative.
-    pub fn new(
+    pub(crate) fn new(
         initial_c: f64,
         ambient_c: f64,
         time_constant: SimDuration,
         actuation_c_per_hour: f64,
-        action: ThermalAction,
     ) -> Self {
         assert!(!time_constant.is_zero(), "time constant must be positive");
         assert!(
@@ -61,35 +51,18 @@ impl ThermalModel {
             ambient_c,
             time_constant,
             actuation_c_per_hour,
-            action,
         }
     }
 
     /// A typical bedroom with a split AC: 40 °C ambient, τ = 2 h, the AC
     /// pulls 8 °C/h while ON.
     pub fn indian_summer_room(initial_c: f64) -> Self {
-        ThermalModel::new(
-            initial_c,
-            40.0,
-            SimDuration::from_hours(2),
-            8.0,
-            ThermalAction::Cooling,
-        )
+        ThermalModel::new(initial_c, 40.0, SimDuration::from_hours(2), 8.0)
     }
 
     /// Current temperature in °C.
     pub fn temperature_c(&self) -> f64 {
         self.temperature_c
-    }
-
-    /// Ambient temperature in °C.
-    pub fn ambient_c(&self) -> f64 {
-        self.ambient_c
-    }
-
-    /// Updates the ambient temperature (weather change).
-    pub fn set_ambient_c(&mut self, ambient_c: f64) {
-        self.ambient_c = ambient_c;
     }
 
     /// Advances the model by `dt` with the element ON or OFF.
@@ -99,12 +72,9 @@ impl ThermalModel {
     pub fn step(&mut self, dt: SimDuration, element_on: bool) {
         let tau_h = self.time_constant.as_hours_f64();
         let dt_h = dt.as_hours_f64();
-        // Effective equilibrium: ambient shifted by the actuation term.
+        // Effective equilibrium: ambient shifted by the cooling term.
         let drive = if element_on {
-            match self.action {
-                ThermalAction::Cooling => -self.actuation_c_per_hour,
-                ThermalAction::Heating => self.actuation_c_per_hour,
-            }
+            -self.actuation_c_per_hour
         } else {
             0.0
         };
@@ -150,21 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn heating_pushes_above_ambient() {
-        let mut m = ThermalModel::new(
-            15.0,
-            10.0,
-            SimDuration::from_hours(1),
-            5.0,
-            ThermalAction::Heating,
-        );
-        for _ in 0..50 {
-            m.step(SimDuration::from_mins(30), true);
-        }
-        assert!(m.temperature_c() > 10.0 + 4.9, "{}", m.temperature_c());
-    }
-
-    #[test]
     fn exact_solution_is_step_invariant() {
         let mut coarse = ThermalModel::indian_summer_room(30.0);
         let mut fine = ThermalModel::indian_summer_room(30.0);
@@ -179,22 +134,10 @@ mod tests {
     fn duty_fraction_matches_paper_regime() {
         // The paper's 15/30 constraint implies a 50 % duty cycle; a room
         // whose drift is half the AC's pull needs exactly that.
-        let m = ThermalModel::new(
-            24.0,
-            40.0,
-            SimDuration::from_hours(2),
-            4.0,
-            ThermalAction::Cooling,
-        );
+        let m = ThermalModel::new(24.0, 40.0, SimDuration::from_hours(2), 4.0);
         // Drift at 24 °C: (40-24)/2 = 8 °C/h... that exceeds 4 => clamp to 1.
         assert_eq!(m.required_duty_fraction(24.0), 1.0);
-        let m2 = ThermalModel::new(
-            24.0,
-            40.0,
-            SimDuration::from_hours(4),
-            8.0,
-            ThermalAction::Cooling,
-        );
+        let m2 = ThermalModel::new(24.0, 40.0, SimDuration::from_hours(4), 8.0);
         // Drift (40-24)/4 = 4 °C/h against 8 °C/h pull: 50 % duty.
         assert!((m2.required_duty_fraction(24.0) - 0.5).abs() < 1e-12);
     }
@@ -208,18 +151,8 @@ mod tests {
     }
 
     #[test]
-    fn ambient_change_takes_effect() {
-        let mut m = ThermalModel::indian_summer_room(30.0);
-        m.set_ambient_c(20.0);
-        for _ in 0..100 {
-            m.step(SimDuration::from_mins(30), false);
-        }
-        assert!((m.temperature_c() - 20.0).abs() < 0.01);
-    }
-
-    #[test]
     #[should_panic(expected = "time constant")]
     fn zero_tau_panics() {
-        ThermalModel::new(20.0, 30.0, SimDuration::ZERO, 1.0, ThermalAction::Cooling);
+        ThermalModel::new(20.0, 30.0, SimDuration::ZERO, 1.0);
     }
 }

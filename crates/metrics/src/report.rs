@@ -31,7 +31,7 @@ impl ComparisonRow {
     }
 
     /// Reduction achieved by coordination, in percent.
-    pub fn reduction_percent(&self) -> f64 {
+    pub(crate) fn reduction_percent(&self) -> f64 {
         reduction_percent(self.baseline, self.coordinated)
     }
 }
@@ -58,11 +58,6 @@ impl ComparisonReport {
         self
     }
 
-    /// The rows recorded so far.
-    pub fn rows(&self) -> &[ComparisonRow] {
-        &self.rows
-    }
-
     /// Renders a fixed-width ASCII table.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
@@ -84,23 +79,6 @@ impl ComparisonReport {
                 out,
                 "{:<width$}  {:>14.3}  {:>14.3}  {:>9.1}%",
                 r.metric,
-                r.baseline,
-                r.coordinated,
-                r.reduction_percent()
-            );
-        }
-        out
-    }
-
-    /// Renders `metric,baseline,coordinated,reduction_percent` CSV with a
-    /// header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("metric,baseline,coordinated,reduction_percent\n");
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{},{},{},{}",
-                csv_escape(&r.metric),
                 r.baseline,
                 r.coordinated,
                 r.reduction_percent()
@@ -169,23 +147,7 @@ mod tests {
         assert!(table.contains("peak load (kW)"));
         assert!(table.contains("50.0%"));
         assert!(table.contains("w/o coord"));
-        assert_eq!(rep.rows().len(), 2);
-    }
-
-    #[test]
-    fn csv_output() {
-        let mut rep = ComparisonReport::new("t");
-        rep.push(ComparisonRow::new("peak", 10.0, 5.0));
-        let csv = rep.to_csv();
-        assert!(csv.starts_with("metric,baseline"));
-        assert!(csv.contains("peak,10,5,50"));
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut rep = ComparisonReport::new("t");
-        rep.push(ComparisonRow::new("a,b\"c", 1.0, 1.0));
-        assert!(rep.to_csv().contains("\"a,b\"\"c\""));
+        assert_eq!(rep.rows.len(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use han_metrics::resilience::ResilienceStats;
+//! use han_metrics::ResilienceStats;
 //!
 //! let mut r = ResilienceStats::default();
 //! r.record_round(2, true); // 2 nodes down, CP outage in force
@@ -51,11 +51,6 @@ pub struct ResilienceStats {
 }
 
 impl ResilienceStats {
-    /// Whether any fault activity was recorded at all.
-    pub fn is_quiet(&self) -> bool {
-        *self == ResilienceStats::default()
-    }
-
     /// Folds one round's fault exposure into the ledger.
     pub fn record_round(&mut self, nodes_down: usize, outage: bool) {
         self.down_node_rounds += nodes_down as u64;
@@ -117,7 +112,6 @@ mod tests {
     #[test]
     fn default_is_quiet_and_fully_available() {
         let r = ResilienceStats::default();
-        assert!(r.is_quiet());
         assert_eq!(r.availability(100, 8), 1.0);
         assert_eq!(r.availability(0, 0), 1.0);
         assert_eq!(r.mean_recovery_rounds(), None);
@@ -132,7 +126,7 @@ mod tests {
         r.record_round(1, true);
         assert_eq!(r.down_node_rounds, 4);
         assert_eq!(r.outage_rounds, 2);
-        assert!(!r.is_quiet());
+        assert_ne!(r, ResilienceStats::default());
         // 3 rounds × 4 nodes = 12 node-rounds, 4 of them down.
         assert!((r.availability(3, 4) - (1.0 - 4.0 / 12.0)).abs() < 1e-12);
     }

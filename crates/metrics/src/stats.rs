@@ -47,15 +47,6 @@ impl Summary {
             std_dev: var.max(0.0).sqrt(),
         }
     }
-
-    /// Coefficient of variation (std-dev / mean); 0 for a zero mean.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -92,14 +83,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Largest increase between consecutive samples — the "sudden rise" the
-/// paper's coordination is designed to avoid.
-///
-/// Returns 0 for series shorter than 2.
-pub fn max_step_up(samples: &[f64]) -> f64 {
-    samples.windows(2).map(|w| w[1] - w[0]).fold(0.0, f64::max)
-}
-
 /// Reduction of `candidate` relative to `baseline`, in percent.
 ///
 /// Positive means the candidate is lower (better for peak/variation).
@@ -132,7 +115,6 @@ mod tests {
         let s = Summary::of(&[5.0; 10]);
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.peak, 5.0);
-        assert_eq!(s.coefficient_of_variation(), 0.0);
     }
 
     #[test]
@@ -153,13 +135,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn step_up_detection() {
-        assert_eq!(max_step_up(&[1.0, 4.0, 2.0, 5.0]), 3.0);
-        assert_eq!(max_step_up(&[5.0, 4.0, 3.0]), 0.0);
-        assert_eq!(max_step_up(&[1.0]), 0.0);
     }
 
     #[test]

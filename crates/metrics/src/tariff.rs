@@ -25,17 +25,12 @@ impl TimeOfUseTariff {
     /// # Panics
     ///
     /// Panics if any rate is negative or non-finite.
-    pub fn new(hourly_rate: [f64; 24]) -> Self {
+    pub(crate) fn new(hourly_rate: [f64; 24]) -> Self {
         assert!(
             hourly_rate.iter().all(|r| r.is_finite() && *r >= 0.0),
             "tariff rates must be finite and non-negative"
         );
         TimeOfUseTariff { hourly_rate }
-    }
-
-    /// A flat tariff.
-    pub fn flat(rate_per_kwh: f64) -> Self {
-        TimeOfUseTariff::new([rate_per_kwh; 24])
     }
 
     /// A typical residential ToU schedule: off-peak 0.10/kWh (23:00–06:00),
@@ -109,7 +104,7 @@ impl Billing {
     /// # Panics
     ///
     /// Panics if `demand_rate_per_kw` is negative or non-finite.
-    pub fn new(tariff: TimeOfUseTariff, demand_rate_per_kw: f64) -> Self {
+    pub(crate) fn new(tariff: TimeOfUseTariff, demand_rate_per_kw: f64) -> Self {
         assert!(
             demand_rate_per_kw.is_finite() && demand_rate_per_kw >= 0.0,
             "demand rate must be finite and non-negative"
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn flat_tariff_prices_energy() {
-        let tariff = TimeOfUseTariff::flat(0.20);
+        let tariff = TimeOfUseTariff::new([0.20; 24]);
         let trace = constant_trace(2.0);
         // 2 kW for 5 h = 10 kWh at 0.20 = 2.0.
         let cost = tariff.energy_cost(&trace, SimTime::ZERO, SimTime::from_hours(5));
@@ -228,7 +223,7 @@ mod tests {
     #[test]
     fn mid_hour_start_priced_correctly() {
         // Pricing an interval that starts mid-hour must not skip ahead.
-        let tariff = TimeOfUseTariff::flat(1.0);
+        let tariff = TimeOfUseTariff::new([1.0; 24]);
         let trace = constant_trace(1.0);
         let start = SimTime::from_secs(1800);
         let end = SimTime::from_secs(3 * 3600);
@@ -248,7 +243,7 @@ mod tests {
 
     #[test]
     fn billing_combines_energy_and_demand() {
-        let billing = Billing::new(TimeOfUseTariff::flat(0.20), 12.0);
+        let billing = Billing::new(TimeOfUseTariff::new([0.20; 24]), 12.0);
         let trace = constant_trace(2.0);
         let cost = billing.cost(&trace, SimTime::ZERO, SimTime::from_hours(5));
         // 10 kWh at 0.20 = 2.0 energy; 2 kW peak × 12 = 24 demand.
@@ -280,7 +275,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_billing_rate_rejected() {
-        Billing::new(TimeOfUseTariff::flat(0.1), -1.0);
+        Billing::new(TimeOfUseTariff::new([0.1; 24]), -1.0);
     }
 
     #[test]

@@ -44,16 +44,6 @@ impl LoadTrace {
         }
     }
 
-    /// Number of breakpoints.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the trace has no breakpoints.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// The raw breakpoints.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
@@ -87,26 +77,6 @@ impl LoadTrace {
             t = (t + interval).min(end);
         }
         out
-    }
-
-    /// Exact time-weighted mean load over `[start, end)`, in kW.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end <= start`.
-    pub fn time_weighted_mean(&self, start: SimTime, end: SimTime) -> f64 {
-        self.fold_segments(start, end, 0.0, |acc, value, dur| {
-            acc + value * dur.as_secs_f64()
-        }) / (end - start).as_secs_f64()
-    }
-
-    /// Exact time-weighted standard deviation over `[start, end)`, in kW.
-    pub fn time_weighted_std(&self, start: SimTime, end: SimTime) -> f64 {
-        let mean = self.time_weighted_mean(start, end);
-        let var = self.fold_segments(start, end, 0.0, |acc, value, dur| {
-            acc + (value - mean).powi(2) * dur.as_secs_f64()
-        }) / (end - start).as_secs_f64();
-        var.max(0.0).sqrt()
     }
 
     /// Peak load over `[start, end)`, in kW.
@@ -220,6 +190,21 @@ impl FromIterator<(SimTime, f64)> for LoadTrace {
     }
 }
 
+/// The exact mean the tests hold peaks, energies and samples against.
+#[cfg(test)]
+impl LoadTrace {
+    /// Exact time-weighted mean load over `[start, end)`, in kW.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end <= start`.
+    pub(crate) fn time_weighted_mean(&self, start: SimTime, end: SimTime) -> f64 {
+        self.fold_segments(start, end, 0.0, |acc, value, dur| {
+            acc + value * dur.as_secs_f64()
+        }) / (end - start).as_secs_f64()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,7 +243,7 @@ mod tests {
         let mut tr = LoadTrace::new();
         tr.record(t(1), 1.0);
         tr.record(t(1), 3.0);
-        assert_eq!(tr.len(), 1);
+        assert_eq!(tr.points().len(), 1);
         assert_eq!(tr.value_at(t(1)), 3.0);
     }
 
@@ -276,15 +261,6 @@ mod tests {
         // 4 kW for a third of [0,30): mean 4/3.
         let mean = tr.time_weighted_mean(t(0), t(30));
         assert!((mean - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn std_of_square_wave() {
-        let tr = square_wave();
-        // Two-level distribution: p=1/3 at 4, else 0.
-        // var = E[x^2] - mean^2 = 16/3 - 16/9 = 32/9.
-        let std = tr.time_weighted_std(t(0), t(30));
-        assert!((std - (32.0f64 / 9.0).sqrt()).abs() < 1e-9);
     }
 
     #[test]
@@ -325,7 +301,7 @@ mod tests {
         assert_eq!(tr.time_weighted_mean(t(0), t(10)), 0.0);
         assert_eq!(tr.peak(t(0), t(10)), 0.0);
         assert_eq!(tr.energy_kwh(t(0), t(10)), 0.0);
-        assert!(tr.is_empty());
+        assert!(tr.points().is_empty());
     }
 
     #[test]
@@ -360,6 +336,6 @@ mod tests {
             (t(0), SimDuration::ZERO, 5.0),
             (t(1), SimDuration::from_mins(1), 0.0),
         ]);
-        assert!(tr.is_empty());
+        assert!(tr.points().is_empty());
     }
 }

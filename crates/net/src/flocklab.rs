@@ -16,7 +16,7 @@ use han_radio::channel::ChannelModel;
 use han_radio::units::Dbm;
 
 /// Number of nodes in the layout, matching the paper's experiment.
-pub const FLOCKLAB_NODE_COUNT: usize = 26;
+pub(crate) const FLOCKLAB_NODE_COUNT: usize = 26;
 
 /// Node coordinates in metres on a ~60 m × 30 m office floor.
 ///

@@ -1,16 +1,16 @@
 //! Synthetic topology generators.
 //!
-//! These produce the standard shapes used in the test suite and benchmarks:
-//! lines (worst-case hop count), grids (typical building coverage), rings,
-//! stars (centralized baseline layout) and random geometric graphs.
+//! Lines (worst-case hop count) and grids (typical building coverage).
+//! Nothing in production builds one: they are the test topologies of
+//! `han-st`'s flood tests and `han-core`'s packet-CP tests, which cannot
+//! reach test-only code in this crate.
 
-use crate::topology::{NodeId, Position, Topology};
+use crate::topology::{Position, Topology};
 use han_radio::channel::ChannelModel;
 use han_radio::units::Dbm;
-use han_sim::rng::DetRng;
 
 /// Default transmit power for generated topologies.
-pub const DEFAULT_TX_POWER: Dbm = Dbm(0.0);
+pub(crate) const DEFAULT_TX_POWER: Dbm = Dbm(0.0);
 
 /// A line of `n` nodes spaced `spacing_m` apart.
 ///
@@ -41,93 +41,6 @@ pub fn grid(rows: usize, cols: usize, spacing_m: f64, channel: ChannelModel) -> 
     Topology::new(positions, channel, DEFAULT_TX_POWER)
 }
 
-/// A ring of `n` nodes with `radius_m`.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn ring(n: usize, radius_m: f64, channel: ChannelModel) -> Topology {
-    assert!(n > 0, "need at least one node");
-    let positions = (0..n)
-        .map(|i| {
-            let theta = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
-            Position::new(radius_m * theta.cos(), radius_m * theta.sin())
-        })
-        .collect();
-    Topology::new(positions, channel, DEFAULT_TX_POWER)
-}
-
-/// A star: node 0 at the centre, `n - 1` leaves at `radius_m`.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn star(n: usize, radius_m: f64, channel: ChannelModel) -> Topology {
-    assert!(n > 0, "need at least one node");
-    let mut positions = vec![Position::new(0.0, 0.0)];
-    for i in 1..n {
-        let theta = 2.0 * std::f64::consts::PI * i as f64 / (n - 1).max(1) as f64;
-        positions.push(Position::new(
-            radius_m * theta.cos(),
-            radius_m * theta.sin(),
-        ));
-    }
-    Topology::new(positions, channel, DEFAULT_TX_POWER)
-}
-
-/// `n` nodes placed uniformly at random in a `width_m × height_m` rectangle,
-/// rejecting placements closer than `min_separation_m` to an existing node.
-///
-/// Placement is deterministic in `seed`. If the rejection sampling cannot
-/// place a node within 10,000 attempts the separation constraint is relaxed
-/// for that node (dense configurations stay feasible).
-///
-/// # Panics
-///
-/// Panics if `n` is zero or the area is non-positive.
-pub fn random_geometric(
-    n: usize,
-    width_m: f64,
-    height_m: f64,
-    min_separation_m: f64,
-    channel: ChannelModel,
-    seed: u64,
-) -> Topology {
-    assert!(n > 0, "need at least one node");
-    assert!(width_m > 0.0 && height_m > 0.0, "area must be positive");
-    let mut rng = DetRng::for_stream(seed, "topology-placement");
-    let mut positions: Vec<Position> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut placed = None;
-        for _attempt in 0..10_000 {
-            let p = Position::new(
-                rng.gen_range_f64(0.0, width_m),
-                rng.gen_range_f64(0.0, height_m),
-            );
-            if positions
-                .iter()
-                .all(|q| q.distance_to(p) >= min_separation_m)
-            {
-                placed = Some(p);
-                break;
-            }
-        }
-        let p = placed.unwrap_or_else(|| {
-            Position::new(
-                rng.gen_range_f64(0.0, width_m),
-                rng.gen_range_f64(0.0, height_m),
-            )
-        });
-        positions.push(p);
-    }
-    Topology::new(positions, channel, DEFAULT_TX_POWER)
-}
-
-/// Returns the first node id, a conventional flood initiator.
-pub fn default_initiator() -> NodeId {
-    NodeId(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,53 +64,6 @@ mod tests {
         // Diagonal neighbors are sqrt(200) ≈ 14.1 m, inside the 15 m disk,
         // so the diameter is the Chebyshev distance.
         assert_eq!(t.diameter(0.5), Some(3));
-    }
-
-    #[test]
-    fn ring_is_connected() {
-        let t = ring(12, 20.0, disk(15.0));
-        // Adjacent nodes on a 20 m-radius 12-ring are ~10.35 m apart.
-        assert!(t.is_connected(0.5));
-        assert_eq!(t.diameter(0.5), Some(6));
-    }
-
-    #[test]
-    fn star_single_hop_via_center() {
-        let t = star(7, 10.0, disk(12.0));
-        assert!(t.is_connected(0.5));
-        // Leaves 10 m from centre; adjacent leaves are 10 m apart
-        // (hexagon side = radius), so some leaf pairs connect directly,
-        // but the diameter never exceeds 2 (leaf–centre–leaf).
-        assert_eq!(t.diameter(0.5), Some(2));
-    }
-
-    #[test]
-    fn random_geometric_deterministic_in_seed() {
-        let a = random_geometric(20, 50.0, 30.0, 2.0, disk(18.0), 7);
-        let b = random_geometric(20, 50.0, 30.0, 2.0, disk(18.0), 7);
-        for id in a.node_ids() {
-            assert_eq!(a.position(id), b.position(id));
-        }
-        let c = random_geometric(20, 50.0, 30.0, 2.0, disk(18.0), 8);
-        let same = a
-            .node_ids()
-            .filter(|&id| a.position(id) == c.position(id))
-            .count();
-        assert!(same < 20, "different seed should move nodes");
-    }
-
-    #[test]
-    fn random_geometric_respects_bounds_and_separation() {
-        let t = random_geometric(30, 40.0, 20.0, 2.0, disk(18.0), 3);
-        for a in t.node_ids() {
-            let p = t.position(a);
-            assert!((0.0..=40.0).contains(&p.x) && (0.0..=20.0).contains(&p.y));
-            for b in t.node_ids() {
-                if a < b {
-                    assert!(t.distance(a, b) >= 2.0 - 1e-9);
-                }
-            }
-        }
     }
 
     #[test]

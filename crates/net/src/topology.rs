@@ -1,14 +1,11 @@
 //! Network topology: node placement plus a propagation model.
 //!
 //! A [`Topology`] combines node positions with a [`ChannelModel`] and a
-//! transmit power, and derives everything the protocol layer needs: RSSI
-//! between any two nodes, expected link reliability, neighbor sets, hop
-//! counts and connectivity.
+//! transmit power, and derives what the protocol layer needs: the RSSI
+//! between any two nodes.
 
 use han_radio::channel::{undirected_link_id, ChannelModel};
-use han_radio::prr;
 use han_radio::units::Dbm;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a network node (a Device Interface in the paper).
@@ -36,31 +33,24 @@ impl From<u32> for NodeId {
 
 /// A 2-D node position in metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Position {
+pub(crate) struct Position {
     /// X coordinate in metres.
-    pub x: f64,
+    x: f64,
     /// Y coordinate in metres.
-    pub y: f64,
+    y: f64,
 }
 
 impl Position {
     /// Creates a position.
-    pub const fn new(x: f64, y: f64) -> Self {
+    pub(crate) const fn new(x: f64, y: f64) -> Self {
         Position { x, y }
     }
 
     /// Euclidean distance to another position.
-    pub fn distance_to(self, other: Position) -> f64 {
+    pub(crate) fn distance_to(self, other: Position) -> f64 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 }
-
-/// Default PRR above which a link counts as usable for neighbor/connectivity
-/// queries.
-pub const DEFAULT_LINK_PRR_THRESHOLD: f64 = 0.7;
-
-/// Reference frame size (bytes on air) used for link classification.
-pub const DEFAULT_LINK_FRAME_BYTES: usize = 64;
 
 /// A set of placed nodes sharing one propagation environment.
 #[derive(Debug, Clone)]
@@ -76,7 +66,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `positions` is empty.
-    pub fn new(positions: Vec<Position>, channel: ChannelModel, tx_power: Dbm) -> Self {
+    pub(crate) fn new(positions: Vec<Position>, channel: ChannelModel, tx_power: Dbm) -> Self {
         assert!(!positions.is_empty(), "topology must contain nodes");
         Topology {
             positions,
@@ -96,7 +86,7 @@ impl Topology {
     }
 
     /// Iterates all node ids in ascending order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.positions.len() as u32).map(NodeId)
     }
 
@@ -105,93 +95,24 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the node id is out of range.
-    pub fn position(&self, node: NodeId) -> Position {
+    pub(crate) fn position(&self, node: NodeId) -> Position {
         self.positions[node.index()]
     }
 
-    /// The propagation model in use.
-    pub fn channel(&self) -> &ChannelModel {
-        &self.channel
-    }
-
-    /// The transmit power all nodes use.
-    pub fn tx_power(&self) -> Dbm {
-        self.tx_power
-    }
-
     /// Distance in metres between two nodes.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> f64 {
         self.position(a).distance_to(self.position(b))
     }
 
     /// Received signal strength at `to` for a transmission from `from`.
     ///
     /// Reciprocal: shadowing is frozen on the undirected link.
-    pub fn rssi(&self, from: NodeId, to: NodeId) -> Dbm {
+    pub(crate) fn rssi(&self, from: NodeId, to: NodeId) -> Dbm {
         self.channel.rssi(
             self.tx_power,
             self.distance(from, to),
             undirected_link_id(from.0, to.0),
         )
-    }
-
-    /// Expected packet reception rate on the link for a frame of
-    /// `frame_bytes` bytes (no interference).
-    pub fn link_prr(&self, from: NodeId, to: NodeId, frame_bytes: usize) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        prr::prr_no_interference(self.rssi(from, to), frame_bytes)
-    }
-
-    /// Nodes whose link PRR from `node` meets `min_prr` at the reference
-    /// frame size.
-    pub fn neighbors(&self, node: NodeId, min_prr: f64) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&other| {
-                other != node && self.link_prr(node, other, DEFAULT_LINK_FRAME_BYTES) >= min_prr
-            })
-            .collect()
-    }
-
-    /// Minimum hop counts from `source` over links with PRR ≥ `min_prr`.
-    ///
-    /// Unreachable nodes map to `None`.
-    pub fn hop_counts(&self, source: NodeId, min_prr: f64) -> Vec<Option<u32>> {
-        let n = self.len();
-        let mut hops: Vec<Option<u32>> = vec![None; n];
-        hops[source.index()] = Some(0);
-        let mut queue = VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            let next_hop = hops[u.index()].expect("visited node lacks hop count") + 1;
-            for v in self.neighbors(u, min_prr) {
-                if hops[v.index()].is_none() {
-                    hops[v.index()] = Some(next_hop);
-                    queue.push_back(v);
-                }
-            }
-        }
-        hops
-    }
-
-    /// Whether every node can reach every other over links with
-    /// PRR ≥ `min_prr`.
-    pub fn is_connected(&self, min_prr: f64) -> bool {
-        self.hop_counts(NodeId(0), min_prr)
-            .iter()
-            .all(|h| h.is_some())
-    }
-
-    /// Network diameter in hops over links with PRR ≥ `min_prr`, or `None`
-    /// if the graph is disconnected.
-    pub fn diameter(&self, min_prr: f64) -> Option<u32> {
-        let mut max = 0;
-        for source in self.node_ids() {
-            for h in self.hop_counts(source, min_prr) {
-                max = max.max(h?);
-            }
-        }
-        Some(max)
     }
 
     /// Precomputes the full RSSI matrix (`matrix[from][to]`).
@@ -212,22 +133,68 @@ impl Topology {
         }
         m
     }
+}
 
-    /// Average link PRR over all ordered pairs, at the reference frame size.
-    pub fn mean_link_prr(&self) -> f64 {
-        let n = self.len();
-        if n < 2 {
+/// Link-quality queries the topology tests use to check the layouts that
+/// production builds.
+#[cfg(test)]
+impl Topology {
+    /// Expected packet reception rate on the link for a frame of
+    /// `frame_bytes` bytes (no interference).
+    pub(crate) fn link_prr(&self, from: NodeId, to: NodeId, frame_bytes: usize) -> f64 {
+        if from == to {
             return 0.0;
         }
-        let mut sum = 0.0;
-        for a in self.node_ids() {
-            for b in self.node_ids() {
-                if a != b {
-                    sum += self.link_prr(a, b, DEFAULT_LINK_FRAME_BYTES);
+        let noise = han_radio::phy::NOISE_FLOOR;
+        han_radio::prr::packet_reception_rate(self.rssi(from, to), noise, frame_bytes)
+    }
+
+    /// Nodes whose link PRR from `node` meets `min_prr` for a 64-byte
+    /// frame.
+    pub(crate) fn neighbors(&self, node: NodeId, min_prr: f64) -> Vec<NodeId> {
+        self.node_ids()
+            .filter(|&other| other != node && self.link_prr(node, other, 64) >= min_prr)
+            .collect()
+    }
+
+    /// Minimum hop counts from `source` over links with PRR ≥ `min_prr`.
+    ///
+    /// Unreachable nodes map to `None`.
+    pub(crate) fn hop_counts(&self, source: NodeId, min_prr: f64) -> Vec<Option<u32>> {
+        let n = self.len();
+        let mut hops: Vec<Option<u32>> = vec![None; n];
+        hops[source.index()] = Some(0);
+        let mut queue = std::collections::VecDeque::from([source]);
+        while let Some(u) = queue.pop_front() {
+            let next_hop = hops[u.index()].expect("visited node lacks hop count") + 1;
+            for v in self.neighbors(u, min_prr) {
+                if hops[v.index()].is_none() {
+                    hops[v.index()] = Some(next_hop);
+                    queue.push_back(v);
                 }
             }
         }
-        sum / (n * (n - 1)) as f64
+        hops
+    }
+
+    /// Whether every node can reach every other over links with
+    /// PRR ≥ `min_prr`.
+    pub(crate) fn is_connected(&self, min_prr: f64) -> bool {
+        self.hop_counts(NodeId(0), min_prr)
+            .iter()
+            .all(|h| h.is_some())
+    }
+
+    /// Network diameter in hops over links with PRR ≥ `min_prr`, or `None`
+    /// if the graph is disconnected.
+    pub(crate) fn diameter(&self, min_prr: f64) -> Option<u32> {
+        let mut max = 0;
+        for source in self.node_ids() {
+            for h in self.hop_counts(source, min_prr) {
+                max = max.max(h?);
+            }
+        }
+        Some(max)
     }
 }
 
@@ -307,15 +274,6 @@ mod tests {
             Dbm(0.0),
         );
         assert!(t.link_prr(NodeId(0), NodeId(1), 64) > 0.999);
-    }
-
-    #[test]
-    fn mean_link_prr_between_zero_and_one() {
-        let t = line3();
-        let m = t.mean_link_prr();
-        assert!((0.0..=1.0).contains(&m));
-        // In the 15 m unit disk, 4 of 6 ordered pairs are connected.
-        assert!((m - 4.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]

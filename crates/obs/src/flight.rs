@@ -5,9 +5,7 @@
 //! The ring records only *sparse* events — fault edges, absorbed
 //! telemetry, divergence onsets, recovery — never per-round chatter, so
 //! a bounded buffer of a few hundred entries spans the interesting
-//! history of a long run. When full, the oldest events are evicted and
-//! counted in [`FlightRecorder::dropped`], so a dump is explicit about
-//! what it no longer holds.
+//! history of a long run. When full, the oldest events are evicted.
 
 use crate::Subsystem;
 use std::collections::VecDeque;
@@ -17,25 +15,25 @@ use std::sync::Mutex;
 
 /// Default ring capacity: enough for the fault/injection history of a
 /// long window without unbounded growth.
-pub const DEFAULT_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_CAPACITY: usize = 256;
 
 /// One structured flight event.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightEvent {
+pub(crate) struct FlightEvent {
     /// Round counter when the event fired.
-    pub round: u64,
+    pub(crate) round: u64,
     /// The simulation layer that produced it.
-    pub subsystem: Subsystem,
+    pub(crate) subsystem: Subsystem,
     /// Stable event kind (e.g. `fault-active`, `telemetry-absorbed`).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Free-form `key=value` payload.
-    pub payload: String,
+    pub(crate) payload: String,
 }
 
 impl FlightEvent {
     /// Renders the event as one JSON object (one JSONL line, no
     /// trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.payload.len());
         let _ = write!(
             out,
@@ -67,44 +65,35 @@ fn escape_json_into(s: &str, out: &mut String) {
     }
 }
 
-struct Ring {
-    events: VecDeque<FlightEvent>,
-    dropped: u64,
-}
-
 /// The bounded ring buffer itself. Interior-mutable behind one mutex:
 /// recording is off the per-round hot path (sparse events only), and a
 /// dump snapshots under the same lock.
 pub struct FlightRecorder {
     capacity: usize,
-    ring: Mutex<Ring>,
+    ring: Mutex<VecDeque<FlightEvent>>,
 }
 
 impl FlightRecorder {
     /// An empty recorder holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
+    pub(crate) fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
             capacity: capacity.max(1),
-            ring: Mutex::new(Ring {
-                events: VecDeque::new(),
-                dropped: 0,
-            }),
+            ring: Mutex::new(VecDeque::new()),
         }
     }
 
     /// Appends an event, evicting the oldest when full.
-    pub fn record(&self, event: FlightEvent) {
+    pub(crate) fn record(&self, event: FlightEvent) {
         let mut ring = self.ring.lock().expect("flight ring poisoned");
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
+        if ring.len() == self.capacity {
+            ring.pop_front();
         }
-        ring.events.push_back(event);
+        ring.push_back(event);
     }
 
     /// Events currently held.
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("flight ring poisoned").events.len()
+        self.ring.lock().expect("flight ring poisoned").len()
     }
 
     /// Whether the ring holds no events.
@@ -112,15 +101,10 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Events evicted since creation (history the ring no longer holds).
-    pub fn dropped(&self) -> u64 {
-        self.ring.lock().expect("flight ring poisoned").dropped
-    }
-
     /// Snapshots the ring oldest-first.
-    pub fn snapshot(&self) -> Vec<FlightEvent> {
+    pub(crate) fn snapshot(&self) -> Vec<FlightEvent> {
         let ring = self.ring.lock().expect("flight ring poisoned");
-        ring.events.iter().cloned().collect()
+        ring.iter().cloned().collect()
     }
 
     /// Renders the ring as JSONL, oldest event first (one JSON object
@@ -160,13 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
+    fn ring_evicts_oldest() {
         let rec = FlightRecorder::new(2);
         rec.record(ev(1, "a"));
         rec.record(ev(2, "b"));
         rec.record(ev(3, "c"));
         assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 1);
         let snap = rec.snapshot();
         assert_eq!(snap[0].round, 2);
         assert_eq!(snap[1].round, 3);

@@ -2,10 +2,10 @@
 //!
 //! Structured, *observationally inert* instrumentation for the HAN
 //! simulation: a zero-cost-when-disabled hook API ([`Obs`] / [`Observer`]),
-//! an atomic metrics [`registry::Registry`] with Prometheus text-format
-//! exposition, a bounded [`flight::FlightRecorder`] ring of recent
+//! an atomic metrics [`Registry`] with Prometheus text-format
+//! exposition, a bounded [`FlightRecorder`] ring of recent
 //! structured events (dumped as JSONL when a fault fires or on demand),
-//! and an opt-in Chrome `trace_event` span log ([`trace::TraceWriter`]).
+//! and an opt-in Chrome `trace_event` span log ([`TraceWriter`]).
 //!
 //! ## The inertness contract
 //!
@@ -31,6 +31,13 @@
 //! `observability` section gates both directions: disabled overhead
 //! within noise, enabled overhead ≤ 5% on the paper-config round loop.
 //!
+//! ## Public API
+//!
+//! What `han-core`, `hansim`, the `perf` bin and perfbench call: the
+//! handle and its hooks, the metric enums, the [`ObsSink`] with its
+//! registry, flight recorder and span log, and [`ObsConfig`]. Everything
+//! else is crate-private.
+//!
 //! # Examples
 //!
 //! ```
@@ -51,14 +58,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(missing_docs)]
 
-pub mod flight;
-pub mod registry;
-pub mod sink;
-pub mod trace;
+mod flight;
+mod registry;
+mod sink;
+mod trace;
 
-pub use flight::{FlightEvent, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use registry::Registry;
 pub use sink::{ObsConfig, ObsSink};
 pub use trace::TraceWriter;
@@ -87,7 +95,7 @@ pub enum Subsystem {
 
 impl Subsystem {
     /// Stable lower-case label, used in flight-recorder JSONL.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Subsystem::Planner => "planner",
             Subsystem::Pool => "pool",
@@ -115,15 +123,15 @@ macro_rules! metric_enum {
 
         impl $name {
             /// Every variant, in declaration (and exposition) order.
-            pub const ALL: &'static [$name] = &[ $( $name::$variant, )* ];
+            pub(crate) const ALL: &'static [$name] = &[ $( $name::$variant, )* ];
 
             /// The Prometheus metric name.
-            pub fn metric_name(self) -> &'static str {
+            pub(crate) fn metric_name(self) -> &'static str {
                 match self { $( $name::$variant => $metric, )* }
             }
 
             /// The one-line `# HELP` text.
-            pub fn help(self) -> &'static str {
+            pub(crate) fn help(self) -> &'static str {
                 match self { $( $name::$variant => $help, )* }
             }
 

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of finite histogram buckets; the exposition adds `+Inf`.
-pub const HIST_BUCKETS: usize = 16;
+pub(crate) const HIST_BUCKETS: usize = 16;
 
 /// Upper bound (`le`) of finite bucket `i`: `2^i`.
 fn bucket_le(i: usize) -> u64 {
@@ -66,7 +66,7 @@ impl Default for Registry {
 
 impl Registry {
     /// An all-zero registry covering every declared metric.
-    pub fn new() -> Registry {
+    pub(crate) fn new() -> Registry {
         Registry {
             counters: Counter::ALL.iter().map(|_| AtomicU64::new(0)).collect(),
             gauges: Gauge::ALL.iter().map(|_| AtomicU64::new(0)).collect(),
@@ -112,18 +112,18 @@ impl Registry {
     }
 
     /// Samples recorded into a histogram.
-    pub fn hist_count(&self, hist: Hist) -> u64 {
+    pub(crate) fn hist_count(&self, hist: Hist) -> u64 {
         self.hists[hist.index()].count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples recorded into a histogram.
-    pub fn hist_sum(&self, hist: Hist) -> u64 {
+    pub(crate) fn hist_sum(&self, hist: Hist) -> u64 {
         self.hists[hist.index()].sum.load(Ordering::Relaxed)
     }
 
     /// Renders the whole registry in Prometheus text exposition format
     /// (`# HELP` / `# TYPE` preambles, cumulative histogram buckets).
-    pub fn exposition(&self) -> String {
+    pub(crate) fn exposition(&self) -> String {
         let mut out = String::new();
         for &c in Counter::ALL {
             let name = c.metric_name();

@@ -11,7 +11,7 @@ use std::time::Instant;
 /// Construction options for an [`ObsSink`].
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
-    /// Flight-ring capacity (`0` → [`DEFAULT_CAPACITY`]).
+    /// Flight-ring capacity (`0` → the default, 256 events).
     pub flight_capacity: usize,
     /// Dump the flight ring to this file whenever a fault-plane event
     /// is recorded (best-effort: I/O failures never reach the engine).

@@ -36,7 +36,7 @@ impl Default for TraceWriter {
 
 impl TraceWriter {
     /// An empty writer; its creation instant is the trace epoch.
-    pub fn new() -> TraceWriter {
+    pub(crate) fn new() -> TraceWriter {
         TraceWriter {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
@@ -45,7 +45,7 @@ impl TraceWriter {
 
     /// Records one completed span. `start`/`end` are converted to
     /// offsets from the epoch (clamped to zero if older than it).
-    pub fn span(&self, name: &'static str, round: u64, start: Instant, end: Instant) {
+    pub(crate) fn span(&self, name: &'static str, round: u64, start: Instant, end: Instant) {
         let ts_us = start
             .checked_duration_since(self.epoch)
             .map_or(0, |d| d.as_micros() as u64);
@@ -60,19 +60,9 @@ impl TraceWriter {
         });
     }
 
-    /// Spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.spans.lock().expect("trace spans poisoned").len()
-    }
-
-    /// Whether no spans have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Renders the full trace document. Span names are static engine
     /// identifiers and need no JSON escaping.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let spans = self.spans.lock().expect("trace spans poisoned");
         let mut out = String::with_capacity(32 + spans.len() * 96);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -102,6 +92,14 @@ impl TraceWriter {
 }
 
 #[cfg(test)]
+impl TraceWriter {
+    /// Spans recorded so far.
+    pub(crate) fn len(&self) -> usize {
+        self.spans.lock().expect("trace spans poisoned").len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -124,7 +122,7 @@ mod tests {
     #[test]
     fn empty_trace_is_still_a_document() {
         let w = TraceWriter::new();
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         assert_eq!(
             w.to_json(),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"

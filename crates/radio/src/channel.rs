@@ -131,7 +131,7 @@ mod tests {
         let inside = ch.rssi(Dbm(0.0), 9.9, 1);
         let outside = ch.rssi(Dbm(0.0), 10.1, 1);
         assert!(inside > phy::SENSITIVITY);
-        assert_eq!(outside.value(), f64::NEG_INFINITY);
+        assert_eq!(outside.0, f64::NEG_INFINITY);
     }
 
     #[test]
@@ -139,7 +139,7 @@ mod tests {
         let ch = ChannelModel::indoor_office_no_shadowing();
         let mut prev = f64::INFINITY;
         for d in [1.0, 2.0, 5.0, 10.0, 20.0, 50.0] {
-            let rssi = ch.rssi(Dbm(0.0), d, 0).value();
+            let rssi = ch.rssi(Dbm(0.0), d, 0).0;
             assert!(rssi < prev, "rssi must fall with distance");
             prev = rssi;
         }
@@ -149,20 +149,17 @@ mod tests {
     fn log_distance_reference_value() {
         // At d0 the loss equals pl_d0: 0 dBm - 55 dB = -55 dBm.
         let ch = ChannelModel::indoor_office_no_shadowing();
-        let rssi = ch.rssi(Dbm(0.0), 1.0, 0).value();
+        let rssi = ch.rssi(Dbm(0.0), 1.0, 0).0;
         assert!((rssi + 55.0).abs() < 1e-9);
         // At 10 m with n=3: 55 + 30 = 85 dB loss.
-        let rssi10 = ch.rssi(Dbm(0.0), 10.0, 0).value();
+        let rssi10 = ch.rssi(Dbm(0.0), 10.0, 0).0;
         assert!((rssi10 + 85.0).abs() < 1e-9);
     }
 
     #[test]
     fn sub_reference_distance_clamped() {
         let ch = ChannelModel::indoor_office_no_shadowing();
-        assert_eq!(
-            ch.rssi(Dbm(0.0), 0.1, 0).value(),
-            ch.rssi(Dbm(0.0), 1.0, 0).value()
-        );
+        assert_eq!(ch.rssi(Dbm(0.0), 0.1, 0).0, ch.rssi(Dbm(0.0), 1.0, 0).0);
     }
 
     #[test]

@@ -14,27 +14,24 @@
 use crate::units::Dbm;
 use han_sim::time::SimDuration;
 
-/// Duration of one O-QPSK symbol (16 µs).
-pub const SYMBOL_TIME: SimDuration = SimDuration::from_micros(16);
-
-/// Air time of one byte (2 symbols, 32 µs).
-pub const BYTE_TIME: SimDuration = SimDuration::from_micros(32);
+/// Air time of one byte (2 O-QPSK symbols of 16 µs).
+pub(crate) const BYTE_TIME: SimDuration = SimDuration::from_micros(32);
 
 /// Preamble length in bytes.
-pub const PREAMBLE_BYTES: usize = 4;
+pub(crate) const PREAMBLE_BYTES: usize = 4;
 
 /// Start-of-frame-delimiter length in bytes.
-pub const SFD_BYTES: usize = 1;
+pub(crate) const SFD_BYTES: usize = 1;
 
 /// PHY header (frame length field) in bytes.
-pub const PHY_HEADER_BYTES: usize = 1;
+pub(crate) const PHY_HEADER_BYTES: usize = 1;
 
 /// Maximum PHY service data unit (MAC frame) size in bytes.
-pub const MAX_PSDU_BYTES: usize = 127;
+pub(crate) const MAX_PSDU_BYTES: usize = 127;
 
 /// MAC overhead we account for in ST frames: frame control (2), sequence
 /// number (1), PAN id (2), FCS (2).
-pub const MAC_OVERHEAD_BYTES: usize = 7;
+pub(crate) const MAC_OVERHEAD_BYTES: usize = 7;
 
 /// Maximum application payload after MAC overhead.
 pub const MAX_PAYLOAD_BYTES: usize = MAX_PSDU_BYTES - MAC_OVERHEAD_BYTES;
@@ -113,12 +110,9 @@ pub fn max_frame_air_time() -> SimDuration {
 ///
 /// This is the window during which a receiver can still lock onto the
 /// strongest of several concurrent transmitters (the *capture window*).
-pub fn sync_header_time() -> SimDuration {
+pub(crate) fn sync_header_time() -> SimDuration {
     BYTE_TIME * (PREAMBLE_BYTES + SFD_BYTES) as u64
 }
-
-/// Nominal CC2420 transmit power at maximum setting.
-pub const TX_POWER_MAX: Dbm = Dbm(0.0);
 
 /// Demodulator lock limit: signals below this are never received at all.
 ///
@@ -139,7 +133,6 @@ mod tests {
     fn byte_time_matches_250kbps() {
         // 250 kbit/s = 31.25 kB/s => 32 us per byte.
         assert_eq!(BYTE_TIME.as_micros(), 32);
-        assert_eq!(SYMBOL_TIME.as_micros() * 2, BYTE_TIME.as_micros());
     }
 
     #[test]

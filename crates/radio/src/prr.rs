@@ -28,7 +28,7 @@ const CHOOSE_16: [f64; 17] = [
 ///
 /// Clamped to `[0, 0.5]`; at very low SNR the DSSS demodulator is no worse
 /// than a coin flip.
-pub fn bit_error_rate(gamma: f64) -> f64 {
+pub(crate) fn bit_error_rate(gamma: f64) -> f64 {
     if gamma <= 0.0 {
         return 0.5;
     }
@@ -54,8 +54,9 @@ pub fn packet_reception_rate(signal: Dbm, noise_and_interference: Dbm, frame_byt
     (1.0 - ber).powi((8 * frame_bytes) as i32)
 }
 
-/// Convenience wrapper: PRR against the thermal noise floor only.
-pub fn prr_no_interference(signal: Dbm, frame_bytes: usize) -> f64 {
+/// PRR against the thermal noise floor only, the tests' clean link.
+#[cfg(test)]
+pub(crate) fn prr_no_interference(signal: Dbm, frame_bytes: usize) -> f64 {
     packet_reception_rate(signal, phy::NOISE_FLOOR, frame_bytes)
 }
 

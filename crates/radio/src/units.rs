@@ -14,17 +14,12 @@ pub struct Dbm(pub f64);
 
 /// A power level in milliwatts.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Milliwatt(pub f64);
+pub(crate) struct Milliwatt(pub f64);
 
 impl Dbm {
     /// Converts to linear milliwatts.
-    pub fn to_milliwatt(self) -> Milliwatt {
+    pub(crate) fn to_milliwatt(self) -> Milliwatt {
         Milliwatt(10f64.powf(self.0 / 10.0))
-    }
-
-    /// Returns the raw dBm value.
-    pub const fn value(self) -> f64 {
-        self.0
     }
 }
 
@@ -33,7 +28,7 @@ impl Milliwatt {
     ///
     /// Zero or negative power maps to negative infinity dBm, which compares
     /// below every finite level — convenient for "no signal".
-    pub fn to_dbm(self) -> Dbm {
+    pub(crate) fn to_dbm(self) -> Dbm {
         if self.0 <= 0.0 {
             Dbm(f64::NEG_INFINITY)
         } else {
@@ -42,7 +37,7 @@ impl Milliwatt {
     }
 
     /// Returns the raw milliwatt value.
-    pub const fn value(self) -> f64 {
+    pub(crate) const fn value(self) -> f64 {
         self.0
     }
 }
@@ -92,7 +87,7 @@ impl fmt::Display for Milliwatt {
 
 /// Sums a set of interfering signal powers (in dBm) in the linear domain and
 /// returns the total in dBm.
-pub fn sum_power_dbm(levels: impl IntoIterator<Item = Dbm>) -> Dbm {
+pub(crate) fn sum_power_dbm(levels: impl IntoIterator<Item = Dbm>) -> Dbm {
     let total: f64 = levels.into_iter().map(|l| l.to_milliwatt().value()).sum();
     Milliwatt(total).to_dbm()
 }
@@ -105,13 +100,13 @@ mod tests {
     fn dbm_mw_round_trip() {
         for v in [-90.0, -50.0, -10.0, 0.0, 5.0] {
             let back = Dbm(v).to_milliwatt().to_dbm();
-            assert!((back.value() - v).abs() < 1e-9, "{v} -> {back}");
+            assert!((back.0 - v).abs() < 1e-9, "{v} -> {back}");
         }
     }
 
     #[test]
     fn zero_mw_is_neg_infinity() {
-        assert_eq!(Milliwatt(0.0).to_dbm().value(), f64::NEG_INFINITY);
+        assert_eq!(Milliwatt(0.0).to_dbm().0, f64::NEG_INFINITY);
         assert!(Milliwatt(0.0).to_dbm() < Dbm(-200.0));
     }
 
@@ -125,19 +120,19 @@ mod tests {
     #[test]
     fn gain_and_loss_arithmetic() {
         let p = Dbm(-60.0);
-        assert_eq!((p + 3.0).value(), -57.0);
-        assert_eq!((p - 10.0).value(), -70.0);
+        assert_eq!((p + 3.0).0, -57.0);
+        assert_eq!((p - 10.0).0, -70.0);
         assert_eq!(Dbm(-50.0) - Dbm(-60.0), 10.0);
     }
 
     #[test]
     fn power_sum_of_equal_signals_is_plus_3db() {
         let total = sum_power_dbm([Dbm(-60.0), Dbm(-60.0)]);
-        assert!((total.value() - (-60.0 + 3.0103)).abs() < 0.01, "{total}");
+        assert!((total.0 - (-60.0 + 3.0103)).abs() < 0.01, "{total}");
     }
 
     #[test]
     fn power_sum_empty_is_no_signal() {
-        assert_eq!(sum_power_dbm([]).value(), f64::NEG_INFINITY);
+        assert_eq!(sum_power_dbm([]).0, f64::NEG_INFINITY);
     }
 }

@@ -17,11 +17,11 @@
 //!
 //! let mut a = DetRng::for_stream(42, "arrivals");
 //! let mut b = DetRng::for_stream(42, "arrivals");
-//! assert_eq!(a.next_u64(), b.next_u64());
+//! assert_eq!(a.gen_range_u64(1 << 32), b.gen_range_u64(1 << 32));
 //!
 //! let mut c = DetRng::for_stream(42, "channel");
 //! // Different stream, (almost surely) different values.
-//! let _ = c.next_u64();
+//! let _ = c.gen_range_u64(1 << 32);
 //! ```
 
 /// Derives a stable per-entity seed from a master seed and an entity id
@@ -110,7 +110,7 @@ impl DetRng {
     }
 
     /// Returns the next 64 uniform random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -125,13 +125,8 @@ impl DetRng {
         result
     }
 
-    /// Returns the next 32 uniform random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -162,16 +157,6 @@ impl DetRng {
         self.gen_range_u64(bound as u64) as usize
     }
 
-    /// Returns a uniform `f64` in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or either bound is not finite.
-    pub fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
@@ -191,7 +176,7 @@ impl DetRng {
     }
 
     /// Samples a standard normal variate (Box–Muller, polar form).
-    pub fn gen_standard_normal(&mut self) -> f64 {
+    pub(crate) fn gen_standard_normal(&mut self) -> f64 {
         loop {
             let u = 2.0 * self.next_f64() - 1.0;
             let v = 2.0 * self.next_f64() - 1.0;
@@ -223,14 +208,6 @@ impl DetRng {
     /// Rebuilds a generator from a state captured by [`DetRng::state`].
     pub fn from_state(s: [u64; 4]) -> Self {
         DetRng { s }
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_index(i + 1);
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -316,21 +293,6 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.gen_bool(0.3)).count();
         let p = hits as f64 / 100_000.0;
         assert!((p - 0.3).abs() < 0.01, "p={p}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = DetRng::new(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..50).collect::<Vec<_>>(),
-            "shuffle left slice unchanged"
-        );
     }
 
     #[test]

@@ -44,17 +44,10 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of the simulation clock.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; useful as an "infinite" deadline.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from a count of microseconds since start.
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)
-    }
-
-    /// Creates an instant from milliseconds since start.
-    pub const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
     }
 
     /// Creates an instant from seconds since start.
@@ -77,29 +70,14 @@ impl SimTime {
         self.0
     }
 
-    /// Returns whole milliseconds since simulation start.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns whole seconds since simulation start.
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000
     }
 
-    /// Returns whole minutes since simulation start.
-    pub const fn as_mins(self) -> u64 {
-        self.0 / 60_000_000
-    }
-
     /// Returns the time as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Returns the time as fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60e6
     }
 
     /// Returns the duration elapsed since `earlier`, or [`SimDuration::ZERO`]
@@ -108,26 +86,10 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Returns the instant `d` after `self`, saturating at [`SimTime::MAX`].
+    /// Returns the instant `d` after `self`, saturating at the end of the
+    /// clock.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
-    }
-
-    /// Checked difference between two instants.
-    ///
-    /// Returns `None` if `earlier` is later than `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
-    /// Rounds this instant *down* to a multiple of `step`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    pub fn floor_to(self, step: SimDuration) -> SimTime {
-        assert!(step.0 > 0, "step must be non-zero");
-        SimTime(self.0 - self.0 % step.0)
     }
 
     /// Rounds this instant *up* to a multiple of `step`.
@@ -149,8 +111,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from microseconds.
     pub const fn from_micros(micros: u64) -> Self {
@@ -195,19 +155,9 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns whole milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns whole seconds.
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000
-    }
-
-    /// Returns whole minutes.
-    pub const fn as_mins(self) -> u64 {
-        self.0 / 60_000_000
     }
 
     /// Returns the duration as fractional seconds.
@@ -228,23 +178,6 @@ impl SimDuration {
     /// Saturating subtraction of two durations.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked division of two durations, yielding the whole quotient.
-    ///
-    /// Returns `None` if `other` is zero.
-    pub fn checked_div_duration(self, other: SimDuration) -> Option<u64> {
-        self.0.checked_div(other.0)
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 }
 
@@ -370,9 +303,9 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimTime::from_mins(30).as_secs(), 1800);
-        assert_eq!(SimTime::from_hours(1).as_mins(), 60);
+        assert_eq!(SimTime::from_hours(1).as_secs(), 3600);
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimDuration::from_hours(2).as_mins(), 120);
+        assert_eq!(SimDuration::from_hours(2).as_secs(), 7200);
     }
 
     #[test]
@@ -398,21 +331,15 @@ mod tests {
         let late = SimTime::from_secs(5);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
-        assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
-            SimTime::MAX
-        );
+        let end = SimTime::from_micros(u64::MAX);
+        assert_eq!(end.saturating_add(SimDuration::from_secs(1)), end);
     }
 
     #[test]
     fn rounding() {
         let step = SimDuration::from_secs(2);
         assert_eq!(
-            SimTime::from_millis(4500).floor_to(step),
-            SimTime::from_secs(4)
-        );
-        assert_eq!(
-            SimTime::from_millis(4500).ceil_to(step),
+            SimTime::from_micros(4_500_000).ceil_to(step),
             SimTime::from_secs(6)
         );
         assert_eq!(SimTime::from_secs(4).ceil_to(step), SimTime::from_secs(4));
@@ -436,21 +363,5 @@ mod tests {
     #[should_panic]
     fn from_secs_f64_rejects_negative() {
         let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    fn checked_ops() {
-        assert_eq!(
-            SimTime::from_secs(5).checked_since(SimTime::from_secs(7)),
-            None
-        );
-        assert_eq!(
-            SimDuration::from_secs(10).checked_div_duration(SimDuration::from_secs(3)),
-            Some(3)
-        );
-        assert_eq!(
-            SimDuration::from_secs(10).checked_div_duration(SimDuration::ZERO),
-            None
-        );
     }
 }

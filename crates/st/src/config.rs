@@ -90,13 +90,13 @@ impl StConfig {
     }
 
     /// How many flood phases fit in one round period.
-    pub fn phases_per_round(&self) -> usize {
+    pub(crate) fn phases_per_round(&self) -> usize {
         (self.round_period.as_micros() / self.phase_duration().as_micros()) as usize
     }
 
     /// The largest network a round can serve: one sync phase plus one data
     /// phase per node must fit the round period.
-    pub fn max_nodes_per_round(&self) -> usize {
+    pub(crate) fn max_nodes_per_round(&self) -> usize {
         self.phases_per_round().saturating_sub(1)
     }
 

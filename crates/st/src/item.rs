@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// Serialized per-item header overhead on air: origin (1 B), sequence (2 B),
 /// payload length (1 B).
-pub const ITEM_HEADER_BYTES: usize = 4;
+pub(crate) const ITEM_HEADER_BYTES: usize = 4;
 
 /// One versioned datum published by an origin node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,13 +36,13 @@ impl Item {
     }
 
     /// On-air size of this item inside an aggregate packet.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         ITEM_HEADER_BYTES + self.payload.len()
     }
 
     /// A content identity for capture-effect modelling: two aggregates with
     /// equal content ids are bit-identical on air.
-    pub fn content_key(&self) -> u64 {
+    pub(crate) fn content_key(&self) -> u64 {
         // FNV-1a over origin, seq and payload.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |b: u8| {
@@ -88,7 +88,7 @@ impl ItemStore {
 
     /// Merges every item from an iterator; returns how many changed the
     /// store.
-    pub fn merge_all<'a>(&mut self, items: impl IntoIterator<Item = &'a Item>) -> usize {
+    pub(crate) fn merge_all<'a>(&mut self, items: impl IntoIterator<Item = &'a Item>) -> usize {
         items.into_iter().filter(|i| self.merge(i)).count()
     }
 
@@ -103,28 +103,13 @@ impl ItemStore {
     }
 
     /// Number of distinct origins stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// Whether the store holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Iterates stored items in origin order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &Item> {
         self.items.values()
-    }
-
-    /// Returns the origins stored, in ascending order.
-    pub fn origins(&self) -> Vec<NodeId> {
-        self.items.keys().copied().collect()
-    }
-
-    /// Whether the store holds an item from every node in `0..n`.
-    pub fn covers_all(&self, n: usize) -> bool {
-        self.items.len() == n && self.items.keys().enumerate().all(|(i, k)| k.index() == i)
     }
 
     /// Removes everything.
@@ -172,24 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn covers_all_requires_contiguous_origins() {
-        let mut s = ItemStore::new();
-        s.merge(&item(0, 1, b"a"));
-        s.merge(&item(2, 1, b"c"));
-        assert!(!s.covers_all(3));
-        s.merge(&item(1, 1, b"b"));
-        assert!(s.covers_all(3));
-        assert!(!s.covers_all(4));
-    }
-
-    #[test]
     fn iteration_is_origin_ordered() {
         let s: ItemStore = [item(5, 1, b"x"), item(1, 1, b"y"), item(3, 1, b"z")]
             .into_iter()
             .collect();
         let origins: Vec<u32> = s.iter().map(|i| i.origin.0).collect();
         assert_eq!(origins, vec![1, 3, 5]);
-        assert_eq!(s.origins(), vec![NodeId(1), NodeId(3), NodeId(5)]);
     }
 
     #[test]
@@ -215,6 +188,6 @@ mod tests {
         let items = [item(0, 1, b"a"), item(1, 1, b"b"), item(0, 1, b"a")];
         assert_eq!(s.merge_all(items.iter()), 2);
         s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
     }
 }

@@ -37,7 +37,7 @@ pub use crate::glossy::LinkTable;
 
 /// Aggregate frame overhead besides items: round counter (4 B), phase (1 B),
 /// initiator (1 B), item count (1 B).
-pub const AGGREGATE_HEADER_BYTES: usize = 7;
+pub(crate) const AGGREGATE_HEADER_BYTES: usize = 7;
 
 /// Report of one MiniCast round.
 #[derive(Debug, Clone, Default)]
@@ -66,7 +66,7 @@ pub struct RoundReport {
 
 impl RoundReport {
     /// Worst per-node coverage fraction this round.
-    pub fn worst_node_reliability(&self) -> f64 {
+    pub(crate) fn worst_node_reliability(&self) -> f64 {
         if self.published == 0 {
             return 1.0;
         }
@@ -77,7 +77,7 @@ impl RoundReport {
     }
 
     /// Total radio-on time across all nodes.
-    pub fn total_radio_on(&self) -> SimDuration {
+    pub(crate) fn total_radio_on(&self) -> SimDuration {
         self.radio_on
             .iter()
             .fold(SimDuration::ZERO, |acc, &d| acc + d)
@@ -471,21 +471,19 @@ mod tests {
 
     #[test]
     fn partitioned_network_caps_reliability() {
-        // Two 2-node islands: items cannot cross the gap.
-        let topo = generators::line(4, 30.0, disk(35.0));
-        // spacing 30 m, range 35 m: 0-1, 1-2, 2-3 connected... use a real gap:
-        let topo2 = han_net::Topology::new(
-            vec![
-                han_net::Position::new(0.0, 0.0),
-                han_net::Position::new(10.0, 0.0),
-                han_net::Position::new(500.0, 0.0),
-                han_net::Position::new(510.0, 0.0),
-            ],
-            disk(15.0),
-            han_radio::units::Dbm(0.0),
-        );
-        drop(topo);
-        let rssi = topo2.rssi_matrix();
+        // Two 2-node islands: items cannot cross the gap. Each island is a
+        // 10 m link in a 15 m disk; the islands are 490 m apart.
+        let hear = generators::line(2, 10.0, disk(15.0)).rssi_matrix()[0][1];
+        let rssi: Vec<Vec<Dbm>> = (0..4)
+            .map(|a| {
+                (0..4)
+                    .map(|b| match (a == b, a / 2 == b / 2) {
+                        (true, _) | (_, false) => Dbm(f64::NEG_INFINITY),
+                        (false, true) => hear,
+                    })
+                    .collect()
+            })
+            .collect();
         let mut stores = vec![ItemStore::new(); 4];
         publish_all(&mut stores, 1);
         let mut rng = DetRng::new(2);

@@ -42,18 +42,8 @@ impl SyncTracker {
     }
 
     /// Number of tracked nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.drift_ppm.len()
-    }
-
-    /// Whether the tracker is empty.
-    pub fn is_empty(&self) -> bool {
-        self.drift_ppm.is_empty()
-    }
-
-    /// A node's crystal error in ppm.
-    pub fn drift_ppm(&self, node: usize) -> f64 {
-        self.drift_ppm[node]
     }
 
     /// Records one round's sync outcome (`synced[i]` = node `i` received
@@ -69,13 +59,8 @@ impl SyncTracker {
         }
     }
 
-    /// Rounds since node `i` last heard a beacon (0 = this round).
-    pub fn rounds_since_sync(&self, node: usize) -> u32 {
-        self.rounds_since_sync[node]
-    }
-
     /// Worst-case round-boundary error of a node: `|drift| × outage time`.
-    pub fn boundary_error(&self, node: usize) -> SimDuration {
+    pub(crate) fn boundary_error(&self, node: usize) -> SimDuration {
         let outage_s = self.round_period.as_secs_f64() * f64::from(self.rounds_since_sync[node]);
         let err_s = self.drift_ppm[node].abs() * 1e-6 * outage_s;
         SimDuration::from_secs_f64(err_s)
@@ -87,14 +72,6 @@ impl SyncTracker {
             .map(|i| self.boundary_error(i))
             .max()
             .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Nodes whose boundary error exceeds `guard` — candidates to sit out
-    /// a round (their slot alignment can no longer be trusted).
-    pub fn desynchronized_nodes(&self, guard: SimDuration) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.boundary_error(i) > guard)
-            .collect()
     }
 
     /// The full staleness vector (rounds since each node's last beacon),
@@ -119,23 +96,6 @@ impl SyncTracker {
         );
         self.rounds_since_sync.copy_from_slice(rounds_since_sync);
     }
-
-    /// How many rounds a node with crystal error `ppm` can free-run before
-    /// its boundary error exceeds `guard`.
-    pub fn sustainable_outage_rounds(
-        ppm: f64,
-        guard: SimDuration,
-        round_period: SimDuration,
-    ) -> u32 {
-        if ppm == 0.0 {
-            return u32::MAX;
-        }
-        let per_round_s = ppm.abs() * 1e-6 * round_period.as_secs_f64();
-        if per_round_s <= 0.0 {
-            return u32::MAX;
-        }
-        (guard.as_secs_f64() / per_round_s).floor() as u32
-    }
 }
 
 #[cfg(test)]
@@ -151,10 +111,10 @@ mod tests {
         let a = tracker(10);
         let b = tracker(10);
         for i in 0..10 {
-            assert_eq!(a.drift_ppm(i), b.drift_ppm(i));
+            assert_eq!(a.drift_ppm[i], b.drift_ppm[i]);
         }
         let distinct = (1..10)
-            .filter(|&i| a.drift_ppm(i) != a.drift_ppm(0))
+            .filter(|&i| a.drift_ppm[i] != a.drift_ppm[0])
             .count();
         assert!(distinct > 0, "crystals should differ");
     }
@@ -164,7 +124,7 @@ mod tests {
         let mut t = tracker(3);
         t.record_round(&[true, true, true]);
         for i in 0..3 {
-            assert_eq!(t.rounds_since_sync(i), 0);
+            assert_eq!(t.rounds_since_sync[i], 0);
             assert_eq!(t.boundary_error(i), SimDuration::ZERO);
         }
     }
@@ -175,8 +135,8 @@ mod tests {
         for _ in 0..10 {
             t.record_round(&[true, false]);
         }
-        assert_eq!(t.rounds_since_sync(0), 0);
-        assert_eq!(t.rounds_since_sync(1), 10);
+        assert_eq!(t.rounds_since_sync[0], 0);
+        assert_eq!(t.rounds_since_sync[1], 10);
         let e5 = {
             let mut t2 = tracker(2);
             for _ in 0..5 {
@@ -203,25 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn desynchronized_detection() {
-        let mut t = tracker(4);
-        // 100 rounds of outage for node 2 only.
-        for _ in 0..100 {
-            t.record_round(&[true, true, false, true]);
-        }
-        // 20 ppm × 200 s = 4 ms; guard of 1 ms must flag it (unless node 2
-        // drew an unusually good crystal; with σ=20 ppm that is unlikely
-        // but guard by checking its actual drift).
-        let guard = SimDuration::from_millis(1);
-        let flagged = t.desynchronized_nodes(guard);
-        if t.drift_ppm(2).abs() * 1e-6 * 200.0 > 0.001 {
-            assert_eq!(flagged, vec![2]);
-        } else {
-            assert!(flagged.is_empty());
-        }
-    }
-
-    #[test]
     fn staleness_snapshot_round_trips() {
         let mut t = tracker(3);
         for _ in 0..7 {
@@ -233,28 +174,8 @@ mod tests {
         let mut fresh = tracker(3);
         fresh.restore_staleness(&snap);
         for i in 0..3 {
-            assert_eq!(fresh.rounds_since_sync(i), t.rounds_since_sync(i));
+            assert_eq!(fresh.rounds_since_sync[i], t.rounds_since_sync[i]);
             assert_eq!(fresh.boundary_error(i), t.boundary_error(i));
         }
-    }
-
-    #[test]
-    fn sustainable_outage_math() {
-        // 20 ppm at 2 s rounds = 40 µs error per round; a 160 µs guard
-        // tolerates 4 rounds.
-        let rounds = SyncTracker::sustainable_outage_rounds(
-            20.0,
-            SimDuration::from_micros(160),
-            SimDuration::from_secs(2),
-        );
-        assert_eq!(rounds, 4);
-        assert_eq!(
-            SyncTracker::sustainable_outage_rounds(
-                0.0,
-                SimDuration::from_micros(160),
-                SimDuration::from_secs(2)
-            ),
-            u32::MAX
-        );
     }
 }

@@ -68,30 +68,6 @@ impl PoissonArrivals {
     }
 }
 
-/// A fixed trace of requests (replay of a recorded or hand-built workload).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceArrivals {
-    requests: Vec<Request>,
-}
-
-impl TraceArrivals {
-    /// Creates a trace, sorting by arrival time (stable for equal times).
-    pub fn new(mut requests: Vec<Request>) -> Self {
-        requests.sort_by_key(|r| (r.arrival, r.device));
-        TraceArrivals { requests }
-    }
-
-    /// The requests in arrival order.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
-    }
-
-    /// Consumes the trace, yielding the sorted requests.
-    pub fn into_requests(self) -> Vec<Request> {
-        self.requests
-    }
-}
-
 /// A synchronized burst: `count` devices all requested at the same instant —
 /// the worst case for load stacking that coordination must absorb.
 ///
@@ -160,16 +136,6 @@ mod tests {
     fn zero_rate_generates_nothing() {
         let gen = PoissonArrivals::new(0.0, 26);
         assert!(gen.generate(SimDuration::from_hours(10), 1).is_empty());
-    }
-
-    #[test]
-    fn trace_sorts_input() {
-        let trace = TraceArrivals::new(vec![
-            Request::new(DeviceId(1), SimTime::from_mins(10)),
-            Request::new(DeviceId(0), SimTime::from_mins(5)),
-        ]);
-        assert_eq!(trace.requests()[0].device, DeviceId(0));
-        assert_eq!(trace.into_requests().len(), 2);
     }
 
     #[test]

@@ -133,8 +133,8 @@ pub enum ScenarioError {
         /// What was wrong with the plan.
         reason: String,
     },
-    /// A replay trace was structurally invalid (a timestamp outside the
-    /// simulated window; monotonicity is enforced by construction).
+    /// A request trace was structurally invalid (an arrival before an
+    /// earlier one, or outside the simulated window).
     InvalidTrace {
         /// What was wrong with the trace.
         reason: String,
@@ -178,7 +178,7 @@ impl fmt::Display for ScenarioError {
                 write!(f, "probability {probability} must be within [0, 1]")
             }
             ScenarioError::MissingWorkload => {
-                write!(f, "scenario builder needs a workload (poisson/daily/trace)")
+                write!(f, "scenario builder needs a workload (poisson/daily)")
             }
             ScenarioError::ZeroDuration => write!(f, "duration must be positive"),
             ScenarioError::ZeroRoundPeriod => write!(f, "round period must be positive"),
@@ -303,28 +303,8 @@ impl DeviceClass {
         )
     }
 
-    /// The class name used in reports and errors.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The appliance kind of every device in the class.
-    pub fn kind(&self) -> ApplianceKind {
-        self.kind
-    }
-
-    /// Rated power per device, kW.
-    pub fn power_kw(&self) -> f64 {
-        self.power_kw
-    }
-
-    /// Duty-cycle constraints of every device in the class.
-    pub fn constraints(&self) -> DutyCycleConstraints {
-        self.constraints
-    }
-
     /// Number of devices in the class.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 
@@ -446,11 +426,6 @@ impl FleetSpec {
         FleetSpec::new(vec![DeviceClass::paper(26)]).expect("paper fleet is valid")
     }
 
-    /// The ordered device classes.
-    pub fn classes(&self) -> &[DeviceClass] {
-        &self.classes
-    }
-
     /// Total number of devices across all classes.
     pub fn device_count(&self) -> usize {
         self.device_count
@@ -477,17 +452,6 @@ impl FleetSpec {
                 constraints: c.constraints,
             })
     }
-
-    /// Mean energy one request obliges, kWh: a request activates one
-    /// uniformly random device for one minDCD instance of its class.
-    pub fn mean_energy_per_request_kwh(&self) -> f64 {
-        let total: f64 = self
-            .classes
-            .iter()
-            .map(|c| c.count as f64 * c.power_kw * c.constraints.min_dcd().as_hours_f64())
-            .sum();
-        total / self.device_count as f64
-    }
 }
 
 #[cfg(test)]
@@ -499,7 +463,7 @@ mod tests {
         let fleet = FleetSpec::paper();
         assert_eq!(fleet.device_count(), 26);
         assert_eq!(fleet.total_rated_kw(), 26.0);
-        assert_eq!(fleet.classes().len(), 1);
+        assert_eq!(fleet.classes.len(), 1);
         let specs: Vec<DeviceSpec> = fleet.specs().collect();
         assert_eq!(specs.len(), 26);
         for (i, s) in specs.iter().enumerate() {
@@ -588,25 +552,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ScenarioError::NotSchedulable { .. }));
         assert!(err.to_string().contains("Type-1"));
-    }
-
-    #[test]
-    fn mean_energy_per_request() {
-        // Paper: 1 kW × 0.25 h = 0.25 kWh whichever device is hit.
-        assert!((FleetSpec::paper().mean_energy_per_request_kwh() - 0.25).abs() < 1e-12);
-        // Mixed: (2 × 1.0 + 1 × 3.0) / 3 devices × 0.25 h.
-        let fleet = FleetSpec::new(vec![
-            DeviceClass::paper(2),
-            DeviceClass::new(
-                "heater",
-                ApplianceKind::WaterHeater,
-                3.0,
-                DutyCycleConstraints::paper(),
-                1,
-            ),
-        ])
-        .unwrap();
-        assert!((fleet.mean_energy_per_request_kwh() - 5.0 / 3.0 * 0.25).abs() < 1e-12);
     }
 
     #[test]

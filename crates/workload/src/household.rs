@@ -22,7 +22,7 @@ impl DailyProfile {
     /// # Panics
     ///
     /// Panics if any rate is negative or non-finite.
-    pub fn new(hourly_rate: [f64; 24]) -> Self {
+    pub(crate) fn new(hourly_rate: [f64; 24]) -> Self {
         assert!(
             hourly_rate.iter().all(|r| r.is_finite() && *r >= 0.0),
             "hourly rates must be finite and non-negative"
@@ -50,33 +50,14 @@ impl DailyProfile {
     }
 
     /// The rate at a given simulation instant (wraps daily).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         let hour = (t.as_secs() / 3600) % 24;
         self.hourly_rate[hour as usize]
     }
 
     /// The maximum rate across the day (the thinning envelope).
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         self.hourly_rate.iter().fold(0.0f64, |a, &b| a.max(b))
-    }
-
-    /// The mean daily rate.
-    pub fn mean_rate(&self) -> f64 {
-        self.hourly_rate.iter().sum::<f64>() / 24.0
-    }
-
-    /// The mean rate over `[0, duration)` (wrapping daily) — the honest
-    /// expectation for experiments shorter than a full day, where the
-    /// whole-day mean can be off by the peak-to-trough ratio.
-    pub fn mean_rate_over(&self, duration: SimDuration) -> f64 {
-        let hours = duration.as_hours_f64();
-        if hours == 0.0 {
-            return 0.0;
-        }
-        let full = hours.floor() as u64;
-        let mut rate_hours: f64 = (0..full).map(|h| self.hourly_rate[(h % 24) as usize]).sum();
-        rate_hours += (hours - full as f64) * self.hourly_rate[(full % 24) as usize];
-        rate_hours / hours
     }
 }
 
@@ -86,7 +67,7 @@ impl DailyProfile {
 /// # Panics
 ///
 /// Panics if `device_count` is zero.
-pub fn generate_household(
+pub(crate) fn generate_household(
     profile: &DailyProfile,
     device_count: usize,
     duration: SimDuration,
@@ -153,7 +134,7 @@ mod tests {
         let days = 40.0;
         let reqs = generate_household(&p, 26, SimDuration::from_hours(24 * 40), 9);
         let per_day = reqs.len() as f64 / days;
-        let expected = p.mean_rate() * 24.0;
+        let expected: f64 = p.hourly_rate.iter().sum();
         assert!(
             (per_day - expected).abs() < expected * 0.1,
             "per_day={per_day} expected={expected}"
@@ -166,19 +147,6 @@ mod tests {
         let a = generate_household(&p, 5, SimDuration::from_hours(48), 1);
         let b = generate_household(&p, 5, SimDuration::from_hours(48), 1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mean_rate_over_window() {
-        let p = DailyProfile::typical_household();
-        // First six hours: five at 0.5/h (night) plus one at 2.0/h.
-        assert!((p.mean_rate_over(SimDuration::from_hours(6)) - 0.75).abs() < 1e-12);
-        // A full day matches the whole-day mean; so does any multiple.
-        assert!((p.mean_rate_over(SimDuration::from_hours(24)) - p.mean_rate()).abs() < 1e-12);
-        assert!((p.mean_rate_over(SimDuration::from_hours(48)) - p.mean_rate()).abs() < 1e-12);
-        // Fractional hours weight the partial slot: 4.5 h of night.
-        assert!((p.mean_rate_over(SimDuration::from_mins(270)) - 0.5).abs() < 1e-12);
-        assert_eq!(p.mean_rate_over(SimDuration::ZERO), 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`ScenarioBuilder`]: heterogeneous fleets via [`crate::fleet::FleetSpec`]
 //! and time-varying workloads via [`Workload`].
 
-use crate::arrivals::{PoissonArrivals, TraceArrivals};
+use crate::arrivals::PoissonArrivals;
 use crate::fleet::{DeviceClass, FleetSpec, ScenarioError};
 use crate::household::{generate_household, DailyProfile};
 use crate::signal::PowerCapProfile;
@@ -54,9 +54,9 @@ impl fmt::Display for ArrivalRate {
 
 /// The request source driving a scenario.
 ///
-/// Unifies the constant-rate Poisson process of the paper's evaluation,
-/// the inhomogeneous time-of-day process from [`crate::household`], and
-/// fixed replay traces under one generator interface.
+/// Unifies the constant-rate Poisson process of the paper's evaluation and
+/// the inhomogeneous time-of-day process of a [`DailyProfile`] under
+/// one generator interface.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// Homogeneous Poisson arrivals at a constant aggregate rate.
@@ -67,38 +67,22 @@ pub enum Workload {
     /// Inhomogeneous Poisson arrivals following a 24-hour rate profile
     /// (morning/evening household peaks), via thinning.
     Daily(DailyProfile),
-    /// A fixed request trace, replayed as-is (the seed is ignored).
-    Trace(TraceArrivals),
 }
 
 impl Workload {
     /// Generates the request trace over `duration` across `device_count`
     /// devices, deterministically in `seed`.
-    pub fn generate(&self, device_count: usize, duration: SimDuration, seed: u64) -> Vec<Request> {
+    pub(crate) fn generate(
+        &self,
+        device_count: usize,
+        duration: SimDuration,
+        seed: u64,
+    ) -> Vec<Request> {
         match self {
             Workload::Poisson { rate_per_hour } => {
                 PoissonArrivals::new(*rate_per_hour, device_count).generate(duration, seed)
             }
             Workload::Daily(profile) => generate_household(profile, device_count, duration, seed),
-            Workload::Trace(trace) => trace.requests().to_vec(),
-        }
-    }
-
-    /// Mean aggregate arrival rate, requests per hour, over `[0, duration)`
-    /// (daily profiles integrate only the simulated window; traces average
-    /// their request count over it).
-    pub fn mean_rate_per_hour(&self, duration: SimDuration) -> f64 {
-        match self {
-            Workload::Poisson { rate_per_hour } => *rate_per_hour,
-            Workload::Daily(profile) => profile.mean_rate_over(duration),
-            Workload::Trace(trace) => {
-                let hours = duration.as_hours_f64();
-                if hours == 0.0 {
-                    0.0
-                } else {
-                    trace.requests().len() as f64 / hours
-                }
-            }
         }
     }
 
@@ -116,8 +100,8 @@ impl Workload {
 
 /// A complete experiment scenario: fleet + workload + duration + seed.
 ///
-/// Build one with [`Scenario::builder`], or use the presets
-/// [`Scenario::paper`] and [`Scenario::typical_day`]. Fields are public so
+/// Build one with [`Scenario::builder`], or use the preset
+/// [`Scenario::paper`]. Fields are public so
 /// sweeps can derive variants with struct-update syntax
 /// (`Scenario { seed, ..template.clone() }`).
 #[derive(Debug, Clone, PartialEq)]
@@ -170,11 +154,9 @@ impl Scenario {
         ScenarioBuilder {
             name: name.into(),
             classes: Vec::new(),
-            fleet: None,
             workload: None,
             duration: SimDuration::from_mins(350),
             seed: 0,
-            power_cap: None,
         }
     }
 
@@ -193,20 +175,6 @@ impl Scenario {
         }
     }
 
-    /// A 24-hour day on the paper's fleet driven by the
-    /// [`DailyProfile::typical_household`] time-of-day profile — quiet
-    /// nights, a morning spike and a strong evening peak.
-    pub fn typical_day(seed: u64) -> Self {
-        Scenario {
-            name: "typical day".into(),
-            fleet: FleetSpec::paper(),
-            workload: Workload::Daily(DailyProfile::typical_household()),
-            duration: SimDuration::from_hours(24),
-            seed,
-            power_cap: None,
-        }
-    }
-
     /// Number of devices in the fleet.
     pub fn device_count(&self) -> usize {
         self.fleet.device_count()
@@ -216,12 +184,6 @@ impl Scenario {
     pub fn requests(&self) -> Vec<Request> {
         self.workload
             .generate(self.fleet.device_count(), self.duration, self.seed)
-    }
-
-    /// Expected average load implied by the workload, in kW: every request
-    /// obliges one minDCD instance of one uniformly random device.
-    pub fn expected_average_load_kw(&self) -> f64 {
-        self.workload.mean_rate_per_hour(self.duration) * self.fleet.mean_energy_per_request_kwh()
     }
 
     /// Validates the scenario's own fields (workload and duration; the
@@ -239,9 +201,6 @@ impl Scenario {
         if self.duration.is_zero() {
             return Err(ScenarioError::ZeroDuration);
         }
-        if let Workload::Trace(trace) = &self.workload {
-            validate_trace_window(trace.requests(), self.duration)?;
-        }
         Ok(())
     }
 }
@@ -249,10 +208,8 @@ impl Scenario {
 /// Checks a fixed request trace against the simulated window: arrivals must
 /// be monotone non-decreasing and land within `[0, duration]`.
 ///
-/// [`TraceArrivals`] sorts on construction, so traces built through it are
-/// monotone already — the check guards direct field edits (a `Scenario`
-/// whose `workload` was swapped in place) and the online ingest path, which
-/// replays externally supplied arrivals under the same contract.
+/// The online ingest path replays externally supplied arrivals under this
+/// contract.
 ///
 /// # Errors
 ///
@@ -287,8 +244,8 @@ pub fn validate_trace_window(
 
 /// Validating builder for [`Scenario`].
 ///
-/// Collect device classes with [`class`](ScenarioBuilder::class) (or set a
-/// whole [`fleet`](ScenarioBuilder::fleet)), pick a workload, then
+/// Collect device classes with [`class`](ScenarioBuilder::class), pick a
+/// workload, then
 /// [`build`](ScenarioBuilder::build). All validation reports a typed
 /// [`ScenarioError`] — nothing panics on bad input.
 ///
@@ -316,24 +273,15 @@ pub fn validate_trace_window(
 pub struct ScenarioBuilder {
     name: String,
     classes: Vec<DeviceClass>,
-    fleet: Option<FleetSpec>,
     workload: Option<Workload>,
     duration: SimDuration,
     seed: u64,
-    power_cap: Option<PowerCapProfile>,
 }
 
 impl ScenarioBuilder {
     /// Appends a device class to the fleet (ids continue contiguously).
     pub fn class(mut self, class: DeviceClass) -> Self {
         self.classes.push(class);
-        self
-    }
-
-    /// Uses an already-assembled fleet; classes added with
-    /// [`class`](ScenarioBuilder::class) are appended after it.
-    pub fn fleet(mut self, fleet: FleetSpec) -> Self {
-        self.fleet = Some(fleet);
         self
     }
 
@@ -365,13 +313,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Imposes a grid-side admission cap on the home's coordinated planner
-    /// (default: none — the paper's unconstrained planner).
-    pub fn power_cap(mut self, cap: PowerCapProfile) -> Self {
-        self.power_cap = Some(cap);
-        self
-    }
-
     /// Validates and assembles the scenario.
     ///
     /// # Errors
@@ -379,18 +320,13 @@ impl ScenarioBuilder {
     /// [`ScenarioError`] if the fleet is empty or invalid, no workload was
     /// selected, a rate is invalid, or the duration is zero.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
-        let mut classes = match self.fleet {
-            Some(fleet) => fleet.classes().to_vec(),
-            None => Vec::new(),
-        };
-        classes.extend(self.classes);
         let scenario = Scenario {
             name: self.name,
-            fleet: FleetSpec::new(classes)?,
+            fleet: FleetSpec::new(self.classes)?,
             workload: self.workload.ok_or(ScenarioError::MissingWorkload)?,
             duration: self.duration,
             seed: self.seed,
-            power_cap: self.power_cap,
+            power_cap: None,
         };
         scenario.validate()?;
         Ok(scenario)
@@ -417,10 +353,11 @@ mod tests {
         let s = Scenario::paper(ArrivalRate::High, 1);
         assert_eq!(s.device_count(), 26);
         assert_eq!(s.duration, SimDuration::from_mins(350));
+        let (min_dcd, max_dcp) = (SimDuration::from_mins(15), SimDuration::from_mins(30));
+        let paper = DutyCycleConstraints::new(min_dcd, max_dcp).unwrap();
         for spec in s.fleet.specs() {
             assert_eq!(spec.power.as_kw(), 1.0);
-            assert_eq!(spec.constraints.min_dcd(), SimDuration::from_mins(15));
-            assert_eq!(spec.constraints.max_dcp(), SimDuration::from_mins(30));
+            assert_eq!(spec.constraints, paper);
         }
         assert_eq!(
             s.workload,
@@ -428,17 +365,6 @@ mod tests {
                 rate_per_hour: 30.0
             }
         );
-    }
-
-    #[test]
-    fn expected_average_loads() {
-        // 30/h × 1 kW × 0.25 h = 7.5 kW; 18/h → 4.5 kW; 4/h → 1 kW.
-        let high = Scenario::paper(ArrivalRate::High, 1).expected_average_load_kw();
-        let mod_ = Scenario::paper(ArrivalRate::Moderate, 1).expected_average_load_kw();
-        let low = Scenario::paper(ArrivalRate::Low, 1).expected_average_load_kw();
-        assert!((high - 7.5).abs() < 1e-12);
-        assert!((mod_ - 4.5).abs() < 1e-12);
-        assert!((low - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -464,8 +390,15 @@ mod tests {
     }
 
     #[test]
-    fn typical_day_preset_wires_daily_profile() {
-        let s = Scenario::typical_day(3);
+    fn daily_workload_is_evening_heavy() {
+        let s = Scenario {
+            name: "typical day".into(),
+            fleet: FleetSpec::paper(),
+            workload: Workload::Daily(DailyProfile::typical_household()),
+            duration: SimDuration::from_hours(24),
+            seed: 3,
+            power_cap: None,
+        };
         assert_eq!(s.duration, SimDuration::from_hours(24));
         assert!(matches!(s.workload, Workload::Daily(_)));
         let reqs = s.requests();
@@ -521,23 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_fleet_plus_classes_appends() {
-        let s = Scenario::builder("extended paper")
-            .fleet(FleetSpec::paper())
-            .class(DeviceClass::new(
-                "heater",
-                ApplianceKind::WaterHeater,
-                2.0,
-                DutyCycleConstraints::paper(),
-                2,
-            ))
-            .poisson(4.0)
-            .build()
-            .unwrap();
-        assert_eq!(s.device_count(), 28);
-    }
-
-    #[test]
     fn builder_rejects_bad_inputs() {
         let err = Scenario::builder("no fleet").poisson(4.0).build();
         assert_eq!(err, Err(ScenarioError::EmptyFleet));
@@ -562,53 +478,23 @@ mod tests {
     }
 
     #[test]
-    fn trace_workload_replays_fixed_requests() {
-        let trace = TraceArrivals::new(vec![
-            Request::new(DeviceId(1), SimTime::from_mins(10)),
-            Request::new(DeviceId(0), SimTime::from_mins(5)),
-        ]);
-        let s = Scenario::builder("replay")
-            .class(DeviceClass::paper(2))
-            .workload(Workload::Trace(trace))
-            .duration(SimDuration::from_mins(30))
-            .build()
-            .unwrap();
-        let reqs = s.requests();
-        assert_eq!(reqs.len(), 2);
-        assert_eq!(reqs[0].device, DeviceId(0));
-        // Mean rate of a trace: 2 requests over 0.5 h = 4/h.
-        assert!((s.workload.mean_rate_per_hour(s.duration) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn trace_outside_window_rejected() {
-        let trace = TraceArrivals::new(vec![
+        let reqs = vec![
             Request::new(DeviceId(0), SimTime::from_mins(5)),
             Request::new(DeviceId(1), SimTime::from_mins(45)),
-        ]);
-        let err = Scenario::builder("late replay")
-            .class(DeviceClass::paper(2))
-            .workload(Workload::Trace(trace))
-            .duration(SimDuration::from_mins(30))
-            .build()
-            .unwrap_err();
+        ];
+        let err = validate_trace_window(&reqs, SimDuration::from_mins(30)).unwrap_err();
         assert!(matches!(err, ScenarioError::InvalidTrace { .. }));
         assert!(err.to_string().contains("outside the simulated window"));
         // An arrival exactly at the window end is legal (inclusive bound,
         // matching the simulation's inclusive final round).
-        let trace = TraceArrivals::new(vec![Request::new(DeviceId(0), SimTime::from_mins(30))]);
-        assert!(Scenario::builder("edge replay")
-            .class(DeviceClass::paper(1))
-            .workload(Workload::Trace(trace))
-            .duration(SimDuration::from_mins(30))
-            .build()
-            .is_ok());
+        let edge = [Request::new(DeviceId(0), SimTime::from_mins(30))];
+        assert!(validate_trace_window(&edge, SimDuration::from_mins(30)).is_ok());
     }
 
     #[test]
     fn trace_window_helper_rejects_unsorted_slices() {
-        // TraceArrivals sorts, but the helper also guards raw slices fed
-        // through the online ingest path.
+        // The online ingest path feeds raw, possibly unsorted slices.
         let reqs = vec![
             Request::new(DeviceId(0), SimTime::from_mins(10)),
             Request::new(DeviceId(1), SimTime::from_mins(5)),
@@ -617,23 +503,6 @@ mod tests {
         assert!(matches!(err, ScenarioError::InvalidTrace { .. }));
         assert!(err.to_string().contains("precedes"));
         assert!(validate_trace_window(&[], SimDuration::from_mins(1)).is_ok());
-    }
-
-    #[test]
-    fn builder_carries_power_cap() {
-        let s = Scenario::builder("capped")
-            .class(DeviceClass::paper(3))
-            .poisson(4.0)
-            .power_cap(PowerCapProfile::constant(2.0).unwrap())
-            .build()
-            .unwrap();
-        assert_eq!(
-            s.power_cap.as_ref().map(|c| c.cap_at(SimTime::ZERO)),
-            Some(2.0)
-        );
-        // Presets and the default builder stay uncapped.
-        assert_eq!(Scenario::paper(ArrivalRate::Low, 0).power_cap, None);
-        assert_eq!(Scenario::typical_day(0).power_cap, None);
     }
 
     #[test]

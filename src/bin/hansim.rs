@@ -551,6 +551,13 @@ fn strategy_by_name(name: &str) -> Strategy {
     }
 }
 
+/// A reduction in percent, as the report lines print it: `−X%` when the
+/// coordinated value is no higher than the baseline, `+X%` when it rose.
+fn signed_reduction(percent: f64, decimals: usize) -> String {
+    let sign = if percent < 0.0 { '+' } else { '−' };
+    format!("{sign}{:.decimals$}%", percent.abs())
+}
+
 fn cost_line(cost: &CostBreakdown) -> String {
     format!(
         "energy {:.2} + demand {:.2} = {:.2}",
@@ -758,7 +765,9 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
                 None => println!("         recovery: no re-agreement events"),
             }
         }
-        if let Some(d) = &r.outcome.cp.dissemination {
+        // The uncoordinated strategy runs no CP round: it gets no CP line.
+        let ran_cp = r.outcome.cp.rounds > 0;
+        if let Some(d) = r.outcome.cp.dissemination.as_ref().filter(|_| ran_cp) {
             println!(
                 "         CP: reliability {:.2}%, radio duty cycle {:.1}%",
                 d.mean_reliability() * 100.0,
@@ -775,7 +784,11 @@ fn run_single_home(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
             results[0].1.summary.std_dev,
             results[1].1.summary.std_dev,
         );
-        println!("\ncoordination: peak −{peak_red:.0}%, variation −{std_red:.0}%");
+        println!(
+            "\ncoordination: peak {}, variation {}",
+            signed_reduction(peak_red, 0),
+            signed_reduction(std_red, 0)
+        );
     }
     Ok(())
 }
@@ -948,10 +961,10 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
     }
     let feeder_costs = report.feeder_costs(&billing);
     println!(
-        "\nfeeder: peak {:.2} → {:.2} kW (−{:.1}%), coincidence {:.2} → {:.2}",
+        "\nfeeder: peak {:.2} → {:.2} kW ({}), coincidence {:.2} → {:.2}",
         report.feeder_uncoordinated.peak,
         report.feeder_coordinated.peak,
-        report.feeder_peak_reduction_percent(),
+        signed_reduction(report.feeder_peak_reduction_percent(), 1),
         report.coincidence_factor_uncoordinated(),
         report.coincidence_factor_coordinated(),
     );
@@ -1404,10 +1417,10 @@ fn print_city_report(report: &CityReport, args: &CityArgs) {
     let billing = Billing::typical_residential();
     let costs = report.costs(&billing);
     println!(
-        "\ncity: peak {:.2} → {:.2} kW (−{:.1}%), coincidence {:.2} → {:.2}",
+        "\ncity: peak {:.2} → {:.2} kW ({}), coincidence {:.2} → {:.2}",
         report.uncoordinated.peak,
         report.coordinated.peak,
-        report.peak_reduction_percent(),
+        signed_reduction(report.peak_reduction_percent(), 1),
         report.coincidence_factor_uncoordinated(),
         report.coincidence_factor_coordinated(),
     );

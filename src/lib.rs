@@ -13,7 +13,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`sim`] | `han-sim` | deterministic time and RNG substrate |
-//! | [`radio`] | `han-radio` | 802.15.4 PHY, capture effect, energy |
+//! | [`radio`] | `han-radio` | 802.15.4 PHY, link model, capture effect |
 //! | [`net`] | `han-net` | topologies incl. the FlockLab-like testbed |
 //! | [`st`] | `han-st` | Glossy floods, MiniCast all-to-all rounds |
 //! | [`device`] | `han-device` | appliances, minDCD/maxDCP duty cycling |
@@ -88,6 +88,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub use han_core as core;
