@@ -187,6 +187,26 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_has_a_name() {
+        let kinds = [
+            ApplianceKind::Fan,
+            ApplianceKind::Television,
+            ApplianceKind::Laptop,
+            ApplianceKind::HairDryer,
+            ApplianceKind::Blender,
+            ApplianceKind::Lighting,
+            ApplianceKind::AirConditioner,
+            ApplianceKind::RoomHeater,
+            ApplianceKind::WaterHeater,
+            ApplianceKind::Fridge,
+            ApplianceKind::WaterCooler,
+        ];
+        for kind in kinds {
+            assert!(!kind.to_string().is_empty(), "{kind:?} has no name");
+        }
+    }
+
+    #[test]
     fn paper_device_is_1kw_type2() {
         let a = Appliance::paper_type2(DeviceId(3));
         assert_eq!(a.rated_power(), Watts::from_kw(1.0));

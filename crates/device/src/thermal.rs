@@ -6,7 +6,7 @@
 //! room model used in demand-response studies:
 //!
 //! ```text
-//! dT/dt = (T_ambient − T) / τ  ±  g · u(t)
+//! dT/dt = (T_ambient − T) / τ  −  g · u(t)
 //! ```
 //!
 //! where `τ` is the thermal time constant, `g` the cooling rate of the

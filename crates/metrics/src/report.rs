@@ -164,6 +164,12 @@ mod tests {
     }
 
     #[test]
+    fn csv_escaping() {
+        let csv = series_csv("x", &[0.0], &[("a,b\"c", &[1.0])]);
+        assert_eq!(csv.lines().next(), Some("x,\"a,b\"\"c\""));
+    }
+
+    #[test]
     #[should_panic(expected = "length mismatches")]
     fn series_csv_length_checked() {
         series_csv("x", &[0.0], &[("bad", &[1.0, 2.0])]);

@@ -66,22 +66,9 @@ impl Sub<Dbm> for Dbm {
     }
 }
 
-impl Add for Milliwatt {
-    type Output = Milliwatt;
-    fn add(self, other: Milliwatt) -> Milliwatt {
-        Milliwatt(self.0 + other.0)
-    }
-}
-
 impl fmt::Display for Dbm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.1} dBm", self.0)
-    }
-}
-
-impl fmt::Display for Milliwatt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.4} mW", self.0)
     }
 }
 

@@ -145,7 +145,7 @@ pub(crate) struct Flood {
     /// Number of transmissions each node made.
     pub(crate) tx_count: Vec<u32>,
     /// Number of slots each node spent listening.
-    pub listen_slots: Vec<u32>,
+    pub(crate) listen_slots: Vec<u32>,
     /// Slot in which each node will next transmit ([`NEVER`]: none).
     tx_at: Vec<usize>,
     /// This slot's transmitters in node order, their offsets, and a

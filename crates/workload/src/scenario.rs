@@ -365,6 +365,7 @@ mod tests {
                 rate_per_hour: 30.0
             }
         );
+        assert_eq!(s.power_cap, None);
     }
 
     #[test]
