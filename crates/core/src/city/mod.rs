@@ -27,13 +27,12 @@
 //!    *(seed, home-id)* pair, not a positional offset — so adding homes
 //!    or feeders never reshuffles another home's RNG stream (the latent
 //!    coupling [`Neighborhood::uniform`]'s positional `seed + i` has,
-//!    preserved there for digest compatibility and fixed here and in
-//!    [`Neighborhood::uniform_stable`]).
+//!    preserved there for digest compatibility and fixed here).
 //!
 //! No per-home trace is materialized at city scale: a shard folds each
 //! feeder's homes into one [`FeederAggregate`] (counters, the two
 //! per-minute series, per-home digests) and hands the aggregates up the
-//! feeder → substation → city tree as plain values (see [`tree`]).
+//! feeder → substation → city tree as plain values.
 //! Nothing in-process is encoded; only a worker process of the [`mp`]
 //! fleet serializes its aggregates, as `HANFAGG1` records.
 //!
@@ -60,7 +59,7 @@
 //! ```
 
 pub mod mp;
-pub mod tree;
+pub(crate) mod tree;
 
 use std::ops::Range;
 
@@ -69,7 +68,6 @@ use crate::experiment::{
     collect_results, compare_faulted, Comparison, CostComparison, SAMPLE_INTERVAL,
 };
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::feeder::{FeederPolicy, FeederReport};
 use crate::neighborhood::{Home, Neighborhood};
 use han_metrics::stats::Summary;
 use han_metrics::tariff::Billing;
@@ -86,11 +84,11 @@ pub use tree::{FeederAggregate, HomeDigest, SubstationSummary};
 /// partitioning (and therefore its shard-level obs metrics) does not
 /// depend on the machine it runs on; the report itself is
 /// shard-invariant either way.
-pub const DEFAULT_SHARDS: usize = 8;
+pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 /// Feeders reporting to one substation when
 /// [`CitySpec::substation_fanin`] is 0 (auto).
-pub const DEFAULT_SUBSTATION_FANIN: usize = 8;
+pub(crate) const DEFAULT_SUBSTATION_FANIN: usize = 8;
 
 /// Contiguous ranges partitioning `0..items` into `parts` pieces whose
 /// sizes differ by at most one — the single partition function shards
@@ -136,11 +134,10 @@ pub struct CitySpec {
     /// [`mix_seed`]`(seed, home_id)`.
     pub seed: u64,
     /// Shards to partition feeders across; 0 means auto
-    /// (`min(feeders, `[`DEFAULT_SHARDS`]`)`). The report is identical
+    /// (`min(feeders, 8)`). The report is identical
     /// for every valid value — that is the headline contract.
     pub shards: usize,
-    /// Feeders per substation in the reduction tree; 0 means
-    /// [`DEFAULT_SUBSTATION_FANIN`].
+    /// Feeders per substation in the reduction tree; 0 means 8.
     pub substation_fanin: usize,
 }
 
@@ -183,13 +180,6 @@ impl CitySpec {
         self
     }
 
-    /// Replaces the workload mix (builder-style).
-    #[must_use]
-    pub fn with_templates(mut self, templates: Vec<Scenario>) -> Self {
-        self.templates = templates;
-        self
-    }
-
     /// Scripts a fault timeline onto every home (builder-style).
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
@@ -212,7 +202,7 @@ impl CitySpec {
     /// feeder or an empty template mix;
     /// [`ScenarioError::TooManyShards`] when an explicit shard count
     /// exceeds the feeder count (feeders are the partitioning unit).
-    pub fn validate(&self) -> Result<(), ScenarioError> {
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         if self.feeders == 0 || self.homes_per_feeder == 0 || self.templates.is_empty() {
             return Err(ScenarioError::EmptyCity);
         }
@@ -239,7 +229,7 @@ impl CitySpec {
     }
 
     /// City-wide id of home `slot` on feeder `feeder`.
-    pub fn home_id(&self, feeder: usize, slot: usize) -> u64 {
+    pub(crate) fn home_id(&self, feeder: usize, slot: usize) -> u64 {
         (feeder * self.homes_per_feeder + slot) as u64
     }
 
@@ -282,7 +272,7 @@ impl CitySpec {
     }
 
     /// The shard count a run actually uses: the explicit setting, or
-    /// `min(feeders, `[`DEFAULT_SHARDS`]`)` for auto.
+    /// `min(feeders, 8)` for auto.
     pub fn effective_shards(&self) -> usize {
         if self.shards == 0 {
             self.feeders.clamp(1, DEFAULT_SHARDS)
@@ -292,7 +282,7 @@ impl CitySpec {
     }
 
     /// The substation fan-in a run actually uses.
-    pub fn effective_fanin(&self) -> usize {
+    pub(crate) fn effective_fanin(&self) -> usize {
         if self.substation_fanin == 0 {
             DEFAULT_SUBSTATION_FANIN
         } else {
@@ -311,7 +301,7 @@ impl CitySpec {
     /// change the records themselves: the display name, the shard
     /// count (the report is shard-invariant by contract) and the
     /// substation fan-in (a parent-side reduction detail).
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         // The same rotate-xor-multiply fold the checkpoint codec uses
         // for its run fingerprint.
         let mut d: u64 = 0x4841_4E43_4954_5931; // "HANCITY1"
@@ -385,7 +375,10 @@ impl City {
     ///
     /// # Errors
     ///
-    /// As [`CitySpec::validate`].
+    /// [`ScenarioError::EmptyCity`] for zero feeders, zero homes per
+    /// feeder or an empty template mix;
+    /// [`ScenarioError::TooManyShards`] when an explicit shard count
+    /// exceeds the feeder count.
     pub fn new(spec: CitySpec) -> Result<Self, ScenarioError> {
         spec.validate()?;
         Ok(City {
@@ -441,35 +434,6 @@ impl City {
             feeders,
             self.spec.effective_fanin(),
         ))
-    }
-
-    /// Runs the city under a feeder coordination policy: every feeder
-    /// coordinates its own homes against the broadcast signal (feeders
-    /// are electrically independent, so they coordinate independently),
-    /// and the city aggregates the signal-coordinated feeder states.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError`] for an invalid policy or home scenario.
-    pub fn run_with(&self, policy: &FeederPolicy) -> Result<CityCoordination, ScenarioError> {
-        policy.validate()?;
-        let reports = collect_results(
-            (0..self.spec.feeders)
-                .into_par_iter()
-                .map(|f| self.spec.feeder_neighborhood(f)?.run_with(policy))
-                .collect(),
-        )?;
-        let mut samples = Vec::new();
-        for report in &reports {
-            tree::sum_series(&mut samples, &report.feeder_samples);
-        }
-        let city = Summary::of(&samples);
-        Ok(CityCoordination {
-            name: self.spec.name.clone(),
-            feeders: reports,
-            samples,
-            city,
-        })
     }
 
     /// Runs one shard's contiguous feeder range home by home: each home
@@ -658,17 +622,6 @@ impl CityReport {
         han_metrics::stats::reduction_percent(self.uncoordinated.peak, self.coordinated.peak)
     }
 
-    /// Relative difference of the city average loads, percent (≈ 0:
-    /// coordination shifts load, it does not shed it).
-    pub fn average_gap_percent(&self) -> f64 {
-        let base = self.uncoordinated.mean;
-        if base == 0.0 {
-            0.0
-        } else {
-            (self.coordinated.mean - base).abs() / base * 100.0
-        }
-    }
-
     /// City coincidence factor, uncoordinated: city peak over the sum of
     /// feeder peaks (≤ 1).
     pub fn coincidence_factor_uncoordinated(&self) -> f64 {
@@ -698,33 +651,6 @@ impl CityReport {
             uncoordinated: billing.cost_of_samples(SAMPLE_INTERVAL, &self.samples_uncoordinated),
             coordinated: billing.cost_of_samples(SAMPLE_INTERVAL, &self.samples_coordinated),
         }
-    }
-}
-
-/// The outcome of a [`City::run_with`] feeder-coordination sweep: every
-/// feeder's [`FeederReport`] plus the city-level aggregate of the
-/// signal-coordinated end states.
-#[derive(Debug, Clone)]
-pub struct CityCoordination {
-    /// The city's name.
-    pub name: String,
-    /// Per-feeder coordination reports, in feeder order.
-    pub feeders: Vec<FeederReport>,
-    /// City load per minute under the signal (kW).
-    pub samples: Vec<f64>,
-    /// Summary of the signal-coordinated city series.
-    pub city: Summary,
-}
-
-impl CityCoordination {
-    /// Deadline misses across all feeders' signal-coordinated end
-    /// states (always 0: a feeder signal shapes admission, never an
-    /// obligation).
-    pub fn total_deadline_misses(&self) -> u32 {
-        self.feeders
-            .iter()
-            .map(FeederReport::total_deadline_misses)
-            .sum()
     }
 }
 
@@ -776,6 +702,14 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 6);
+        // Neighboring city seeds share no home workload: a positional
+        // `seed + i` would alias home i+1 of seed 7 with home i of seed 8.
+        let next = CitySpec::uniform("c", &tiny(8), CpModel::Ideal, 3, 2);
+        for f in 0..3 {
+            for h in 0..2 {
+                assert!(seeds.binary_search(&next.home_scenario(f, h).seed).is_err());
+            }
+        }
     }
 
     #[test]

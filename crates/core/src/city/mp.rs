@@ -28,7 +28,7 @@
 //! All integers are little-endian, written and read through the crate's
 //! one wire codec (shared with the `HANCKPT1`/`HANSRV01` snapshot
 //! formats). The handshake is versioned and carries the parent's
-//! expected [`CitySpec::fingerprint`] — a worker that derived a
+//! expected `CitySpec::fingerprint` — a worker that derived a
 //! different spec (version skew, mangled argv) fails with a typed
 //! [`WorkerError::FingerprintMismatch`] before a single record is
 //! reduced. Record frames are length-framed *and* the payload is a
@@ -81,7 +81,7 @@ use super::{partition, City, CityReport, CitySpec};
 use crate::wire::{Dec, Enc, WireError};
 
 /// Version carried (and required) by the `HANCITY1` handshake.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub(crate) const PROTOCOL_VERSION: u32 = 1;
 
 /// Magic prefix of the worker handshake.
 const MAGIC: &[u8; 8] = b"HANCITY1";
@@ -98,9 +98,9 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// The versioned header a worker writes before its record stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Handshake {
-    /// Protocol version ([`PROTOCOL_VERSION`]).
+    /// Protocol version the worker speaks.
     pub version: u32,
-    /// The worker's [`CitySpec::fingerprint`] of the spec it derived.
+    /// The worker's `CitySpec::fingerprint` of the spec it derived.
     pub fingerprint: u64,
     /// This worker's index in the fleet.
     pub worker: u32,
@@ -113,10 +113,10 @@ pub struct Handshake {
 }
 
 impl Handshake {
-    /// Serializes the handshake ([`HANDSHAKE_LEN`] bytes), appending to
-    /// `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut e = Enc::new(out);
+    /// Serializes the handshake ([`HANDSHAKE_LEN`] bytes).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HANDSHAKE_LEN);
+        let mut e = Enc::new(&mut out);
         e.raw(MAGIC);
         e.u32(self.version);
         e.u64(self.fingerprint);
@@ -124,12 +124,6 @@ impl Handshake {
         e.u32(self.workers);
         e.u32(self.first_feeder);
         e.u32(self.feeder_count);
-    }
-
-    /// Serializes to a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HANDSHAKE_LEN);
-        self.encode_into(&mut out);
         out
     }
 
@@ -429,7 +423,7 @@ pub enum WorkerError {
     FingerprintMismatch {
         /// Worker index.
         worker: usize,
-        /// The parent's [`CitySpec::fingerprint`].
+        /// The parent's `CitySpec::fingerprint`.
         expected: u64,
         /// The fingerprint the worker sent.
         found: u64,

@@ -71,18 +71,14 @@ pub struct FeederAggregate {
 }
 
 impl FeederAggregate {
-    /// Serializes the record, appending to `out` — same buffer-reuse
-    /// contract as [`han_device::status::StatusRecord::encode_into`].
-    /// Floats travel as their IEEE-754 bit patterns, so encode → decode
-    /// is the identity even for NaN payloads.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.write(&mut Enc::new(out));
-    }
-
-    /// Serializes to a fresh buffer.
+    /// Serializes the record to a fresh buffer: the bytes a worker
+    /// writes for it. Floats travel as their IEEE-754 bit patterns, so
+    /// encode → decode is the identity even for NaN payloads. A test
+    /// fixture (see the crate's "Public API"): the worker stream writes
+    /// records in place.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode_into(&mut out);
+        self.write(&mut Enc::new(&mut out));
         out
     }
 
@@ -300,9 +296,8 @@ mod tests {
 
     #[test]
     fn records_are_self_delimiting_in_a_stream() {
-        let mut stream = Vec::new();
-        sample_aggregate(0).encode_into(&mut stream);
-        sample_aggregate(1).encode_into(&mut stream);
+        let mut stream = sample_aggregate(0).encode();
+        stream.extend(sample_aggregate(1).encode());
         let (first, n) = FeederAggregate::decode(&stream).unwrap();
         let (second, m) = FeederAggregate::decode(&stream[n..]).unwrap();
         assert_eq!(n + m, stream.len());

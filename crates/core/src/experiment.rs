@@ -86,7 +86,7 @@ impl Comparison {
     /// under a billing scheme. Coordination attacks the demand-charge
     /// component directly (it cuts the peak); energy charges move only as
     /// far as load shifts across tariff boundaries.
-    pub fn costs(&self, billing: &Billing) -> CostComparison {
+    pub(crate) fn costs(&self, billing: &Billing) -> CostComparison {
         let end = SimTime::ZERO + self.scenario.duration;
         CostComparison {
             uncoordinated: billing.cost(&self.uncoordinated.outcome.trace, SimTime::ZERO, end),

@@ -38,7 +38,7 @@ impl ConvergenceCriterion {
     ///
     /// [`ScenarioError::InvalidConvergence`] for a zero iteration budget
     /// or a negative/non-finite tolerance.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         if self.max_iterations == 0 {
             return Err(ScenarioError::InvalidConvergence {
                 reason: "iteration budget must be at least 1",
@@ -89,18 +89,13 @@ pub struct ConvergenceTrace {
 impl ConvergenceTrace {
     /// Whether the run reached the tolerance (as opposed to running out
     /// of budget or oscillating).
-    pub fn converged(&self) -> bool {
+    pub(crate) fn converged(&self) -> bool {
         self.stop == StopReason::Converged
     }
 
     /// Iterations executed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.iterations.len()
-    }
-
-    /// Whether no iteration ran (never the case for a completed run).
-    pub fn is_empty(&self) -> bool {
-        self.iterations.is_empty()
     }
 }
 
@@ -111,8 +106,8 @@ impl ConvergenceTrace {
 /// [`observe`](ConvergenceTracker::observe); `Some(reason)` means stop.
 /// The tracker is pure bookkeeping over `&[f64]` series, so criterion
 /// edge cases are unit-testable without running any simulation.
-#[derive(Debug, Clone)]
-pub struct ConvergenceTracker {
+#[derive(Debug)]
+pub(crate) struct ConvergenceTracker {
     criterion: ConvergenceCriterion,
     /// The previous iterate (what `observe` diffs against).
     prev: Vec<f64>,
@@ -123,7 +118,7 @@ pub struct ConvergenceTracker {
 
 impl ConvergenceTracker {
     /// Creates a tracker seeded with the starting aggregate.
-    pub fn new(criterion: ConvergenceCriterion, initial: Vec<f64>) -> Self {
+    pub(crate) fn new(criterion: ConvergenceCriterion, initial: Vec<f64>) -> Self {
         ConvergenceTracker {
             criterion,
             prev: initial,
@@ -134,7 +129,7 @@ impl ConvergenceTracker {
 
     /// Records one iteration's aggregate; returns the stop reason once the
     /// criterion fires.
-    pub fn observe(&mut self, aggregate: &[f64]) -> Option<StopReason> {
+    pub(crate) fn observe(&mut self, aggregate: &[f64]) -> Option<StopReason> {
         let change = max_abs_diff(aggregate, &self.prev);
         let iteration = self.records.len() + 1;
         self.records.push(IterationRecord {
@@ -160,7 +155,7 @@ impl ConvergenceTracker {
     }
 
     /// Finalizes the history into a trace.
-    pub fn into_trace(self, stop: StopReason) -> ConvergenceTrace {
+    pub(crate) fn into_trace(self, stop: StopReason) -> ConvergenceTrace {
         ConvergenceTrace {
             iterations: self.records,
             stop,

@@ -23,6 +23,7 @@
 //!
 //! Both are deterministic: same neighborhood, same policy, same report.
 
+use crate::city::tree;
 use crate::experiment::{collect_results, run_strategy_faulted, StrategyResult, SAMPLE_INTERVAL};
 use crate::fault::degrade_cap_profile;
 use crate::feeder::convergence::{ConvergenceCriterion, ConvergenceTracker, StopReason};
@@ -61,7 +62,7 @@ pub struct FeederPolicy {
     pub convergence: ConvergenceCriterion,
     /// How long a home keeps acting on its last-known-good cap when its
     /// fault plan drops the broadcast (a [`FaultEvent::SignalLoss`]
-    /// window — see [`degrade_cap_profile`]). Past the horizon the home
+    /// window — see `degrade_cap_profile`). Past the horizon the home
     /// fails **open**: admission is unconstrained, obligations are
     /// untouched, so dropout can never cause a deadline miss.
     ///
@@ -95,7 +96,7 @@ impl FeederPolicy {
     /// # Errors
     ///
     /// [`ScenarioError`] for the first invalid field.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         self.signal.validate()?;
         self.convergence.validate()
     }
@@ -138,7 +139,7 @@ pub struct FeederReport {
     /// Which iterate the report's end state is: `0` is the independent
     /// (signal-free) seed, `k ≥ 1` the k-th iteration. The coordinator
     /// commits the iterate that best serves the signal's own objective
-    /// ([`FeederSignal::score`]), so an oscillating iteration can never
+    /// (`FeederSignal::score`), so an oscillating iteration can never
     /// regress the street below its signal-free state.
     pub selected_iteration: usize,
 }
@@ -207,26 +208,6 @@ impl FeederReport {
         )
     }
 
-    /// Feeder-peak reduction versus the uncoordinated baseline, percent.
-    pub fn feeder_peak_vs_uncoordinated_percent(&self) -> f64 {
-        han_metrics::stats::reduction_percent(
-            self.baseline.feeder_uncoordinated.peak,
-            self.feeder.peak,
-        )
-    }
-
-    /// Relative difference of the signal-coordinated and independently
-    /// coordinated feeder averages, percent (≈ 0: a signal shifts load,
-    /// it does not shed it).
-    pub fn average_gap_vs_independent_percent(&self) -> f64 {
-        let base = self.baseline.feeder_coordinated.mean;
-        if base == 0.0 {
-            0.0
-        } else {
-            (self.feeder.mean - base).abs() / base * 100.0
-        }
-    }
-
     /// Deadline misses summed over all homes under the signal (the
     /// planner's forcing keeps this at the independent baseline's level —
     /// normally zero — under any signal).
@@ -242,34 +223,6 @@ impl FeederReport {
     pub fn feeder_cost(&self, billing: &Billing) -> CostBreakdown {
         billing.cost_of_samples(SAMPLE_INTERVAL, &self.feeder_samples)
     }
-
-    /// Prices every home's signal-coordinated exact load trace,
-    /// `(home name, cost)` in home order.
-    pub fn home_costs(&self, billing: &Billing) -> Vec<(String, CostBreakdown)> {
-        self.homes
-            .iter()
-            .zip(&self.baseline.homes)
-            .map(|(h, b)| {
-                let end = han_sim::time::SimTime::ZERO + b.comparison.scenario.duration;
-                (
-                    h.name.clone(),
-                    billing.cost(&h.result.outcome.trace, han_sim::time::SimTime::ZERO, end),
-                )
-            })
-            .collect()
-    }
-}
-
-/// Elementwise sum of per-home series (shorter series pad with zero).
-fn sum_series(series: &[Vec<f64>]) -> Vec<f64> {
-    let len = series.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = vec![0.0f64; len];
-    for s in series {
-        for (sum, &kw) in out.iter_mut().zip(s) {
-            *sum += kw;
-        }
-    }
-    out
 }
 
 /// Re-simulates one home against an admission cap (the signal-aware hook:
@@ -328,7 +281,10 @@ pub(crate) fn coordinate(
         .iter()
         .map(|h| h.comparison.coordinated.clone())
         .collect();
-    let mut aggregate = sum_series(&home_samples);
+    let mut aggregate = Vec::new();
+    for samples in &home_samples {
+        tree::sum_series(&mut aggregate, samples);
+    }
     let mut tracker = ConvergenceTracker::new(policy.convergence, aggregate.clone());
     // Candidate 0: the signal-free independent solution. Every iterate is
     // feasible (obligations are force-protected), so the coordinator is
@@ -389,7 +345,10 @@ pub(crate) fn coordinate(
         // Recompute from scratch once per iteration: scores, norms and
         // the reported series stay exact, with no accumulated float drift
         // from the in-place updates.
-        aggregate = sum_series(&home_samples);
+        aggregate.clear();
+        for samples in &home_samples {
+            tree::sum_series(&mut aggregate, samples);
+        }
         iteration += 1;
         let score = policy.signal.score(&aggregate);
         if score < best_score {
@@ -512,7 +471,8 @@ mod tests {
         assert_eq!(report.total_deadline_misses(), 0);
         // Energy is shifted, not shed; the slack allows for admissions
         // deferred past the end of the short sampling window.
-        assert!(report.average_gap_vs_independent_percent() < 12.0);
+        let base = report.baseline.feeder_coordinated.mean;
+        assert!((report.feeder.mean - base).abs() / base * 100.0 < 12.0);
         assert!(report.iterations() <= policy.convergence.max_iterations);
     }
 
@@ -644,9 +604,18 @@ mod tests {
         let billing = Billing::typical_residential();
         let feeder_cost = report.feeder_cost(&billing);
         assert!(feeder_cost.total() > 0.0);
-        let homes = report.home_costs(&billing);
-        assert_eq!(homes.len(), 2);
-        let home_energy: f64 = homes.iter().map(|(_, c)| c.energy_cost).sum();
+        // Each home's signal-coordinated exact trace, priced over the run.
+        assert_eq!(report.homes.len(), 2);
+        let end = han_sim::time::SimTime::ZERO + short_paper(11).duration;
+        let home_energy: f64 = report
+            .homes
+            .iter()
+            .map(|h| {
+                billing
+                    .cost(&h.result.outcome.trace, han_sim::time::SimTime::ZERO, end)
+                    .energy_cost
+            })
+            .sum();
         assert!((feeder_cost.energy_cost - home_energy).abs() / home_energy < 0.05);
     }
 }

@@ -54,9 +54,7 @@ mod convergence;
 mod coordinator;
 mod signal;
 
-pub use convergence::{
-    ConvergenceCriterion, ConvergenceTrace, ConvergenceTracker, IterationRecord, StopReason,
-};
+pub use convergence::{ConvergenceCriterion, ConvergenceTrace, IterationRecord, StopReason};
 pub use coordinator::{FeederHomeResult, FeederPolicy, FeederReport, IterationPolicy};
 pub use signal::FeederSignal;
 

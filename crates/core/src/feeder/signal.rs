@@ -77,7 +77,7 @@ impl FeederSignal {
     ///
     /// [`ScenarioError::InvalidCapProfile`] for a negative or non-finite
     /// elasticity or utilization (profiles are valid by construction).
-    pub fn validate(&self) -> Result<(), ScenarioError> {
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         match self {
             FeederSignal::Capacity(_) => Ok(()),
             FeederSignal::TimeOfUse { elasticity, .. } => {
@@ -101,7 +101,7 @@ impl FeederSignal {
 
     /// Whether the resolved caps depend on the aggregate (aggregate-blind
     /// signals reach their fixed point after a single re-plan).
-    pub fn tracks_aggregate(&self) -> bool {
+    pub(crate) fn tracks_aggregate(&self) -> bool {
         !matches!(self, FeederSignal::TimeOfUse { .. })
     }
 
@@ -118,7 +118,7 @@ impl FeederSignal {
     /// (signal-free) solution and commits the best-scoring iterate, so a
     /// signal can only improve its own objective, never regress it — even
     /// when an undamped Jacobi iteration oscillates.
-    pub fn score(&self, aggregate: &[f64]) -> (f64, f64) {
+    pub(crate) fn score(&self, aggregate: &[f64]) -> (f64, f64) {
         let peak = aggregate.iter().copied().fold(0.0f64, f64::max);
         match self {
             FeederSignal::Capacity(profile) => {

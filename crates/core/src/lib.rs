@@ -37,6 +37,25 @@
 //! planner and its schedules — is private to this crate: callers
 //! configure runs and read their reports.
 //!
+//! # Public API
+//!
+//! What `hansim`, the root crate's prelude, the bench bins, perfbench and
+//! the examples call: the CP models, simulation configs and outcomes,
+//! the experiment harness, fault plans and checkpoints, neighborhoods
+//! with their feeder policies and reports, the city with its worker
+//! fleet (`city::mp`), and the online driver with its protocol and serve
+//! loop — plus every type that appears in those signatures. Everything
+//! else is crate-private. A few items have no production caller outside
+//! this crate and stay public because tests in other crates build with
+//! them: [`FaultPlan::from_events`] (the fault, city and obs batteries
+//! draw random event lists), [`Checkpoint::round`] (the kill/restore
+//! battery checks where a snapshot resumes), the `HANFAGG1` and
+//! `HANCITY1` codecs [`FeederAggregate::encode`] /
+//! [`FeederAggregate::decode`] and [`city::mp::Handshake::encode`] /
+//! [`city::mp::Handshake::decode`] with [`city::mp::MAX_FRAME_LEN`] (the
+//! adversarial wire battery attacks the production codec), and
+//! [`online::MAX_CLIENTS`] (the daemon battery fills every slot).
+//!
 //! # Examples
 //!
 //! The paper scenario, coordinated vs. uncoordinated:
@@ -78,9 +97,9 @@ mod wire;
 
 pub use algorithm::{PlanConfig, SchedulingRule};
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use city::{City, CityCoordination, CityReport, CitySpec, FeederAggregate, HomeDigest};
+pub use city::{City, CityReport, CitySpec, FeederAggregate, HomeDigest};
 pub use cp::{CpModel, CpStats};
-pub use fault::{degrade_cap_profile, FaultEvent, FaultPlan};
+pub use fault::{FaultEvent, FaultPlan};
 pub use feeder::{
     ConvergenceCriterion, ConvergenceTrace, FeederPolicy, FeederReport, FeederSignal,
     IterationPolicy, StopReason,

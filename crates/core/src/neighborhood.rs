@@ -83,7 +83,7 @@ impl Home {
     /// Scripts a fault timeline onto this home (builder-style). Homes
     /// fail independently — each plan names nodes in its own HAN.
     #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
@@ -122,9 +122,8 @@ impl Neighborhood {
     /// seed-`s` street draws the same workload as home `i−1` of a
     /// seed-`s+1` street, and inserting a home reshuffles every
     /// downstream RNG stream. It is preserved here because released
-    /// digests pin it; new call sites should prefer
-    /// [`Neighborhood::uniform_stable`], and the city layer
-    /// ([`crate::city`]) always derives stable seeds.
+    /// digests pin it; the city layer ([`crate::city`]) derives stable
+    /// seeds.
     ///
     /// # Errors
     ///
@@ -140,37 +139,6 @@ impl Neighborhood {
                 let scenario = Scenario {
                     name: format!("{} #{i}", template.name),
                     seed: template.seed.wrapping_add(i as u64),
-                    ..template.clone()
-                };
-                Home::new(scenario, cp.clone())
-            })
-            .collect();
-        Neighborhood::new(name, homes)
-    }
-
-    /// Like [`Neighborhood::uniform`], but with **stable** per-home
-    /// seeds: home `i` draws from
-    /// [`mix_seed`](han_sim::rng::mix_seed)`(template.seed, i)`, a
-    /// splitmix over the *(seed, home-id)* pair. Neighboring template
-    /// seeds share no home workloads, and growing the street never
-    /// reshuffles an existing home's RNG stream. Digests differ from
-    /// [`Neighborhood::uniform`] by design — this is a different seed
-    /// derivation, not a different simulator.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::EmptyNeighborhood`] if `count` is zero.
-    pub fn uniform_stable(
-        name: impl Into<String>,
-        template: &Scenario,
-        cp: CpModel,
-        count: usize,
-    ) -> Result<Self, ScenarioError> {
-        let homes = (0..count)
-            .map(|i| {
-                let scenario = Scenario {
-                    name: format!("{} #{i}", template.name),
-                    seed: han_sim::rng::mix_seed(template.seed, i as u64),
                     ..template.clone()
                 };
                 Home::new(scenario, cp.clone())
@@ -374,18 +342,6 @@ impl NeighborhoodReport {
             .map(|h| (h.name.clone(), h.comparison.costs(billing)))
             .collect()
     }
-
-    /// Mean of a per-home metric.
-    pub fn mean_home_metric(&self, metric: impl Fn(&Comparison) -> f64) -> f64 {
-        if self.homes.is_empty() {
-            return 0.0;
-        }
-        self.homes
-            .iter()
-            .map(|h| metric(&h.comparison))
-            .sum::<f64>()
-            / self.homes.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -411,24 +367,6 @@ mod tests {
         assert_eq!(hood.device_count(), 4 * 26);
         let seeds: Vec<u64> = hood.homes.iter().map(|h| h.scenario.seed).collect();
         assert_eq!(seeds, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn uniform_stable_decorrelates_neighboring_template_seeds() {
-        let a = Neighborhood::uniform_stable("s", &short_paper(10), CpModel::Ideal, 4).unwrap();
-        let b = Neighborhood::uniform_stable("s", &short_paper(11), CpModel::Ideal, 4).unwrap();
-        // The positional path would alias a's home i+1 with b's home i;
-        // the stable path shares no seed between the two streets at all.
-        for ha in &a.homes {
-            for hb in &b.homes {
-                assert_ne!(ha.scenario.seed, hb.scenario.seed);
-            }
-        }
-        // Growing a stable street never reshuffles existing homes.
-        let grown = Neighborhood::uniform_stable("s", &short_paper(10), CpModel::Ideal, 6).unwrap();
-        for (small, big) in a.homes.iter().zip(&grown.homes) {
-            assert_eq!(small.scenario.seed, big.scenario.seed);
-        }
     }
 
     #[test]
@@ -499,9 +437,10 @@ mod tests {
         ] {
             assert!(cf > 0.0 && cf <= 1.0 + 1e-9, "coincidence factor {cf}");
         }
-        let mean_peak_red =
-            report.mean_home_metric(crate::experiment::Comparison::peak_reduction_percent);
-        assert!(mean_peak_red.is_finite());
+        assert!(report
+            .homes
+            .iter()
+            .all(|h| h.comparison.peak_reduction_percent().is_finite()));
     }
 
     #[test]

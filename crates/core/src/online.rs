@@ -10,10 +10,10 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`driver`] | [`OnlineDriver`]: the round loop as a drivable object, plus `HANSRV01` service snapshots |
-//! | [`ingest`] | telemetry validation and translation into injections, fault events and tariff history |
+//! | `driver` | [`OnlineDriver`]: the round loop as a drivable object, plus `HANSRV01` service snapshots |
+//! | `ingest` | telemetry validation and translation into injections, fault events and tariff history |
 //! | [`protocol`] | the `STATUS` / `SCHEDULE` / `FEEDER` / `INJECT` / `ADVANCE` / `CHECKPOINT` / `SHUTDOWN` line protocol |
-//! | [`server`] | the serve loop: one driver thread (pacing, auto-checkpoints) and a thread per connection on one `TcpListener` |
+//! | `server` | the serve loop: one driver thread (pacing, auto-checkpoints) and a thread per connection on one `TcpListener` |
 //!
 //! # Determinism contract
 //!
@@ -37,7 +37,7 @@
 //! and read the service status.
 //!
 //! ```
-//! use han_core::online::{OnlineDriver, Command};
+//! use han_core::online::OnlineDriver;
 //! use han_core::online::protocol::respond;
 //! use han_core::simulation::{HanSimulation, SimulationConfig, Strategy};
 //! use han_workload::telemetry::TelemetryEvent;
@@ -58,12 +58,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod driver;
-pub mod ingest;
+mod driver;
+mod ingest;
 pub mod protocol;
-pub mod server;
+mod server;
 
-pub use driver::{FeederStatus, NodeSchedule, OnlineDriver, OnlineStatus};
+pub use driver::OnlineDriver;
 pub use ingest::OnlineError;
-pub use protocol::{Command, Response};
-pub use server::{serve, Pace, ServeOptions};
+pub use protocol::Response;
+pub use server::{serve, Pace, ServeOptions, MAX_CLIENTS};

@@ -52,8 +52,8 @@ use super::ingest::{absorbing_round, merge_cap, translate, Action, IngestContext
 const MAGIC: &[u8; 8] = b"HANSRV01";
 
 /// A point-in-time view of the running service, as reported by `STATUS`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineStatus {
+#[derive(Debug)]
+pub(crate) struct OnlineStatus {
     /// The round the driver will execute next.
     pub next_round: u64,
     /// Rounds in the full simulated window.
@@ -79,8 +79,8 @@ pub struct OnlineStatus {
 }
 
 /// One node's actuation state, as reported by `SCHEDULE <node>`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeSchedule {
+#[derive(Debug)]
+pub(crate) struct NodeSchedule {
     /// The node (device interface) index.
     pub node: usize,
     /// Whether the appliance is currently drawing power.
@@ -98,8 +98,8 @@ pub struct NodeSchedule {
 }
 
 /// The feeder-side view, as reported by `FEEDER`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeederStatus {
+#[derive(Debug)]
+pub(crate) struct FeederStatus {
     /// The admission cap in force right now, kW (`None` = unconstrained).
     pub cap_kw: Option<f64>,
     /// Last recorded total load, kW.
@@ -112,7 +112,7 @@ pub struct FeederStatus {
 }
 
 /// A long-lived, externally drivable simulation: the batch round loop
-/// turned into a daemon-able service (see the [module docs](self)).
+/// turned into a daemon-able service (see the [module docs](crate::online)).
 pub struct OnlineDriver {
     driver: Driver,
     period: SimDuration,
@@ -191,14 +191,14 @@ impl OnlineDriver {
     }
 
     /// The attached observability sink, if any.
-    pub fn observability(&self) -> Option<&Arc<ObsSink>> {
+    pub(crate) fn observability(&self) -> Option<&Arc<ObsSink>> {
         self.sink.as_ref()
     }
 
     /// Prometheus text exposition of the attached registry, with the
     /// simulation's cumulative totals freshly published. `None` without a
     /// sink.
-    pub fn metrics_text(&self) -> Option<String> {
+    pub(crate) fn metrics_text(&self) -> Option<String> {
         let sink = self.sink.as_ref()?;
         self.driver.publish_obs();
         Some(sink.exposition())
@@ -206,7 +206,7 @@ impl OnlineDriver {
 
     /// The flight-recorder ring as `(events, JSONL)`, oldest first.
     /// `None` without a sink.
-    pub fn flight_jsonl(&self) -> Option<(usize, String)> {
+    pub(crate) fn flight_jsonl(&self) -> Option<(usize, String)> {
         let sink = self.sink.as_ref()?;
         Some((sink.flight().len(), sink.flight().jsonl()))
     }
@@ -214,7 +214,7 @@ impl OnlineDriver {
     /// Registry-derived `STATUS` enrichment (leading space included);
     /// empty without a sink, keeping the base fields byte-stable for
     /// sink-free services.
-    pub fn status_obs_suffix(&self) -> String {
+    pub(crate) fn status_obs_suffix(&self) -> String {
         let Some(sink) = self.sink.as_ref() else {
             return String::new();
         };
@@ -336,20 +336,13 @@ impl OnlineDriver {
         }
     }
 
-    /// Advances until the simulated clock has covered `time`: every
-    /// round whose phase instant is at or before `time` executes.
-    pub fn advance_to_time(&mut self, time: SimTime) {
-        let covered = time.min(self.end);
-        self.advance_to(covered.as_micros() / self.period.as_micros() + 1);
-    }
-
     /// Runs the remaining window to completion.
     pub fn run_to_end(&mut self) {
         self.advance_to(self.total_rounds);
     }
 
     /// Whether the full window has been simulated.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.driver.next_round() >= self.total_rounds
     }
 
@@ -364,12 +357,12 @@ impl OnlineDriver {
     }
 
     /// The simulated instant of the next round (capped at the horizon).
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         (SimTime::ZERO + self.period * self.driver.next_round()).min(self.end)
     }
 
     /// The current service status (the `STATUS` reply).
-    pub fn status(&self) -> OnlineStatus {
+    pub(crate) fn status(&self) -> OnlineStatus {
         let now = self.now();
         OnlineStatus {
             next_round: self.driver.next_round(),
@@ -391,7 +384,7 @@ impl OnlineDriver {
     /// # Errors
     ///
     /// [`OnlineError::UnknownNode`] for an index outside the fleet.
-    pub fn schedule_of(&self, node: usize) -> Result<NodeSchedule, OnlineError> {
+    pub(crate) fn schedule_of(&self, node: usize) -> Result<NodeSchedule, OnlineError> {
         let devices = self.driver.devices();
         let di = devices.get(node).ok_or(OnlineError::UnknownNode {
             node,
@@ -410,7 +403,7 @@ impl OnlineDriver {
     }
 
     /// The feeder-side view (the `FEEDER` reply).
-    pub fn feeder(&self) -> FeederStatus {
+    pub(crate) fn feeder(&self) -> FeederStatus {
         let now = self.now();
         let cap_kw = self
             .cap
@@ -442,7 +435,7 @@ impl OnlineDriver {
 
     /// Serializes the full service state: the telemetry log plus an
     /// embedded state checkpoint, fingerprinted over the *grown*
-    /// request/fault state (see the [module docs](self)).
+    /// request/fault state (see the [module docs](crate::online)).
     pub fn snapshot(&self) -> Vec<u8> {
         let checkpoint = Checkpoint {
             state: self.driver.export_state(self.driver.fingerprint()),

@@ -31,8 +31,8 @@ use super::ingest::OnlineError;
 use std::fmt::Write as _;
 
 /// One parsed protocol command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Command {
     /// `STATUS` — service status.
     Status,
     /// `SCHEDULE <node>` — one node's actuation state.
@@ -60,7 +60,7 @@ impl Command {
     /// # Errors
     ///
     /// [`OnlineError::BadCommand`] naming what was wrong.
-    pub fn parse(line: &str) -> Result<Command, OnlineError> {
+    pub(crate) fn parse(line: &str) -> Result<Command, OnlineError> {
         let line = line.trim();
         let bad = |reason: String| OnlineError::BadCommand { reason };
         let (verb, rest) = match line.split_once(char::is_whitespace) {
@@ -160,7 +160,7 @@ pub fn respond(driver: &mut OnlineDriver, line: &str) -> Response {
 ///
 /// Any [`OnlineError`] the operation reports; [`respond`] renders these
 /// as `ERR` lines.
-pub fn execute(driver: &mut OnlineDriver, cmd: Command) -> Result<Response, OnlineError> {
+pub(crate) fn execute(driver: &mut OnlineDriver, cmd: Command) -> Result<Response, OnlineError> {
     Ok(match cmd {
         Command::Status => {
             let s = driver.status();

@@ -97,7 +97,7 @@ const FREE_CHUNK: u64 = 64;
 /// longer line is answered with a typed `ERR` and its connection is
 /// closed, so a client that never sends a newline holds at most this
 /// much of the daemon's memory.
-pub const MAX_LINE_BYTES: usize = 64 * 1024;
+pub(crate) const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// The most connections served at once. The next one is answered with
 /// `ERR too many clients` and closed.
@@ -178,7 +178,7 @@ fn handle_line(
 /// [`OnlineError`] from replay ingest or socket setup. Protocol-level
 /// errors never surface here — they become `ERR` replies and the loop
 /// continues — and neither do failed auto-checkpoints (see the
-/// [module docs](self)).
+/// [module docs](crate::online)).
 pub fn serve(
     mut driver: OnlineDriver,
     opts: &ServeOptions,

@@ -85,18 +85,6 @@ pub struct ViewPoolStats {
     pub per_node_bytes: usize,
 }
 
-impl ViewPoolStats {
-    /// `per_node_bytes / resident_bytes`: how many times smaller the pool
-    /// is than the dense per-node layout (1.0 when neither allocates).
-    pub fn bytes_reduction(&self) -> f64 {
-        if self.resident_bytes == 0 {
-            1.0
-        } else {
-            self.per_node_bytes as f64 / self.resident_bytes as f64
-        }
-    }
-}
-
 /// A content-addressed, reference-counted store of [`SystemView`]s.
 ///
 /// All views in one pool must have the same slot count (one per device of
@@ -656,7 +644,7 @@ mod tests {
         assert_eq!(s.slots, 2);
         assert_eq!(s.resident_bytes, 2 * pool.bytes_per_view());
         assert_eq!(s.per_node_bytes, 10 * pool.bytes_per_view());
-        assert!(s.bytes_reduction() > 1.0);
+        assert!(s.per_node_bytes > s.resident_bytes);
         pool.release(b);
     }
 }

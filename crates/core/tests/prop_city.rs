@@ -92,10 +92,12 @@ prop_compose! {
             .into_iter()
             .map(|(devices, rate)| template(devices, f64::from(rate)))
             .collect();
-        CitySpec::uniform("prop city", &template(3, 6.0), cp_for(cp_pick), feeders, homes_per_feeder)
-            .with_templates(templates)
-            .with_seed(seed)
-            .with_faults(faults_for(faulted, fault_node, down_min, outage_min))
+        CitySpec {
+            templates,
+            ..CitySpec::uniform("prop city", &template(3, 6.0), cp_for(cp_pick), feeders, homes_per_feeder)
+        }
+        .with_seed(seed)
+        .with_faults(faults_for(faulted, fault_node, down_min, outage_min))
     }
 }
 
@@ -118,7 +120,7 @@ proptest! {
             prop_assert_eq!(agg.homes as usize, oracle.homes.len());
             for (slot, home) in oracle.homes.iter().enumerate() {
                 let digest = digest_cursor.next().expect("digest per home");
-                prop_assert_eq!(digest.home, spec.home_id(feeder, slot));
+                prop_assert_eq!(digest.home, (feeder * spec.homes_per_feeder + slot) as u64);
                 prop_assert_eq!(
                     digest.coordinated,
                     home.comparison.coordinated.outcome.schedule_digest,

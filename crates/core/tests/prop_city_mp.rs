@@ -103,10 +103,12 @@ prop_compose! {
             .into_iter()
             .map(|(devices, rate)| template(devices, f64::from(rate)))
             .collect();
-        CitySpec::uniform("prop city mp", &template(3, 6.0), cp_for(cp_pick), feeders, homes_per_feeder)
-            .with_templates(templates)
-            .with_seed(seed)
-            .with_faults(faults_for(faulted, fault_node, down_min, outage_min))
+        CitySpec {
+            templates,
+            ..CitySpec::uniform("prop city mp", &template(3, 6.0), cp_for(cp_pick), feeders, homes_per_feeder)
+        }
+        .with_seed(seed)
+        .with_faults(faults_for(faulted, fault_node, down_min, outage_min))
     }
 }
 

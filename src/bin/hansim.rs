@@ -940,7 +940,7 @@ fn run_neighborhood(args: &Args, scenario: &Scenario) -> Result<(), CliError> {
         flags.devices,
         flags.minutes,
         flags.seed,
-        flags.seed + args.homes as u64 - 1,
+        flags.seed.wrapping_add(args.homes as u64 - 1),
     );
     let billing = Billing::typical_residential();
     println!(

@@ -1,6 +1,6 @@
 //! The batch report's summary lines: a reduction prints as `−X%` and an
 //! increase as `+X%`, and only a strategy that ran the CP gets a `CP:`
-//! line.
+//! line. The neighborhood header's seed range wraps like the homes' seeds.
 
 mod common;
 
@@ -51,4 +51,19 @@ fn only_a_strategy_that_ran_the_cp_prints_a_cp_line() {
         "4",
     ]);
     assert!(!out.contains("CP:"), "{out}");
+}
+
+#[test]
+fn the_neighborhood_seed_range_wraps_at_the_top_seed() {
+    // The homes draw `seed.wrapping_add(i)`; the header names the same
+    // seeds instead of overflowing.
+    let out = report(&[
+        "--homes",
+        "2",
+        "--seed",
+        "18446744073709551615",
+        "--minutes",
+        "5",
+    ]);
+    assert!(out.contains(", seeds 18446744073709551615..0\n"), "{out}");
 }

@@ -12,7 +12,7 @@
 mod common;
 
 use common::{connect, free_port, hansim_cmd, roundtrip, wait_report, wait_with_deadline};
-use smart_han::core::online::server::MAX_CLIENTS;
+use smart_han::core::online::MAX_CLIENTS;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Stdio};
